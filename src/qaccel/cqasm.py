@@ -135,7 +135,8 @@ def parse(text: str) -> Program:
 
 
 def _parse_instruction(line: str, n: int, lineno: int) -> GateInstance:
-    head, _, tail = line.partition(" ")
+    head, *rest = line.split(None, 1)
+    tail = rest[0] if rest else ""
     mnemonic = head.lower()
     kind = MNEMONICS.get(mnemonic)
     if kind is None:

@@ -105,6 +105,8 @@ class GateInstance:
             if self.angle is None:
                 raise ValueError(f"{self.kind.mnemonic} requires an angle")
             object.__setattr__(self, "angle", float(self.angle))
+            if not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind.mnemonic} angle must be finite, got {self.angle!r}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind.mnemonic} does not take an angle")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cqasm import parse
+from ..cqasm import emit, parse
 from ..errors import CapacityError, MappingError, ParseError
 from ..genomics import AlignmentInstance, align, build_alignment_circuit, nucleotides_to_bits
 from ..mapper import initial_placement, route
@@ -26,6 +26,15 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_MAPPING = 2
 EXIT_CAPACITY = 3
+
+#: Exception type -> (exit code, stderr prefix), applied once in main.
+EXIT_TABLE = {
+    ParseError: (EXIT_PARSE, "error"),
+    OSError: (EXIT_PARSE, "error"),
+    ValueError: (EXIT_PARSE, "error"),
+    MappingError: (EXIT_MAPPING, "mapping error"),
+    CapacityError: (EXIT_CAPACITY, "capacity error"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,27 +90,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        outcome = run_file(
-            args.file,
-            shots=args.shots,
-            seed=args.seed,
-            noise_p=args.noise_p,
-            topology=args.topology,
-            placement=args.placement,
-            top_k=args.top_k,
-            zero_skip=not args.no_zero_skip,
-            store_path=args.store,
-        )
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MappingError as exc:
-        print(f"mapping error: {exc}", file=sys.stderr)
-        return EXIT_MAPPING
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    outcome = run_file(
+        args.file,
+        shots=args.shots,
+        seed=args.seed,
+        noise_p=args.noise_p,
+        topology=args.topology,
+        placement=args.placement,
+        top_k=args.top_k,
+        zero_skip=not args.no_zero_skip,
+        store_path=args.store,
+    )
     record = outcome.record
     print(f"run {record.run_id}")
     print(f"circuit sha256 {record.circuit_hash}")
@@ -122,23 +121,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    try:
-        program = parse(Path(args.file).read_text(encoding="utf-8"))
-        topo = parse_topology_spec(args.topology)
-        layout = initial_placement(program, topo, args.placement)
-        routed, _final, report = route(program, topo, layout)
-        from ..cqasm import emit
-
-        mapped = emit(routed)
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MappingError as exc:
-        print(f"mapping error: {exc}", file=sys.stderr)
-        return EXIT_MAPPING
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    program = parse(Path(args.file).read_text(encoding="utf-8"))
+    topo = parse_topology_spec(args.topology)
+    layout = initial_placement(program, topo, args.placement)
+    routed, _final, report = route(program, topo, layout)
+    mapped = emit(routed)
     if args.output:
         Path(args.output).write_text(mapped, encoding="utf-8")
     else:
@@ -154,25 +141,16 @@ def _normalize_sequence(seq: str) -> str:
 
 
 def _cmd_align(args) -> int:
-    try:
-        inst = AlignmentInstance(
-            reference=_normalize_sequence(args.reference),
-            read=_normalize_sequence(args.read),
-            iterations=args.iterations,
-            diffusion=args.diffusion,
-        )
-        if args.emit_qasm:
-            from ..cqasm import emit
-
-            sys.stdout.write(emit(build_alignment_circuit(inst)))
-            return EXIT_OK
-        result = align(inst, args.shots, np.random.default_rng(args.seed))
-    except (ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    inst = AlignmentInstance(
+        reference=_normalize_sequence(args.reference),
+        read=_normalize_sequence(args.read),
+        iterations=args.iterations,
+        diffusion=args.diffusion,
+    )
+    if args.emit_qasm:
+        sys.stdout.write(emit(build_alignment_circuit(inst)))
+        return EXIT_OK
+    result = align(inst, args.shots, np.random.default_rng(args.seed))
     print("position,probability")
     for pos, prob in result.ranking:
         print(f"{pos},{prob:.6f}")
@@ -181,17 +159,13 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        if args.suite == "gates":
-            result = bench_gates(args.reps)
-        elif args.suite == "qubits":
-            result = bench_qubit_scaling(args.n_min, args.n_max)
-        else:
-            counts = tuple(int(c) for c in args.counts.split(","))
-            result = bench_depth_scaling(counts)
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.suite == "gates":
+        result = bench_gates(args.reps)
+    elif args.suite == "qubits":
+        result = bench_qubit_scaling(args.n_min, args.n_max)
+    else:
+        counts = tuple(int(c) for c in args.counts.split(","))
+        result = bench_depth_scaling(counts)
     sys.stdout.write(result.to_csv())
     for name, fit in result.fits.items():
         print(
@@ -203,17 +177,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    try:
-        result = store_query(
-            args.store,
-            run_id=args.run_id,
-            circuit_hash=args.circuit_hash,
-            since=args.since,
-            until=args.until,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    result = store_query(
+        args.store,
+        run_id=args.run_id,
+        circuit_hash=args.circuit_hash,
+        since=args.since,
+        until=args.until,
+    )
     for record in result.records:
         print(json.dumps(record.to_dict()))
     if result.corrupt_lines:
@@ -221,19 +191,23 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "map": _cmd_map,
+    "align": _cmd_align,
+    "bench": _cmd_bench,
+    "metrics": _cmd_metrics,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "map":
-        return _cmd_map(args)
-    if args.command == "align":
-        return _cmd_align(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    return EXIT_PARSE  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(EXIT_TABLE) as exc:
+        code, prefix = next(row for kind, row in EXIT_TABLE.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,9 +3,10 @@
 parse -> optional map -> simulate -> metrics -> persist.  The recorded
 final state is the pre-measurement state: measure instructions mark the
 register for readout and sampling, while fidelity and the state summary
-are taken before any collapse.  The ideal reference state comes from the
-dense oracle whenever it fits (<= 12 qubits, no prep_z), otherwise from a
-noiseless engine pass.
+are taken before any collapse.  The engine simulates perfect qubits, so a
+noiseless run's state is its own ideal reference and its fidelity is 1 by
+construction; a noisy run takes its ideal reference from one noiseless
+engine pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..gates import GateKind, NoiseConfig, run_circuit, sample
 from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
 from ..statecore import MemoryParams, estimate_total_memory
-from ..tensor_oracle import MAX_ORACLE_QUBITS, simulate_instructions
 from .records import FinalState, RunRecord, store_append
 
 #: Ideal-state probabilities above this threshold define the correct-answer set.
@@ -53,20 +53,16 @@ class RunOutcome:
     store_path: Path | None
 
 
-def _ideal_state(program: Program, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    unitary = [g for g in program.instructions if g.kind is not GateKind.MEASURE]
-    has_prep = any(g.kind is GateKind.PREP_Z for g in unitary)
-    if program.n <= MAX_ORACLE_QUBITS and not has_prep:
-        return simulate_instructions(program.n, unitary)
-    state, _ = run_circuit(
-        program.n, unitary, rng=np.random.default_rng(seed_seq.spawn(1)[0])
-    )
-    return state.live.copy()
-
-
 def _top_states(amps: np.ndarray, n: int, top_k: int) -> list[FinalState]:
+    """The top_k nonzero basis states by descending probability, ties by index."""
     probs = amps.real**2 + amps.imag**2
-    order = sorted(range(amps.size), key=lambda i: (-probs[i], i))[:top_k]
+    k = min(top_k, probs.size)
+    if k == 0:
+        return []
+    # only indices at or above the k-th largest probability can make the cut
+    kth = np.partition(probs, probs.size - k)[probs.size - k]
+    candidates = np.flatnonzero((probs >= kth) & (probs > 0.0))
+    order = candidates[np.argsort(-probs[candidates], kind="stable")[:k]]
     return [
         FinalState(
             bitstring=format(i, f"0{n}b"),
@@ -74,7 +70,6 @@ def _top_states(amps: np.ndarray, n: int, top_k: int) -> list[FinalState]:
             probability=float(probs[i]),
         )
         for i in order
-        if probs[i] > 0.0
     ]
 
 
@@ -91,6 +86,7 @@ def run_program(
     store_path: str | Path | None = None,
     persist: bool = True,
 ) -> RunOutcome:
+    started = time.perf_counter_ns()
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if top_k < 0:
@@ -110,8 +106,6 @@ def run_program(
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
     noise = NoiseConfig(noise_p) if noise_p > 0 else None
 
-    started = time.perf_counter_ns()
-    ideal = _ideal_state(executed, ideal_seq)
     ref_state, _ = run_circuit(
         executed.n,
         unitary,
@@ -120,8 +114,13 @@ def run_program(
         zero_skip=zero_skip,
     )
     if noise is None:
+        ideal = ref_state.live
         histogram = sample(ref_state, shots, np.random.default_rng(sample_seq))
     else:
+        ideal_state, _ = run_circuit(
+            executed.n, unitary, rng=np.random.default_rng(ideal_seq), zero_skip=zero_skip
+        )
+        ideal = ideal_state.live
         # fresh noisy trajectory per shot, one full-register readout each
         histogram = {}
         shot_rng = np.random.default_rng(shot_seq)
@@ -131,12 +130,9 @@ def run_program(
             )
             for key, count in sample(traj, 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
-    wall_time_ns = time.perf_counter_ns() - started
 
     ideal_probs = ideal.real**2 + ideal.imag**2
-    support = {
-        format(i, f"0{executed.n}b") for i in np.flatnonzero(ideal_probs > SUPPORT_THRESHOLD)
-    }
+    support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
     counts = gate_count(executed)
     depth = schedule_asap(executed).depth
     metric_set = MetricSet(
@@ -167,7 +163,7 @@ def run_program(
         config=config,
         metrics=metric_set,
         final_states=_top_states(ref_state.live, executed.n, top_k),
-        wall_time_ns=wall_time_ns,
+        wall_time_ns=time.perf_counter_ns() - started,
         peak_state_bytes=estimate_total_memory(MemoryParams(executed.n)),
     )
     stored = store_append(record, store_path) if persist else None

@@ -138,20 +138,11 @@ def gate_matrix(g: GateInstance, n: int) -> np.ndarray:
 
 def dense_simulate(program: "Program") -> np.ndarray:
     """Ground state driven through the program's gates by full matrix products."""
-    n = program.n
-    if n > MAX_ORACLE_QUBITS:
-        raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    for g in program.instructions:
-        if not g.kind.is_unitary:
-            raise ValueError(f"dense oracle cannot execute {g.kind.mnemonic}")
-        state = gate_matrix(g, n) @ state
-    return state
+    return simulate_instructions(program.n, program.instructions)
 
 
 def simulate_instructions(n: int, instructions: Iterable[GateInstance]) -> np.ndarray:
-    """Like dense_simulate but for a bare instruction sequence."""
+    """Ground state driven through a bare instruction sequence by full matrix products."""
     if n > MAX_ORACLE_QUBITS:
         raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
     state = np.zeros(1 << n, dtype=complex)

@@ -106,6 +106,11 @@ class TestParse:
         assert program.n == 2
         assert [g.kind for g in program.instructions] == [GateKind.X]
 
+    def test_any_whitespace_after_mnemonic(self):
+        program = parse("version 1.0\nqubits 2\nh\tq[0]\ncnot \t q[0], q[1]\nrx\tq[1],\t0.5\n")
+        assert [g.kind for g in program.instructions] == [GateKind.H, GateKind.CNOT, GateKind.RX]
+        assert program.instructions[2].angle == 0.5
+
     def test_case_insensitive_mnemonics(self):
         program = parse("VERSION 1.0\nQubits 1\nX q[0]\nRx q[0], 0.25\n")
         assert [g.kind for g in program.instructions] == [GateKind.X, GateKind.RX]

@@ -98,6 +98,11 @@ class TestGateInstanceValidation:
         with pytest.raises(ValueError):
             GateInstance(GateKind.X, (0,), 0.5)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            GateInstance(GateKind.RX, (0,), angle)
+
     def test_operand_out_of_range_at_apply(self):
         with pytest.raises(IndexError):
             apply_gate(alloc_state(1), gate("x", 1))

@@ -3,8 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from helpers import make_program, random_circuit
+from qaccel import tensor_oracle
+from qaccel.cqasm import parse
+from qaccel.errors import CapacityError, MappingError, ParseError
 from qaccel.harness.bench import (
     bench_depth_scaling,
     bench_gates,
@@ -18,7 +23,7 @@ from qaccel.harness.records import (
     store_append,
     store_query,
 )
-from qaccel.harness.runner import parse_topology_spec, run_file
+from qaccel.harness.runner import parse_topology_spec, run_file, run_program
 from qaccel.metrics import MetricSet
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
@@ -143,6 +148,43 @@ class TestRunPipeline:
         assert outcome.record.metrics.fidelity == pytest.approx(1.0, abs=1e-9)
         assert outcome.histogram == {"0": 20}
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noiseless_prep_z_run_is_perfect(self, seed):
+        program = parse("version 1.0\nqubits 2\nh q[0]\ncnot q[0], q[1]\nprep_z q[0]\n")
+        metrics = run_program(program, shots=100, seed=seed, persist=False).record.metrics
+        assert metrics.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert metrics.success_probability == 1.0
+
+    def test_final_state_ties_in_index_order(self):
+        program = parse("version 1.0\nqubits 3\nh q[0]\nh q[1]\nh q[2]\n")
+        record = run_program(program, shots=10, seed=0, top_k=3, persist=False).record
+        assert [fs.bitstring for fs in record.final_states] == ["000", "001", "010"]
+
+    def test_final_states_match_dense_oracle(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(50):
+            n = int(rng.integers(1, 9))
+            ops = random_circuit(rng, n)
+            record = run_program(
+                make_program(n, ops), shots=10, seed=trial, top_k=1 << n, persist=False
+            ).record
+            expected = tensor_oracle.simulate_instructions(n, ops)
+            listed = {int(fs.bitstring, 2): complex(*fs.amplitude) for fs in record.final_states}
+            for i, amp in listed.items():
+                assert abs(amp - expected[i]) < 1e-9, (trial, i)
+            assert set(np.flatnonzero(np.abs(expected) ** 2 > 1e-9)) <= set(listed), trial
+            assert record.metrics.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    def test_run_does_not_use_dense_oracle(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the dense oracle is test-only")
+
+        monkeypatch.setattr(tensor_oracle, "gate_matrix", refuse)
+        body = "".join(f"h q[{q}]\ncnot q[{q}], q[{q + 1}]\n" for q in range(8))
+        program = parse(f"version 1.0\nqubits 9\n{body}")
+        record = run_program(program, shots=20, seed=4, persist=False).record
+        assert record.metrics.fidelity == pytest.approx(1.0, abs=1e-9)
+
     def test_final_states_sorted_descending(self, tmp_path):
         qasm = tmp_path / "skew.qasm"
         qasm.write_text("version 1.0\nqubits 2\nry q[0], 0.6\nry q[1], 1.1\n")
@@ -187,6 +229,48 @@ class TestCliExitCodes:
         qasm = tmp_path / "huge.qasm"
         qasm.write_text("version 1.0\nqubits 31\nx q[0]\n")
         assert main(["run", str(qasm), "--shots", "1"]) == 3
+
+    def test_non_finite_angle_exits_one(self, tmp_path, capsys):
+        qasm = tmp_path / "nan.qasm"
+        qasm.write_text("version 1.0\nqubits 1\nrx q[0], nan\n")
+        assert main(["run", str(qasm), "--shots", "1", "--store", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["run", "{qasm}"], "run_file"),
+            (["map", "{qasm}", "--topology", "line:2"], "route"),
+            (["align", "--reference", "0110", "--read", "01"], "align"),
+            (["bench", "depth", "--counts", "20"], "bench_depth_scaling"),
+            (["metrics", "query", "--store", "{store}"], "store_query"),
+        ],
+        ids=["run", "map", "align", "bench", "metrics"],
+    )
+    @pytest.mark.parametrize(
+        "exc, code, prefix",
+        [
+            (ParseError("bad token", 3), 1, "error"),
+            (OSError("disk gone"), 1, "error"),
+            (ValueError("bad value"), 1, "error"),
+            (MappingError("no path"), 2, "mapping error"),
+            (CapacityError("too big"), 3, "capacity error"),
+        ],
+        ids=["parse", "os", "value", "mapping", "capacity"],
+    )
+    def test_exception_exit_table(
+        self, argv, target, exc, code, prefix, tmp_path, capsys, monkeypatch
+    ):
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        store = tmp_path / "runs.jsonl"
+
+        def fail(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"qaccel.harness.cli.{target}", fail)
+        assert main([a.format(qasm=qasm, store=store) for a in argv]) == code
+        assert capsys.readouterr().err.startswith(f"{prefix}: {exc}")
 
     def test_successful_run_exits_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
