@@ -42,7 +42,9 @@ def fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
         norm = float((vec.real**2 + vec.imag**2).sum())
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
-    return float(abs(np.vdot(ideal, actual)) ** 2)
+    # a ufunc product and sum, not np.vdot: a BLAS dot over a large state
+    # wakes OpenBLAS worker threads that go on spinning after it returns
+    return float(abs((ideal.conj() * actual).sum()) ** 2)
 
 
 def success_probability(histogram: Mapping[str, int], correct: Iterable[str]) -> float:
