@@ -1,25 +1,33 @@
-"""Gates as basis-state mapping functions over the live amplitude buffer.
+"""Gates as a table of operand-subspace matrices, applied by two kernels.
 
-No gate matrix is ever materialized.  Each gate walks the input buffer's
-basis states and writes the mapped contributions into the output buffer;
-afterwards the input buffer is zeroed and the parity flag toggles.  Gates
-either move each source state to exactly one target (one-to-one: X, Y, Z,
-RZ, CNOT, CPHASE, SWAP, TOFFOLI) or split it across two targets sharing
-accumulation (one-to-two: H, RX, RY).
+Each unitary kind has a matrix on its operand qubits (a 2x2; a 4x4 or 8x8
+permutation or diagonal), kept as nonzero (row, column, coefficient) terms
+built once per (kind, angle).  A gate writes into the dead buffer (see
+statecore).  The strided kernel adds ``coefficient * input[column]`` into
+``output[row]`` over whole strided views, one axis per operand; the scatter
+takes only the nonzero inputs and adds each term's share by index arrays.
 
-Zero-state skipping drops basis states whose input amplitude is exactly
-zero.  Every write below is an accumulating scatter with per-group-unique
-targets and a fixed group order, so skipping only removes additions of
-exact zeros and the output is bit-identical with the optimization on or
-off.
+Without zero-skipping every basis state goes through the scatter.  With it,
+registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
+amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
+nonzero; other gates are strided, and a larger support marks the state
+dense, which skips the scan until ``reset_ground``.  Both constants are
+measured crossovers of the kernels.
+
+Both kernels give bit-identical output: every output amplitude starts at +0
+and gets its terms in the same order, so a skipped zero input only drops the
+addition of a signed zero.  Complex coefficients are split into a real and an
+imaginary term, each product one rounding, because numpy's complex-by-complex
+multiply rounds differently with array layout and length.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -134,107 +142,113 @@ class NoiseConfig:
             raise ValueError(f"depolarizing probability must be in [0, 1], got {self.p}")
 
 
+#: Zero-skip scans registers of at least this many qubits for nonzero amplitudes;
+#: below it the scan and scatter are no faster even on a two-state support.
+SCAN_MIN_QUBITS = 13
+
+#: Zero-skip scatters while at most this fraction of the amplitudes is
+#: nonzero; on a larger support the strided kernel is faster.
+SCATTER_MAX_FRACTION = 1 / 16
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-
-def _sources(src: np.ndarray, zero_skip: bool) -> np.ndarray:
-    """Basis states fed to the mapping; the skip pass drops exact zeros."""
-    if zero_skip:
-        return np.flatnonzero(src)
-    return np.arange(src.size, dtype=np.intp)
-
-
-def _split_on_bit(idx: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    hi = (idx & mask) != 0
-    return idx[~hi], idx[hi]
-
-
-def _map_one_to_two(src, dst, q, u00, u01, u10, u11, zero_skip):
-    """Generic single-qubit action: source with qubit value b contributes
-    u[t][b] to the target state with the qubit set to t."""
-    mask = 1 << q
-    lo, hi = _split_on_bit(_sources(src, zero_skip), mask)
-    dst[lo] += u00 * src[lo]
-    dst[hi ^ mask] += u01 * src[hi]
-    dst[lo ^ mask] += u10 * src[lo]
-    dst[hi] += u11 * src[hi]
+#: Each unitary kind's matrix on its operand subspace (a rotation's as a
+#: function of the cosine and sine of its half angle).  Operand j of a gate
+#: is bit j of a row or column index, so CNOT's control is bit 0; row i of a
+#: permutation is row perm[i] of the identity.
+_MATRICES = {
+    GateKind.X: [[0, 1], [1, 0]],
+    GateKind.Y: [[0, -1j], [1j, 0]],
+    GateKind.Z: [[1, 0], [0, -1]],
+    GateKind.H: [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]],
+    GateKind.RX: lambda c, s: [[c, -1j * s], [-1j * s, c]],
+    GateKind.RY: lambda c, s: [[c, -s], [s, c]],
+    GateKind.RZ: lambda c, s: [[complex(c, -s), 0], [0, complex(c, s)]],
+    GateKind.CNOT: np.eye(4)[[0, 3, 2, 1]],
+    GateKind.CPHASE: np.diag([1, 1, 1, -1]),
+    GateKind.SWAP: np.eye(4)[[0, 2, 1, 3]],
+    GateKind.TOFFOLI: np.eye(8)[[0, 1, 2, 7, 4, 5, 6, 3]],
+}
 
 
-def _map_x(src, dst, q, zero_skip):
-    # pure address move: |b> -> |1-b>
-    mask = 1 << q
-    idx = _sources(src, zero_skip)
-    dst[idx ^ mask] += src[idx]
+def _merge(terms: list[tuple[int, int, int, complex]], bit: int) -> list:
+    """Fold each pair of (care, row, col, coef) terms that differ only in ``bit``
+    of both row and column into one term leaving it free (flipped if they differ)."""
+    pending, merged = set(terms), []
+    for care, row, col, coef in terms:
+        if (care, row, col, coef) in pending:
+            pending.discard((care, row, col, coef))
+            if care & bit and (care, row ^ bit, col ^ bit, coef) in pending:
+                pending.discard((care, row ^ bit, col ^ bit, coef))
+                care, row, col = care & ~bit, (row & ~bit) | ((row ^ col) & bit), col & ~bit
+            merged.append((care, row, col, coef))
+    return merged
 
 
-def _map_y(src, dst, q, zero_skip):
-    # address move plus a phase of +/- i depending on the source bit
-    mask = 1 << q
-    lo, hi = _split_on_bit(_sources(src, zero_skip), mask)
-    dst[lo ^ mask] += 1j * src[lo]
-    dst[hi ^ mask] += -1j * src[hi]
+class _Table(NamedTuple):
+    views: tuple[tuple[tuple, tuple, complex], ...]  # (output key, input key, coefficient)
+    cares: np.ndarray  # per term: the operand bits it fixes,
+    cols: np.ndarray  # their input values,
+    flips: np.ndarray  # the operand bits it flips,
+    coefs: np.ndarray  # and its coefficient
 
 
-def _map_z(src, dst, q, zero_skip):
-    lo, hi = _split_on_bit(_sources(src, zero_skip), 1 << q)
-    dst[lo] += src[lo]
-    dst[hi] += -src[hi]
+@functools.lru_cache(maxsize=4096)
+def _table(kind: GateKind, angle: float | None) -> _Table:
+    """A gate's nonzero matrix entries as terms, each complex entry split into
+    a real and an imaginary term so each product is one rounding, and terms
+    that act alike on an operand bit merged so that it stays a free axis."""
+    m = _MATRICES[kind]
+    if kind.takes_angle:
+        m = m(math.cos(angle / 2.0), math.sin(angle / 2.0))
+    k, terms, m = kind.arity, [], np.asarray(m, complex)
+    for row, col in zip(*np.nonzero(m)):
+        for part in (float(m[row, col].real), complex(0.0, m[row, col].imag)):
+            if part:
+                terms.append(((1 << k) - 1, int(row), int(col), part))
+    for j in range(k):
+        terms = _merge(terms, 1 << j)
+
+    def key(care, value, flip=0):  # leading-axis index, operand k-1 first
+        return tuple((value >> j) & 1 if care >> j & 1 else np.s_[:: 1 - 2 * (flip >> j & 1)]
+                     for j in reversed(range(k)))
+
+    views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
+    cares, rows, cols, coefs = (np.array(column) for column in zip(*terms))
+    return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex))
 
 
-def _map_h(src, dst, q, zero_skip):
-    _map_one_to_two(src, dst, q, _SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2, zero_skip)
+@functools.lru_cache(maxsize=4096)
+def _layout(qubits: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
+    """How the kernels address operands: a shape with an axis per operand bit and per run
+    between, an order putting operands k-1..0 first, and each subspace index's bits."""
+    cuts = sorted(qubits, reverse=True)
+    runs = [-1] + [1 << (hi - lo - 1) for hi, lo in zip(cuts, cuts[1:])]
+    shape = tuple(size for run in runs for size in (run, 2)) + (1 << cuts[-1],)
+    bit_axis = {q: 2 * i + 1 for i, q in enumerate(cuts)}
+    order = tuple(bit_axis[q] for q in reversed(qubits)) + tuple(range(0, len(shape), 2))
+    spread = np.array([sum(((i >> j) & 1) << q for j, q in enumerate(qubits))
+                       for i in range(1 << len(qubits))])
+    spread.flags.writeable = False
+    return shape, order, spread
 
 
-def _map_rx(src, dst, q, theta, zero_skip):
-    c = math.cos(theta / 2.0)
-    s = -1j * math.sin(theta / 2.0)
-    _map_one_to_two(src, dst, q, c, s, s, c, zero_skip)
+def _strided(src, dst, layout, table: _Table) -> None:
+    """Dense kernel: each term adds a scaled input view into an output view."""
+    shape, order, _ = layout
+    s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
+    for out_key, in_key, coef in table.views:
+        view = d[out_key]
+        view += s[in_key] if coef == 1 else coef * s[in_key]
 
 
-def _map_ry(src, dst, q, theta, zero_skip):
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    _map_one_to_two(src, dst, q, c, -s, s, c, zero_skip)
-
-
-def _map_rz(src, dst, q, theta, zero_skip):
-    lo, hi = _split_on_bit(_sources(src, zero_skip), 1 << q)
-    dst[lo] += complex(math.cos(theta / 2.0), -math.sin(theta / 2.0)) * src[lo]
-    dst[hi] += complex(math.cos(theta / 2.0), math.sin(theta / 2.0)) * src[hi]
-
-
-def _map_cnot(src, dst, control, target, zero_skip):
-    off, on = _split_on_bit(_sources(src, zero_skip), 1 << control)
-    dst[off] += src[off]
-    dst[on ^ (1 << target)] += src[on]
-
-
-def _map_cphase(src, dst, a, b, zero_skip):
-    idx = _sources(src, zero_skip)
-    both = ((idx & (1 << a)) != 0) & ((idx & (1 << b)) != 0)
-    plain = idx[~both]
-    flip = idx[both]
-    dst[plain] += src[plain]
-    dst[flip] += -src[flip]
-
-
-def _map_swap(src, dst, a, b, zero_skip):
-    ma, mb = 1 << a, 1 << b
-    idx = _sources(src, zero_skip)
-    differ = ((idx & ma) != 0) != ((idx & mb) != 0)
-    same = idx[~differ]
-    move = idx[differ]
-    dst[same] += src[same]
-    dst[move ^ (ma | mb)] += src[move]
-
-
-def _map_toffoli(src, dst, c1, c2, target, zero_skip):
-    idx = _sources(src, zero_skip)
-    on = ((idx & (1 << c1)) != 0) & ((idx & (1 << c2)) != 0)
-    rest = idx[~on]
-    fire = idx[on]
-    dst[rest] += src[rest]
-    dst[fire ^ (1 << target)] += src[fire]
+def _scatter(src, dst, layout, table: _Table, nonzero: np.ndarray) -> None:
+    """Sparse kernel: each term, in order, moves the given inputs it selects
+    to their targets (distinct within a term), as the strided kernel does."""
+    spread = layout[2]
+    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
+        sources = nonzero[(nonzero & care) == col]
+        dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
 
 def apply_gate(
@@ -244,10 +258,10 @@ def apply_gate(
     zero_skip: bool = True,
     rng: np.random.Generator | None = None,
 ) -> StateVector:
-    """Apply one gate by its mapping function; toggles the buffer parity.
+    """Apply one gate through the kernel table; toggles the buffer parity.
 
     ``rng`` is only consulted for PREP_Z (which measures internally).
-    MEASURE is not a mapping and must go through :func:`measure`.
+    MEASURE is not a gate application and must go through :func:`measure`.
     """
     if any(q >= state.n for q in g.qubits):
         raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
@@ -260,31 +274,16 @@ def apply_gate(
         return state
 
     src, dst = state.live, state.dead
-    kind = g.kind
-    if kind is GateKind.X:
-        _map_x(src, dst, g.qubits[0], zero_skip)
-    elif kind is GateKind.Y:
-        _map_y(src, dst, g.qubits[0], zero_skip)
-    elif kind is GateKind.Z:
-        _map_z(src, dst, g.qubits[0], zero_skip)
-    elif kind is GateKind.H:
-        _map_h(src, dst, g.qubits[0], zero_skip)
-    elif kind is GateKind.RX:
-        _map_rx(src, dst, g.qubits[0], g.angle, zero_skip)
-    elif kind is GateKind.RY:
-        _map_ry(src, dst, g.qubits[0], g.angle, zero_skip)
-    elif kind is GateKind.RZ:
-        _map_rz(src, dst, g.qubits[0], g.angle, zero_skip)
-    elif kind is GateKind.CNOT:
-        _map_cnot(src, dst, g.qubits[0], g.qubits[1], zero_skip)
-    elif kind is GateKind.CPHASE:
-        _map_cphase(src, dst, g.qubits[0], g.qubits[1], zero_skip)
-    elif kind is GateKind.SWAP:
-        _map_swap(src, dst, g.qubits[0], g.qubits[1], zero_skip)
-    elif kind is GateKind.TOFFOLI:
-        _map_toffoli(src, dst, g.qubits[0], g.qubits[1], g.qubits[2], zero_skip)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"no mapping function for {kind}")
+    table, layout = _table(g.kind, g.angle), _layout(g.qubits)
+    if not zero_skip:  # the reference: every basis state through the scatter
+        nonzero = np.arange(state.dim)
+    elif not state.dense and state.n >= SCAN_MIN_QUBITS:
+        nonzero = (src != 0).nonzero()[0]
+        state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
+    if zero_skip and (state.dense or state.n < SCAN_MIN_QUBITS):
+        _strided(src, dst, layout, table)
+    else:
+        _scatter(src, dst, layout, table, nonzero)
     state.toggle_after_gate()
     return state
 

@@ -11,6 +11,7 @@ least significant bit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import CapacityError
 Amplitude = complex
 
 #: Hard cap on simulated qubits: both buffers together stay <= 32 GiB of doubles.
+#: A register must also fit in the machine's physical memory (see StateVector).
 MAX_QUBITS = 30
 
 #: Normalization / equivalence tolerance for double-precision states.
@@ -65,15 +67,33 @@ def estimate_matrix_memory(params: MemoryParams) -> int:
     return 2 * params.scalar_bytes * (1 << (2 * params.n))
 
 
+def physical_memory_bytes() -> int | None:
+    """Bytes of physical memory on this machine, or None where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def estimate_peak_memory(params: MemoryParams) -> int:
+    """Bytes the zero-skip engine holds at its peak: the double buffer plus
+    the kernels' temporaries, at most one more buffer (a scaled copy of the
+    whole input).  The no-skip reference, which scatters every basis state,
+    needs up to about 4.5 buffers of index arrays on top."""
+    return estimate_total_memory(params) + estimate_vector_memory(params)
+
+
 class StateVector:
     """An n-qubit register held in two alternating amplitude buffers.
 
     ``parity`` names the live buffer: 0 means the even buffer holds the
     current amplitudes, 1 means the odd buffer does.  Between gates the
-    non-live buffer is kept all zeros.
+    non-live buffer is kept all zeros.  ``dense`` records that zero-skipping
+    found most amplitudes nonzero, so the engine stops scanning for zeros
+    until :meth:`reset_ground`.
     """
 
-    __slots__ = ("n", "dim", "buf_even", "buf_odd", "parity")
+    __slots__ = ("n", "dim", "buf_even", "buf_odd", "parity", "dense")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_QUBITS:
@@ -82,11 +102,18 @@ class StateVector:
                 need = estimate_total_memory(MemoryParams(n))
                 msg += f": double-buffered state would need {need} bytes"
             raise CapacityError(msg)
+        peak, physical = estimate_peak_memory(MemoryParams(n)), physical_memory_bytes()
+        if physical is not None and peak > physical:
+            raise CapacityError(
+                f"{n} qubits need {peak} bytes (double buffer plus kernel temporaries), "
+                f"more than the {physical} bytes of physical memory"
+            )
         self.n = n
         self.dim = 1 << n
         self.buf_even = np.zeros(self.dim, dtype=np.complex128)
         self.buf_odd = np.zeros(self.dim, dtype=np.complex128)
         self.parity = 0
+        self.dense = False
         self.buf_even[0] = 1.0
 
     @property
@@ -110,6 +137,7 @@ class StateVector:
         self.buf_odd[:] = 0
         self.buf_even[0] = 1.0
         self.parity = 0
+        self.dense = False
 
     def amplitude(self, i: int) -> Amplitude:
         if not 0 <= i < self.dim:
@@ -131,6 +159,7 @@ class StateVector:
         dup.buf_even = self.buf_even.copy()
         dup.buf_odd = self.buf_odd.copy()
         dup.parity = self.parity
+        dup.dense = self.dense
         return dup
 
     @classmethod

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import engine_state, random_circuit
+from qaccel import gates
 from qaccel.gates import (
     GateInstance,
     GateKind,
@@ -19,7 +20,8 @@ from qaccel.gates import (
     sample,
 )
 from qaccel.metrics import fidelity
-from qaccel.statecore import alloc_state
+from qaccel.statecore import StateVector, alloc_state
+from qaccel.tensor_oracle import simulate_instructions
 
 S = 1 / math.sqrt(2)
 
@@ -177,6 +179,83 @@ class TestZeroSkip:
         ops = [gate("x", 0), gate("cnot", 0, 1), gate("z", 1), gate("h", 0),
                gate("toffoli", 0, 1, 2), gate("swap", 0, 2), gate("ry", 1, angle=4.0)]
         assert engine_state(3, ops, True).tobytes() == engine_state(3, ops, False).tobytes()
+
+    def test_bit_identical_with_rz_at_sixteen_qubits(self):
+        # complex coefficients once rounded differently by array length
+        rng = np.random.default_rng(16)
+        n = 16
+        for _ in range(6):
+            ops = []
+            for _ in range(24):
+                kind = ("h", "rx", "cnot", "rz")[int(rng.integers(4))]
+                if kind == "cnot":
+                    ops.append(gate(kind, *(int(q) for q in rng.choice(n, 2, replace=False))))
+                else:
+                    angle = float(rng.uniform(-np.pi, np.pi)) if kind != "h" else None
+                    ops.append(gate(kind, int(rng.integers(n)), angle=angle))
+            assert engine_state(n, ops, True).tobytes() == engine_state(n, ops, False).tobytes()
+
+
+class TestKernels:
+    """The scatter and the strided kernel, each forced on every gate, against
+    the no-skip reference, which scatters every basis state."""
+
+    KERNELS = ("scatter", "strided")
+
+    @classmethod
+    def force(cls, monkeypatch, kernel):
+        """Make zero-skip choose ``kernel``; returns live call counts per kernel."""
+        calls = dict.fromkeys(cls.KERNELS, 0)
+        for name in cls.KERNELS:
+            original = getattr(gates, f"_{name}")
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gates, f"_{name}", counted)
+        scan, fraction = {"scatter": (1, 1.0), "strided": (99, 0.0)}[kernel]
+        monkeypatch.setattr(gates, "SCAN_MIN_QUBITS", scan)
+        monkeypatch.setattr(gates, "SCATTER_MAX_FRACTION", fraction)
+        return calls
+
+    @staticmethod
+    def stepwise(n, ops, zero_skip):
+        state = StateVector(n)
+        for g in ops:
+            apply_gate(state, g, zero_skip=zero_skip)
+            assert not state.dead.any()
+        return state.live.copy()
+
+    def test_kernels_agree_bit_for_bit_and_with_oracle(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        for _ in range(120):
+            n = int(rng.integers(1, 9))
+            ops = random_circuit(rng, n, max_gates=20)
+            runs = []
+            for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
+                with monkeypatch.context() as patch:
+                    calls = self.force(patch, kernel)
+                    runs.append(self.stepwise(n, ops, zero_skip))
+                    assert calls[kernel] == len(ops) and sum(calls.values()) == len(ops)
+            assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+            assert np.abs(simulate_instructions(n, ops) - runs[2]).max() <= 1e-9
+
+    def test_dense_state_stops_scanning_until_reset(self, monkeypatch):
+        calls = self.force(monkeypatch, "scatter")
+        monkeypatch.setattr(gates, "SCATTER_MAX_FRACTION", 0.25)
+        state = StateVector(3)
+        for q in (0, 1, 2):
+            apply_gate(state, gate("h", q))  # inputs hold 1, 2 and 4 of 8 states
+        assert calls == {"scatter": 2, "strided": 1} and state.dense
+        assert state.copy().dense
+        for q in (0, 1, 2):
+            apply_gate(state, gate("h", q))  # back to |000>, still not scanned
+        assert calls == {"scatter": 2, "strided": 4}
+        state.reset_ground()
+        assert not state.dense
+        apply_gate(state, gate("x", 0))
+        assert calls == {"scatter": 3, "strided": 4}
 
 
 class TestMeasurement:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import make_program, random_circuit
-from qaccel import tensor_oracle
+from qaccel import statecore, tensor_oracle
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
 from qaccel.harness.bench import (
@@ -228,6 +228,12 @@ class TestCliExitCodes:
     def test_capacity_error_exits_three(self, tmp_path):
         qasm = tmp_path / "huge.qasm"
         qasm.write_text("version 1.0\nqubits 31\nx q[0]\n")
+        assert main(["run", str(qasm), "--shots", "1"]) == 3
+
+    def test_register_beyond_physical_memory_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        qasm = tmp_path / "big.qasm"
+        qasm.write_text("version 1.0\nqubits 16\nx q[0]\n")
         assert main(["run", str(qasm), "--shots", "1"]) == 3
 
     def test_non_finite_angle_exits_one(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit
-from qaccel import gate
+from qaccel import gate, statecore
 from qaccel.errors import CapacityError
 from qaccel.gates import apply_gate
 from qaccel.statecore import (
@@ -38,6 +38,14 @@ class TestAllocState:
         with pytest.raises(CapacityError) as err:
             alloc_state(31)
         assert str(8 * 2 ** (31 + 2)) in str(err.value)
+
+    def test_refuses_register_beyond_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        with pytest.raises(CapacityError, match="physical memory"):
+            StateVector(15)  # 1 MiB of buffers plus the kernel temporaries
+        assert StateVector(14).n == 14
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: None)
+        assert StateVector(15).n == 15
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_non_positive_rejected(self, bad):
