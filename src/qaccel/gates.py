@@ -19,6 +19,13 @@ and gets its terms in the same order, so a skipped zero input only drops the
 addition of a signed zero.  Complex coefficients are split into a real and an
 imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
+
+A batch of trajectories (see statecore) adds a trailing axis that both
+kernels carry along: the strided views gain it as their last axis, and the
+scatter's index arrays select whole rows, scanned as nonzero when any
+trajectory is.  So one kernel call applies a gate to every trajectory, each
+column getting exactly the bytes a single-trajectory run would.  Noise,
+measurement and ``prep_z`` draw and act per trajectory.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .statecore import StateVector, alloc_state
+from .statecore import StateVector
 
 
 class GateKind(enum.Enum):
@@ -234,8 +241,11 @@ def _layout(qubits: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
 
 
 def _strided(src, dst, layout, table: _Table) -> None:
-    """Dense kernel: each term adds a scaled input view into an output view."""
+    """Dense kernel: each term adds a scaled input view into an output view;
+    a batch's trajectory axis rides along as the last axis."""
     shape, order, _ = layout
+    if src.ndim > 1:
+        shape, order = shape + src.shape[1:], order + (len(shape),)
     s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
     for out_key, in_key, coef in table.views:
         view = d[out_key]
@@ -244,7 +254,8 @@ def _strided(src, dst, layout, table: _Table) -> None:
 
 def _scatter(src, dst, layout, table: _Table, nonzero: np.ndarray) -> None:
     """Sparse kernel: each term, in order, moves the given inputs it selects
-    to their targets (distinct within a term), as the strided kernel does."""
+    to their targets (distinct within a term), as the strided kernel does;
+    the index arrays select whole rows, so a batch moves every trajectory."""
     spread = layout[2]
     for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
         sources = nonzero[(nonzero & care) == col]
@@ -257,11 +268,14 @@ def apply_gate(
     *,
     zero_skip: bool = True,
     rng: np.random.Generator | None = None,
+    columns: np.ndarray | None = None,
 ) -> StateVector:
     """Apply one gate through the kernel table; toggles the buffer parity.
 
     ``rng`` is only consulted for PREP_Z (which measures internally).
     MEASURE is not a gate application and must go through :func:`measure`.
+    ``columns`` limits a unitary gate to those trajectories of a batch; the
+    others keep their amplitudes.  A plain state is the single trajectory 0.
     """
     if any(q >= state.n for q in g.qubits):
         raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
@@ -273,61 +287,86 @@ def apply_gate(
         prep_z(state, g.qubits[0], rng)
         return state
 
-    src, dst = state.live, state.dead
+    if columns is not None and len(columns) < (state.batch or 1):
+        src = state.live[:, columns]
+        dst = np.zeros_like(src)
+        _apply_terms(state, src, dst, g, zero_skip)
+        state.live[:, columns] = dst
+    else:
+        _apply_terms(state, state.live, state.dead, g, zero_skip)
+        state.toggle_after_gate()
+    return state
+
+
+def _apply_terms(state: StateVector, src, dst, g: GateInstance, zero_skip: bool) -> None:
+    """Add a unitary gate's terms from ``src`` into the zeroed ``dst``
+    through the kernel that zero-skipping picks."""
     table, layout = _table(g.kind, g.angle), _layout(g.qubits)
     if not zero_skip:  # the reference: every basis state through the scatter
         nonzero = np.arange(state.dim)
     elif not state.dense and state.n >= SCAN_MIN_QUBITS:
-        nonzero = (src != 0).nonzero()[0]
+        occupied = src != 0
+        nonzero = (occupied if src.ndim == 1 else occupied.any(axis=1)).nonzero()[0]
         state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
     if zero_skip and (state.dense or state.n < SCAN_MIN_QUBITS):
         _strided(src, dst, layout, table)
     else:
         _scatter(src, dst, layout, table, nonzero)
-    state.toggle_after_gate()
-    return state
 
 
 def measure(
     state: StateVector, q: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projective measurement of one qubit with collapse and renormalization."""
+) -> tuple[int | np.ndarray, StateVector]:
+    """Projective measurement of one qubit with collapse and renormalization.
+
+    A batch draws and collapses each trajectory on its own and returns an
+    array of outcomes, one per trajectory.
+    """
     if not 0 <= q < state.n:
         raise IndexError(f"qubit {q} out of range for {state.n} qubits")
     live = state.live
-    view = live.reshape(-1, 2, 1 << q)
-    ones = view[:, 1, :]
-    p1 = float((ones.real**2 + ones.imag**2).sum())
+    view = live.reshape((-1, 2, 1 << q) + live.shape[1:])
+    ones = view[:, 1]
+    p1 = (ones.real**2 + ones.imag**2).sum(axis=(0, 1))
     p0 = 1.0 - p1
     total = state.norm_squared()
-    if total < 0.5:  # cannot happen while the normalization invariant holds
+    if np.any(total < 0.5):  # cannot happen while the normalization invariant holds
         raise RuntimeError(f"degenerate state: norm^2 = {total!r}")
-    bit = 0 if rng.random() < p0 else 1
-    surviving = p1 if bit else p0
-    view[:, 1 - bit, :] = 0
-    live /= math.sqrt(surviving)
-    return bit, state
+    ones_seen = rng.random(state.batch) >= p0
+    np.copyto(view[:, 0], 0, where=ones_seen)
+    np.copyto(view[:, 1], 0, where=~ones_seen)
+    live /= np.sqrt(np.where(ones_seen, p1, p0))
+    return (ones_seen.astype(int) if state.batch else int(ones_seen)), state
 
 
 def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
-    """Reset a qubit to |0> by measuring and flipping when the outcome is 1."""
-    bit, _ = measure(state, q, rng)
-    if bit:
-        apply_gate(state, GateInstance(GateKind.X, (q,)))
+    """Reset a qubit to |0> by measuring and flipping each trajectory whose
+    outcome is 1."""
+    bits, _ = measure(state, q, rng)
+    flipped = np.flatnonzero(bits)
+    if flipped.size:
+        apply_gate(state, GateInstance(GateKind.X, (q,)), columns=flipped)
     return state
 
 
 def sample(state: StateVector, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Draw full-register samples from the state without mutating it.
 
-    Keys are bitstrings with qubit n-1 leftmost and qubit 0 rightmost.
+    A batch draws ``shots`` samples from each trajectory and counts them
+    together.  Keys are bitstrings with qubit n-1 leftmost and qubit 0
+    rightmost.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = state.probabilities()
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = rng.multinomial(shots, (probs / probs.sum(axis=0)).T)
+    if state.batch:
+        counts = counts.sum(axis=0)
     width = state.n
     return {format(i, f"0{width}b"): int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
 
 
 def apply_depolarizing(
@@ -338,15 +377,23 @@ def apply_depolarizing(
     *,
     zero_skip: bool = True,
 ) -> StateVector:
-    """Ideal gate followed by independent depolarizing on each operand qubit."""
+    """Ideal gate followed by independent depolarizing on each operand qubit.
+
+    Each operand draws which trajectories it hits, then one Pauli per hit
+    trajectory, and applies each Pauli to its trajectories in one call.
+    """
     apply_gate(state, g, zero_skip=zero_skip, rng=rng)
     if cfg.p <= 0.0:
         return state
-    paulis = (GateKind.X, GateKind.Y, GateKind.Z)
     for q in g.qubits:
-        if rng.random() < cfg.p:
-            kind = paulis[int(rng.integers(3))]
-            apply_gate(state, GateInstance(kind, (q,)), zero_skip=zero_skip)
+        hits = np.flatnonzero(rng.random(state.batch) < cfg.p)
+        if hits.size:
+            picks = rng.integers(3, size=hits.size)
+            for i, kind in enumerate(_PAULIS):
+                columns = hits[picks == i]
+                if columns.size:
+                    apply_gate(state, GateInstance(kind, (q,)), zero_skip=zero_skip,
+                               columns=columns)
     return state
 
 
@@ -357,13 +404,16 @@ def run_circuit(
     rng: np.random.Generator | None = None,
     noise: NoiseConfig | None = None,
     zero_skip: bool = True,
-) -> tuple[StateVector, list[tuple[int, int]]]:
-    """Execute a gate sequence from the ground state.
+    batch: int | None = None,
+) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
+    """Execute a gate sequence from the ground state, as ``batch``
+    independent trajectories when given.
 
     Returns the final state and the measurement transcript as
-    (qubit, outcome) pairs in execution order.
+    (qubit, outcome) pairs in execution order; a batch's outcomes are
+    arrays, one per trajectory.
     """
-    state = alloc_state(n)
+    state = StateVector(n, batch)
     transcript: list[tuple[int, int]] = []
     noisy = noise is not None and noise.p > 0.0
     for g in instructions:

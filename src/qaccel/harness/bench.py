@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gates import GateInstance, GateKind, apply_gate
-from ..statecore import MAX_QUBITS, alloc_state
+from ..statecore import MAX_QUBITS, StateVector
 
 #: Gate list of the per-gate timing suite, each with the register size it
 #: is measured on (1 qubit for single-qubit gates, 2 for two-qubit, 3 for
@@ -136,7 +136,7 @@ def bench_gates(reps: int = 100_000) -> BenchResult:
     names: list[str] = []
     times: list[float] = []
     for instance, n_qubits in BENCH_GATES:
-        state = alloc_state(n_qubits)
+        state = StateVector(n_qubits)
         apply_gate(state, instance)  # warm-up, discarded
         block_means = []
         for _ in range(MEASUREMENTS_PER_POINT):
@@ -179,7 +179,7 @@ def bench_qubit_scaling(n_min: int, n_max: int, zero_skip: bool | None = None) -
     series: dict[str, list[float]] = {name: [] for name in modes}
     for n in values:
         circuit = _epr_chain(n)
-        state = alloc_state(n)
+        state = StateVector(n)
 
         def make_runner(skip):
             def run_once():
@@ -234,7 +234,7 @@ def bench_depth_scaling(
         raise ValueError("gate counts must be positive")
     series: dict[str, list[float]] = {}
     fits: dict[str, FitResult] = {}
-    state = alloc_state(2)
+    state = StateVector(2)
     for kind in kinds:
         times = []
         for count in values:

@@ -7,7 +7,8 @@ moving the first-listed operand toward the second along BFS shortest paths
 (lexicographically smallest path on ties); every inserted SWAP updates the
 running virtual-to-physical layout.  Three-qubit gates require both
 controls adjacent to the target, found by an exhaustive search over
-(target node, control neighbor) assignments.
+(target node, control neighbor) assignments; each topology caches its
+shortest paths, since that search asks for the same ones many times.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class Topology:
             adj[u].add(v)
             adj[v].add(u)
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self.paths: dict[tuple, tuple[int, ...] | None] = {}  # see _shortest_path
         if not self._connected():
             raise MappingError(f"{kind} topology with {node_count} nodes is disconnected")
 
@@ -208,10 +210,21 @@ def schedule_asap(program: Program) -> ScheduledCircuit:
     return ScheduledCircuit(program.instructions, tuple(cycles))
 
 
-def _shortest_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> list[int] | None:
-    """Lexicographically smallest shortest path, avoiding banned nodes."""
+def _shortest_path(
+    topo: Topology, start: int, goal: int, banned=frozenset()
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest shortest path, avoiding banned nodes;
+    computed once per topology and query."""
+    key = (start, goal, banned)
+    if key not in topo.paths:
+        topo.paths[key] = _bfs_path(topo, start, goal, banned)
+    return topo.paths[key]
+
+
+def _bfs_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> tuple[int, ...] | None:
+    """The search behind :func:`_shortest_path`: BFS distances from the goal."""
     if start == goal:
-        return [start]
+        return (start,)
     dist = {goal: 0}
     frontier = deque([goal])
     while frontier:
@@ -234,7 +247,7 @@ def _shortest_path(topo: Topology, start: int, goal: int, banned=frozenset()) ->
             if nb not in banned and dist.get(nb, -1) == dist[node] - 1
         )
         path.append(node)
-    return path
+    return tuple(path)
 
 
 class _Router:
@@ -265,7 +278,7 @@ class _Router:
         if b is not None:
             self.pos[b] = u
 
-    def walk(self, path: list[int]) -> None:
+    def walk(self, path: tuple[int, ...]) -> None:
         """Swap the state at path[0] along the path to path[-1]."""
         for u, v in zip(path, path[1:]):
             self.emit_swap(u, v)

@@ -3,7 +3,9 @@
 Amplitudes are complex numbers stored as (real, imaginary) pairs of doubles.
 A state holds two 2^n amplitude buffers; one is live (the input to the next
 gate), the other receives the gate's output, and a parity flag toggles their
-roles after every gate so no copy-back is ever required.
+roles after every gate so no copy-back is ever required.  A batch of B
+independent trajectories (noisy shots) keeps the same two buffers with a
+trailing trajectory axis, ``(2^n, B)``; a plain state is ``(2^n,)``.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
 least significant bit.
@@ -35,27 +37,32 @@ class MemoryParams:
 
     ``scalar_bytes`` is the width of one scalar component of an amplitude
     (each amplitude needs two of them).  It parameterizes the cost model
-    only; the execution engine always runs in double precision.
+    only; the execution engine always runs in double precision.  ``batch``
+    is the number of trajectories held side by side.
     """
 
     n: int
     scalar_bytes: int = 8
+    batch: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
         if self.scalar_bytes not in (4, 8, 16):
             raise ValueError(f"scalar_bytes must be one of 4, 8, 16, got {self.scalar_bytes}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 def estimate_vector_memory(params: MemoryParams) -> int:
-    """Bytes needed for one 2^n amplitude array (two scalars per amplitude)."""
-    return 2 * params.scalar_bytes * (1 << params.n)
+    """Bytes needed for one 2^n amplitude array (two scalars per amplitude)
+    per trajectory."""
+    return 2 * params.scalar_bytes * params.batch << params.n
 
 
 def estimate_total_memory(params: MemoryParams) -> int:
     """Bytes needed for the double-buffered engine: twice the vector cost."""
-    return params.scalar_bytes * (1 << (params.n + 2))
+    return params.scalar_bytes * params.batch << (params.n + 2)
 
 
 def estimate_matrix_memory(params: MemoryParams) -> int:
@@ -90,28 +97,34 @@ class StateVector:
     current amplitudes, 1 means the odd buffer does.  Between gates the
     non-live buffer is kept all zeros.  ``dense`` records that zero-skipping
     found most amplitudes nonzero, so the engine stops scanning for zeros
-    until :meth:`reset_ground`.
+    until :meth:`reset_ground`.  With ``batch=B`` the buffers are
+    ``(2^n, B)``, one column per trajectory; ``batch`` is None for a plain
+    ``(2^n,)`` state, which acts as a single trajectory.
     """
 
-    __slots__ = ("n", "dim", "buf_even", "buf_odd", "parity", "dense")
+    __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, batch: int | None = None):
         if not 1 <= n <= MAX_QUBITS:
             msg = f"qubit count {n} outside supported range 1..{MAX_QUBITS}"
             if n >= 1:
                 need = estimate_total_memory(MemoryParams(n))
                 msg += f": double-buffered state would need {need} bytes"
             raise CapacityError(msg)
-        peak, physical = estimate_peak_memory(MemoryParams(n)), physical_memory_bytes()
+        params = MemoryParams(n, batch=1 if batch is None else batch)
+        peak, physical = estimate_peak_memory(params), physical_memory_bytes()
         if physical is not None and peak > physical:
+            width = f" x {batch} trajectories" if batch else ""
             raise CapacityError(
-                f"{n} qubits need {peak} bytes (double buffer plus kernel temporaries), "
-                f"more than the {physical} bytes of physical memory"
+                f"{n} qubits{width} need {peak} bytes (double buffer plus kernel "
+                f"temporaries), more than the {physical} bytes of physical memory"
             )
         self.n = n
         self.dim = 1 << n
-        self.buf_even = np.zeros(self.dim, dtype=np.complex128)
-        self.buf_odd = np.zeros(self.dim, dtype=np.complex128)
+        self.batch = batch
+        shape = (self.dim,) if batch is None else (self.dim, batch)
+        self.buf_even = np.zeros(shape, dtype=np.complex128)
+        self.buf_odd = np.zeros(shape, dtype=np.complex128)
         self.parity = 0
         self.dense = False
         self.buf_even[0] = 1.0
@@ -145,17 +158,21 @@ class StateVector:
         return complex(self.live[i])
 
     def probabilities(self) -> np.ndarray:
-        """Per-basis-state probability: re^2 + im^2 of the live amplitudes."""
+        """Per-basis-state probability: re^2 + im^2 of the live amplitudes
+        (one column per trajectory of a batch)."""
         amps = self.live
         return amps.real**2 + amps.imag**2
 
-    def norm_squared(self) -> float:
-        return float(self.probabilities().sum())
+    def norm_squared(self) -> float | np.ndarray:
+        """Squared norm; one per trajectory of a batch."""
+        norms = self.probabilities().sum(axis=0)
+        return norms if self.batch else float(norms)
 
     def copy(self) -> "StateVector":
         dup = StateVector.__new__(StateVector)
         dup.n = self.n
         dup.dim = self.dim
+        dup.batch = self.batch
         dup.buf_even = self.buf_even.copy()
         dup.buf_odd = self.buf_odd.copy()
         dup.parity = self.parity

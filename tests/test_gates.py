@@ -413,3 +413,119 @@ class TestDepolarizing:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NoiseConfig(1.5)
+
+
+PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+
+
+class TestTrajectoryBatch:
+    """A batch of trajectories, one column each, against the same
+    trajectories run one at a time as plain states."""
+
+    @staticmethod
+    def run_both(n, ops, errors, zero_skip=True):
+        """Apply ``ops`` to a batch and to one plain state per trajectory;
+        ``errors[g][j][slot]`` is the Pauli (or None) that trajectory j
+        suffers on operand ``slot`` after gate g."""
+        width = len(errors[0])
+        batch = StateVector(n, width)
+        singles = [StateVector(n) for _ in range(width)]
+        for g, hits in zip(ops, errors):
+            apply_gate(batch, g, zero_skip=zero_skip)
+            for single in singles:
+                apply_gate(single, g, zero_skip=zero_skip)
+            for slot, q in enumerate(g.qubits):
+                for kind in PAULIS:
+                    columns = np.array([j for j in range(width) if hits[j][slot] is kind], int)
+                    if columns.size:
+                        pauli = GateInstance(kind, (q,))
+                        apply_gate(batch, pauli, zero_skip=zero_skip, columns=columns)
+                        for j in columns:
+                            apply_gate(singles[j], pauli, zero_skip=zero_skip)
+            assert not batch.dead.any()
+        return batch, singles
+
+    @staticmethod
+    def forced_errors(rng, ops, width):
+        choices = (None,) + PAULIS
+        return [[[choices[int(rng.integers(4))] for _ in g.qubits] for _ in range(width)]
+                for g in ops]
+
+    @pytest.mark.parametrize("kernel, zero_skip", [("strided", True), ("scatter", True),
+                                                   ("scatter", False)])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_batch_matches_single_runs_byte_for_byte(self, monkeypatch, kernel, zero_skip, n):
+        rng = np.random.default_rng(100 + n)
+        calls = TestKernels.force(monkeypatch, kernel)
+        for _ in range(6):
+            ops = random_circuit(rng, n, max_gates=16)
+            width = int(rng.integers(2, 7))
+            batch, singles = self.run_both(n, ops, self.forced_errors(rng, ops, width), zero_skip)
+            for j, single in enumerate(singles):
+                assert batch.live[:, j].tobytes() == single.live.tobytes()
+        other = "strided" if kernel == "scatter" else "scatter"
+        assert calls[kernel] > 0 and calls[other] == 0
+
+    def test_batch_scatters_sparse_states_at_thirteen_qubits(self, monkeypatch):
+        calls = TestKernels.force(monkeypatch, "scatter")
+        monkeypatch.setattr(gates, "SCAN_MIN_QUBITS", 13)  # the shipped crossover
+        monkeypatch.setattr(gates, "SCATTER_MAX_FRACTION", 1 / 16)
+        rng = np.random.default_rng(13)
+        n, width = 13, 4
+        ops = [gate("h", 0), gate("ry", 5, angle=0.8)]
+        for _ in range(20):  # permutations and phases keep the support small
+            kind = ("x", "cnot", "cz", "swap", "toffoli", "z", "rz")[int(rng.integers(7))]
+            qubits = (int(q) for q in rng.choice(n, size=gates.MNEMONICS[kind].arity, replace=False))
+            ops.append(gate(kind, *qubits, angle=0.4 if kind == "rz" else None))
+        batch, singles = self.run_both(n, ops, self.forced_errors(rng, ops, width))
+        assert calls["strided"] == 0 and not batch.dense
+        for j, single in enumerate(singles):
+            assert batch.live[:, j].tobytes() == single.live.tobytes()
+
+    def test_plain_state_noise_draws_one_scalar_stream(self):
+        # a plain state's per-trajectory draws are the scalar draws of one shot
+        rng = np.random.default_rng(4)
+        for seed in range(50):
+            n = int(rng.integers(1, 5))
+            ops = random_circuit(rng, n, max_gates=12)
+            draws = np.random.default_rng(seed)
+            expected = StateVector(n)
+            for g in ops:
+                apply_gate(expected, g)
+                for q in g.qubits:
+                    if draws.random() < 0.3:
+                        apply_gate(expected, GateInstance(PAULIS[int(draws.integers(3))], (q,)))
+            state, _ = run_circuit(n, ops, rng=np.random.default_rng(seed), noise=NoiseConfig(0.3))
+            assert state.live.tobytes() == expected.live.tobytes()
+
+    def test_depolarizing_draws_each_trajectory_on_its_own(self):
+        width, p = 3000, 0.6
+        state = StateVector(1, width)
+        apply_depolarizing(state, gate("x", 0), NoiseConfig(p), np.random.default_rng(10))
+        outcomes = {"none": [0, 1], "x": [1, 0], "y": [-1j, 0], "z": [0, -1]}
+        counts = {name: int((state.live.T == amps).all(axis=1).sum())
+                  for name, amps in outcomes.items()}
+        assert sum(counts.values()) == width
+        for name, count in counts.items():
+            share = 1 - p if name == "none" else p / 3
+            spread = math.sqrt(width * share * (1 - share))
+            assert abs(count - width * share) <= 6 * spread, (name, count)
+
+    def test_measure_and_prep_z_act_per_trajectory(self):
+        rng = np.random.default_rng(6)
+        state = StateVector(1, 64)
+        apply_gate(state, gate("h", 0))
+        bits, _ = measure(state, 0, rng)
+        assert bits.shape == (64,) and 0 < bits.sum() < 64
+        np.testing.assert_allclose(state.live, [1 - bits, bits], atol=1e-15)
+        prep_z(state, 0, rng)
+        np.testing.assert_allclose(state.live, np.repeat([[1], [0]], 64, axis=1), atol=1e-15)
+        assert not state.dead.any()
+
+    def test_sample_reads_each_trajectory(self):
+        state = StateVector(2, 6)
+        state.live[:] = 0
+        state.live[[1, 1, 2, 2, 3, 3], np.arange(6)] = 1.0
+        assert sample(state, 1, np.random.default_rng(0)) == {"01": 2, "10": 2, "11": 2}
+        assert sum(sample(state, 5, np.random.default_rng(0)).values()) == 30
+

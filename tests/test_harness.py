@@ -2,14 +2,16 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import make_program, random_circuit
-from qaccel import statecore, tensor_oracle
+from qaccel import gates, statecore, tensor_oracle
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
+from qaccel.gates import NoiseConfig, gate, run_circuit, sample
 from qaccel.harness.bench import (
     bench_depth_scaling,
     bench_gates,
@@ -23,8 +25,10 @@ from qaccel.harness.records import (
     store_append,
     store_query,
 )
+from qaccel.harness import runner
 from qaccel.harness.runner import parse_topology_spec, run_file, run_program
 from qaccel.metrics import MetricSet
+from qaccel.statecore import MemoryParams, estimate_total_memory
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
 
@@ -208,6 +212,82 @@ class TestRunPipeline:
             parse_topology_spec("line")
         with pytest.raises(ValueError):
             parse_topology_spec("grid:23")
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function for 1 to 3 degrees of freedom."""
+    tail = math.erfc(math.sqrt(x / 2)) if dof % 2 else math.exp(-x / 2)
+    if dof == 3:
+        tail += math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    return tail
+
+
+class TestNoisyTrajectories:
+    """Noisy shots run as batches of trajectories, one readout each."""
+
+    # prep_z's outcome is q1's value, so every trajectory must collapse on its own
+    OPS = [gate("h", 0), gate("cnot", 0, 1), gate("prep_z", 0), gate("ry", 0, angle=1.1),
+           gate("cz", 0, 1), gate("rx", 1, angle=0.5)]
+
+    def test_batched_histogram_matches_per_shot_loop(self):
+        shots, noise = 2000, NoiseConfig(0.1)
+        batched = run_program(make_program(2, self.OPS), shots=shots, seed=8,
+                              noise_p=noise.p, persist=False).histogram
+        rng, reference = np.random.default_rng(1234), Counter()
+        for _ in range(shots):  # one fresh trajectory and one readout per shot
+            trajectory, _ = run_circuit(2, self.OPS, rng=rng, noise=noise)
+            reference.update(sample(trajectory, 1, rng))
+        keys = sorted(set(batched) | set(reference))
+        assert len(keys) == 4
+        table = np.array([[batched.get(k, 0) for k in keys], [reference[k] for k in keys]])
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+        statistic = float(((table - expected) ** 2 / expected).sum())
+        assert _chi2_sf(statistic, len(keys) - 1) > 1e-6  # false alarm rate 1e-6
+
+    def test_kernel_calls_grow_with_gates_not_shots(self, monkeypatch):
+        calls = Counter()
+        for name in ("_strided", "_scatter"):
+            original = getattr(gates, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gates, name, counted)
+        ops = random_circuit(np.random.default_rng(3), 5, max_gates=20, min_gates=20)
+        outcome = run_program(make_program(5, ops), shots=200, seed=2, noise_p=0.01,
+                              persist=False)
+        assert sum(outcome.histogram.values()) == 200
+        slots = sum(len(g.qubits) for g in ops)
+        # ideal, recorded and batched passes, plus one call per Pauli kind and
+        # operand in the batch and per error of the recorded trajectory
+        assert 3 * len(ops) <= sum(calls.values()) <= 3 * len(ops) + 4 * slots
+
+    def test_same_seed_same_histogram(self):
+        program = make_program(2, self.OPS)
+        first, second = (run_program(program, shots=300, seed=21, noise_p=0.05, persist=False)
+                         for _ in range(2))
+        assert first.histogram == second.histogram
+        assert first.record.metrics == second.record.metrics
+        assert first.record.final_states == second.record.final_states
+
+    def test_batches_are_chunked_and_counted_in_peak_bytes(self, monkeypatch):
+        program = make_program(2, self.OPS)
+        outcome = run_program(program, shots=200, seed=1, noise_p=0.05, persist=False)
+        assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=200))
+        monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
+        widths = []
+        original = runner.run_circuit
+
+        def recorded(*args, **kwargs):
+            widths.append(kwargs.get("batch"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_circuit", recorded)
+        outcome = run_program(program, shots=10, seed=1, noise_p=0.05, persist=False)
+        assert widths == [None, None, 4, 4, 2]
+        assert sum(outcome.histogram.values()) == 10
+        assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=4))
 
 
 class TestCliExitCodes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_program, random_circuit, undo_layout_permutation
+from qaccel import mapper
 from qaccel.cqasm import parse
 from qaccel.errors import MappingError
 from qaccel.gates import GateKind, gate
@@ -220,6 +221,32 @@ class TestRoute:
                     original = simulate_instructions(4, ops)
                     assert leak <= 1e-9
                     assert np.abs(virt - original).max() <= 1e-9
+
+
+class TestPathCache:
+    @pytest.mark.parametrize("spec", [("grid", 3, 3), ("line", 5), ("line", 8)])
+    def test_cached_routing_equals_uncached(self, monkeypatch, spec):
+        searches = []
+        bfs = mapper._bfs_path
+
+        def counted(*args):
+            searches.append(args[1:])
+            return bfs(*args)
+
+        monkeypatch.setattr(mapper, "_bfs_path", counted)
+        rng = np.random.default_rng(len(spec) + spec[-1])
+        for _ in range(15):
+            topo = build_topology(*spec)
+            n = int(rng.integers(3, topo.node_count + 1))
+            program = make_program(n, random_circuit(rng, n, max_gates=30))
+            layout = initial_placement(program, topo)
+            searches.clear()
+            cached = route(program, topo, layout)
+            assert len(searches) == len(set(searches))  # no query searched twice
+            with monkeypatch.context() as patch:  # a fresh search for every query
+                patch.setattr(mapper, "_shortest_path", bfs)
+                uncached = route(program, build_topology(*spec), layout)
+            assert cached == uncached
 
 
 class TestMapCircuit:

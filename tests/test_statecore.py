@@ -47,6 +47,21 @@ class TestAllocState:
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: None)
         assert StateVector(15).n == 15
 
+    def test_capacity_check_counts_the_batch(self, monkeypatch):
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        assert StateVector(10).n == 10  # 48 KiB at its peak
+        assert StateVector(10, 21).live.shape == (1 << 10, 21)  # 1008 KiB
+        with pytest.raises(CapacityError, match="22 trajectories"):
+            StateVector(10, 22)
+        with pytest.raises(ValueError):
+            StateVector(10, 0)
+
+    def test_batch_memory_model(self):
+        for batch in (1, 3, 200):
+            params = MemoryParams(9, batch=batch)
+            assert estimate_vector_memory(params) == batch * 16 << 9
+            assert estimate_total_memory(params) == 2 * estimate_vector_memory(params)
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_non_positive_rejected(self, bad):
         with pytest.raises(CapacityError):
