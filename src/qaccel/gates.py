@@ -142,7 +142,6 @@ class NoiseConfig:
     suffers a uniformly random X, Y or Z with probability p."""
 
     p: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:

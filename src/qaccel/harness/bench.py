@@ -36,6 +36,10 @@ BENCH_GATES: tuple[tuple[GateInstance, int], ...] = (
 
 MEASUREMENTS_PER_POINT = 5
 
+#: Fast callables are looped inside each timed block until the block takes
+#: this long, so scheduler jitter cannot dominate the reading.
+MIN_BLOCK_NS = 10_000_000
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -105,18 +109,13 @@ def _time_ns(fn) -> float:
     return float(time.perf_counter_ns() - start)
 
 
-def _median_time_ns(
-    fn, repeats: int = MEASUREMENTS_PER_POINT, min_block_ns: float = 10_000_000.0
-) -> float:
-    """Median over ``repeats`` timed blocks of one warmed-up callable.
-
-    Fast callables are looped inside each block until the block exceeds
-    ``min_block_ns``, so scheduler jitter cannot dominate the reading.
-    """
+def _median_time_ns(fn) -> float:
+    """Median over ``MEASUREMENTS_PER_POINT`` timed blocks of one warmed-up
+    callable, each block looped to at least ``MIN_BLOCK_NS``."""
     first = _time_ns(fn)  # warm-up, also calibrates the inner loop
-    inner = max(1, int(min_block_ns // max(first, 1.0)))
+    inner = max(1, int(MIN_BLOCK_NS // max(first, 1.0)))
     samples = []
-    for _ in range(repeats):
+    for _ in range(MEASUREMENTS_PER_POINT):
         start = time.perf_counter_ns()
         for _ in range(inner):
             fn()
@@ -124,35 +123,16 @@ def _median_time_ns(
     return _median(samples)
 
 
-def bench_gates(reps: int = 100_000) -> BenchResult:
-    """Mean wall time per gate application, medianed over 5 blocks.
-
-    Each gate runs on a fresh ground state of its natural register size,
-    applied back-to-back ``reps`` times in total.
-    """
-    if reps < MEASUREMENTS_PER_POINT:
-        raise ValueError(f"reps must be >= {MEASUREMENTS_PER_POINT}, got {reps}")
-    block = reps // MEASUREMENTS_PER_POINT
+def bench_gates() -> BenchResult:
+    """Wall time per gate application, applied back-to-back to one state of
+    the gate's natural register size and timed by ``_median_time_ns``."""
     names: list[str] = []
     times: list[float] = []
     for instance, n_qubits in BENCH_GATES:
         state = StateVector(n_qubits)
-        apply_gate(state, instance)  # warm-up, discarded
-        block_means = []
-        for _ in range(MEASUREMENTS_PER_POINT):
-            start = time.perf_counter_ns()
-            for _ in range(block):
-                apply_gate(state, instance)
-            block_means.append((time.perf_counter_ns() - start) / block)
         names.append(instance.kind.mnemonic)
-        times.append(_median(block_means))
-    return BenchResult(
-        suite="gates",
-        variable="gate",
-        values=names,
-        series={"time_ns": times},
-        notes={"reps": reps},
-    )
+        times.append(_median_time_ns(lambda: apply_gate(state, instance)))
+    return BenchResult(suite="gates", variable="gate", values=names, series={"time_ns": times})
 
 
 def _epr_chain(n: int) -> list[GateInstance]:
@@ -162,19 +142,14 @@ def _epr_chain(n: int) -> list[GateInstance]:
     return ops
 
 
-def bench_qubit_scaling(n_min: int, n_max: int, zero_skip: bool | None = None) -> BenchResult:
-    """Time the EPR chain as the register grows; fit log2(time) against n.
-
-    With ``zero_skip=None`` both modes run and the result carries their
-    per-point ratio; otherwise only the requested mode runs.
-    """
+def bench_qubit_scaling(n_min: int, n_max: int) -> BenchResult:
+    """Time the EPR chain as the register grows, with zero-skip on and off;
+    fit log2(time) against n and record the per-point skip/no-skip ratio."""
     if n_min > n_max:
         raise ValueError(f"n_min {n_min} exceeds n_max {n_max}")
     if n_min < 2 or n_max > MAX_QUBITS:
         raise ValueError(f"qubit range must sit inside 2..{MAX_QUBITS}")
-    modes = {"skip": True, "noskip": False} if zero_skip is None else (
-        {"skip": True} if zero_skip else {"noskip": False}
-    )
+    modes = {"skip": True, "noskip": False}
     values = list(range(n_min, n_max + 1))
     series: dict[str, list[float]] = {name: [] for name in modes}
     for n in values:
@@ -193,7 +168,7 @@ def bench_qubit_scaling(n_min: int, n_max: int, zero_skip: bool | None = None) -
         # warm up and calibrate inner loops, then interleave the modes'
         # measurement blocks so clock-speed drift cannot bias their ratio
         inner = {
-            name: max(1, int(10_000_000 // max(_time_ns(fn), 1.0)))
+            name: max(1, int(MIN_BLOCK_NS // max(_time_ns(fn), 1.0)))
             for name, fn in runners.items()
         }
         samples: dict[str, list[float]] = {name: [] for name in runners}
@@ -208,11 +183,10 @@ def bench_qubit_scaling(n_min: int, n_max: int, zero_skip: bool | None = None) -
     fits = {
         name: linear_fit(values, np.log2(times)) for name, times in series.items()
     }
-    notes: dict = {"circuit": "epr_chain"}
-    if len(series) == 2:
-        notes["skip_over_noskip"] = [
-            s / ns for s, ns in zip(series["skip"], series["noskip"])
-        ]
+    notes = {
+        "circuit": "epr_chain",
+        "skip_over_noskip": [s / ns for s, ns in zip(series["skip"], series["noskip"])],
+    }
     return BenchResult("qubits", "n", values, series, fits, notes)
 
 
@@ -224,10 +198,7 @@ def _repeated_gate_circuit(kind: GateKind, count: int) -> list[GateInstance]:
     return [template] * count
 
 
-def bench_depth_scaling(
-    gate_counts=(100, 300, 1000, 3000, 10000),
-    kinds=(GateKind.X, GateKind.H, GateKind.CNOT),
-) -> BenchResult:
+def bench_depth_scaling(gate_counts=(100, 300, 1000, 3000, 10000)) -> BenchResult:
     """Time 2-qubit circuits of g repeated gates; one linear fit per kind."""
     values = list(gate_counts)
     if not values or any(g < 1 for g in values):
@@ -235,7 +206,7 @@ def bench_depth_scaling(
     series: dict[str, list[float]] = {}
     fits: dict[str, FitResult] = {}
     state = StateVector(2)
-    for kind in kinds:
+    for kind in (GateKind.X, GateKind.H, GateKind.CNOT):
         times = []
         for count in values:
             circuit = _repeated_gate_circuit(kind, count)

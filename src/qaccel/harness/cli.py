@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, map, align, bench {gates,qubits,depth}, metrics query.
-Exit codes: 0 success, 1 parse/input error, 2 mapping error, 3 capacity
-error.
+Exit codes: 0 success, 1 parse/input or usage error, 2 mapping error,
+3 capacity error.
 """
 
 from __future__ import annotations
@@ -37,8 +37,16 @@ EXIT_TABLE = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so they exit 1 through EXIT_TABLE;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="qaccel", description=__doc__)
+    top = _Parser(prog="qaccel", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a cQASM file and record metrics")
@@ -49,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--topology", default=None, help="line:N, ring:N, grid:RxC, full:N")
     run_p.add_argument("--placement", choices=("identity", "greedy"), default="greedy")
     run_p.add_argument("--top-k", type=int, default=16)
-    run_p.add_argument("--no-zero-skip", action="store_true")
     run_p.add_argument("--store", default=None, help="run-store path override")
 
     map_p = sub.add_parser("map", help="map a cQASM file onto a topology")
@@ -69,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
     bench_sub = bench_p.add_subparsers(dest="suite", required=True)
-    gates_p = bench_sub.add_parser("gates")
-    gates_p.add_argument("--reps", type=int, default=100_000)
+    bench_sub.add_parser("gates")
     qubits_p = bench_sub.add_parser("qubits")
     qubits_p.add_argument("--n-min", type=int, default=10)
     qubits_p.add_argument("--n-max", type=int, default=22)
@@ -98,7 +104,6 @@ def _cmd_run(args) -> int:
         topology=args.topology,
         placement=args.placement,
         top_k=args.top_k,
-        zero_skip=not args.no_zero_skip,
         store_path=args.store,
     )
     record = outcome.record
@@ -160,7 +165,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.suite == "gates":
-        result = bench_gates(args.reps)
+        result = bench_gates()
     elif args.suite == "qubits":
         result = bench_qubit_scaling(args.n_min, args.n_max)
     else:
@@ -201,8 +206,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except tuple(EXIT_TABLE) as exc:
         code, prefix = next(row for kind, row in EXIT_TABLE.items() if isinstance(exc, kind))

@@ -5,9 +5,9 @@ final state is the pre-measurement state: measure instructions mark the
 register for readout and sampling, while fidelity and the state summary
 are taken before any collapse.  The engine simulates perfect qubits, so a
 noiseless run's state is its own ideal reference and its fidelity is 1 by
-construction; a noisy run takes its ideal reference from one noiseless
-engine pass and simulates its shots as batches of trajectories, one readout
-each.
+construction.  Every run makes one noiseless engine pass for that reference;
+a noisy run then simulates its shots as batches of trajectories, one readout
+each, and records trajectory 0 of its first batch as its final state.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def run_program(
     topology: str | None = None,
     placement: str = "greedy",
     top_k: int = 16,
-    zero_skip: bool = True,
     store_path: str | Path | None = None,
     persist: bool = True,
 ) -> RunOutcome:
@@ -109,37 +108,30 @@ def run_program(
         executed, _final_layout, report = route(program, topo, layout)
 
     seed_root = np.random.SeedSequence(seed)
-    ideal_seq, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
+    # child 0 is unused; keeping four children keeps seeded histograms stable across versions
+    _, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
     noise = NoiseConfig(noise_p) if noise_p > 0 else None
 
-    ref_state, _ = run_circuit(
-        executed.n,
-        unitary,
-        rng=np.random.default_rng(actual_seq),
-        noise=noise,
-        zero_skip=zero_skip,
-    )
+    ideal_state, _ = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))
+    ideal = recorded = ideal_state.live
     width = 1  # trajectories in the widest state
     if noise is None:
-        ideal = ref_state.live
-        histogram = sample(ref_state, shots, np.random.default_rng(sample_seq))
+        histogram = sample(ideal_state, shots, np.random.default_rng(sample_seq))
     else:
-        ideal_state, _ = run_circuit(
-            executed.n, unitary, rng=np.random.default_rng(ideal_seq), zero_skip=zero_skip
-        )
-        ideal = ideal_state.live
+        del ideal_state  # only its live buffer is needed from here on
         # one noisy trajectory per shot, simulated in batches, one readout each
         histogram = {}
         shot_rng = np.random.default_rng(shot_seq)
         width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> executed.n))
         for start in range(0, shots, width):
-            batch, _ = run_circuit(
-                executed.n, unitary, rng=shot_rng, noise=noise, zero_skip=zero_skip,
-                batch=min(width, shots - start),
-            )
+            batch, _ = run_circuit(executed.n, unitary, rng=shot_rng, noise=noise,
+                                   batch=min(width, shots - start))
+            if start == 0:  # a copy, so the batch buffers are not kept alive
+                recorded = batch.live[:, 0].copy()
             for key, count in sample(batch, 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
+            del batch  # freed before the next batch is allocated
 
     ideal_probs = ideal.real**2 + ideal.imag**2
     support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
@@ -149,7 +141,7 @@ def run_program(
         total_gates=counts.total,
         by_kind=counts.by_kind,
         depth=depth,
-        fidelity=fidelity(ideal, ref_state.live),
+        fidelity=fidelity(ideal, recorded),
         success_probability=success_probability(histogram, support),
         quantum_volume=quantum_volume(depth) if depth <= 62 else None,
     )
@@ -161,7 +153,6 @@ def run_program(
         "topology": topology,
         "placement": placement if topology is not None else None,
         "top_k": top_k,
-        "zero_skip": zero_skip,
     }
     if report is not None:
         config["mapping"] = report.to_dict()
@@ -172,7 +163,7 @@ def run_program(
         circuit_hash=circuit_hash,
         config=config,
         metrics=metric_set,
-        final_states=_top_states(ref_state.live, executed.n, top_k),
+        final_states=_top_states(recorded, executed.n, top_k),
         wall_time_ns=time.perf_counter_ns() - started,
         peak_state_bytes=estimate_total_memory(MemoryParams(executed.n, batch=width)),
     )

@@ -250,6 +250,16 @@ def _bfs_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> tupl
     return tuple(path)
 
 
+def _exchange(pos: list[int], occ: list[int | None], u: int, v: int) -> None:
+    """Swap the states on nodes u and v in an occupancy list and its inverse."""
+    a, b = occ[u], occ[v]
+    occ[u], occ[v] = b, a
+    if a is not None:
+        pos[a] = v
+    if b is not None:
+        pos[b] = u
+
+
 class _Router:
     """Mutable routing state: tracks node occupancy while emitting gates."""
 
@@ -268,15 +278,7 @@ class _Router:
     def emit_swap(self, u: int, v: int) -> None:
         self.out.append(GateInstance(GateKind.SWAP, (u, v)))
         self.added_swaps += 1
-        self._exchange(u, v)
-
-    def _exchange(self, u: int, v: int) -> None:
-        a, b = self.occ[u], self.occ[v]
-        self.occ[u], self.occ[v] = b, a
-        if a is not None:
-            self.pos[a] = v
-        if b is not None:
-            self.pos[b] = u
+        _exchange(self.pos, self.occ, u, v)
 
     def walk(self, path: tuple[int, ...]) -> None:
         """Swap the state at path[0] along the path to path[-1]."""
@@ -343,12 +345,7 @@ class _Router:
             if path is None:
                 return None
             for u, v in zip(path, path[1:]):
-                a, b = sim_occ[u], sim_occ[v]
-                sim_occ[u], sim_occ[v] = b, a
-                if a is not None:
-                    sim_pos[a] = v
-                if b is not None:
-                    sim_pos[b] = u
+                _exchange(sim_pos, sim_occ, u, v)
             paths.append(path)
         return paths
 
