@@ -53,7 +53,6 @@ from .statecore import (
     estimate_matrix_memory,
     estimate_total_memory,
     estimate_vector_memory,
-    get_amplitude,
     probabilities,
 )
 from .tensor_oracle import dense_simulate, gate_matrix, hadamard_tensor_check, kron

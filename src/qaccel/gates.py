@@ -26,6 +26,10 @@ scatter's index arrays select whole rows, scanned as nonzero when any
 trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory.
+
+:func:`sample` draws readouts from a probability array (see
+``statecore.probabilities``), so a caller that computed one for its own use
+samples from that same array.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .statecore import StateVector
+from .statecore import StateVector, probabilities
 
 
 class GateKind(enum.Enum):
@@ -266,26 +270,20 @@ def apply_gate(
     g: GateInstance,
     *,
     zero_skip: bool = True,
-    rng: np.random.Generator | None = None,
     columns: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply one gate through the kernel table; toggles the buffer parity.
+    """Apply one unitary gate through the kernel table; toggles the buffer
+    parity.
 
-    ``rng`` is only consulted for PREP_Z (which measures internally).
-    MEASURE is not a gate application and must go through :func:`measure`.
-    ``columns`` limits a unitary gate to those trajectories of a batch; the
-    others keep their amplitudes.  A plain state is the single trajectory 0.
+    MEASURE and PREP_Z are not gate applications and must go through
+    :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
+    those trajectories of a batch; the others keep their amplitudes.  A
+    plain state is the single trajectory 0.
     """
     if any(q >= state.n for q in g.qubits):
         raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
-    if g.kind is GateKind.MEASURE:
-        raise ValueError("measurement is not a gate application; use measure()")
-    if g.kind is GateKind.PREP_Z:
-        if rng is None:
-            raise ValueError("prep_z needs an rng (it measures before resetting)")
-        prep_z(state, g.qubits[0], rng)
-        return state
-
+    if not g.kind.is_unitary:
+        raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
     if columns is not None and len(columns) < (state.batch or 1):
         src = state.live[:, columns]
         dst = np.zeros_like(src)
@@ -325,8 +323,7 @@ def measure(
         raise IndexError(f"qubit {q} out of range for {state.n} qubits")
     live = state.live
     view = live.reshape((-1, 2, 1 << q) + live.shape[1:])
-    ones = view[:, 1]
-    p1 = (ones.real**2 + ones.imag**2).sum(axis=(0, 1))
+    p1 = probabilities(view[:, 1]).sum(axis=(0, 1))
     p0 = 1.0 - p1
     total = state.norm_squared()
     if np.any(total < 0.5):  # cannot happen while the normalization invariant holds
@@ -348,20 +345,19 @@ def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
     return state
 
 
-def sample(state: StateVector, shots: int, rng: np.random.Generator) -> dict[str, int]:
-    """Draw full-register samples from the state without mutating it.
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Draw full-register samples from a ``(2^n,)`` probability array.
 
-    A batch draws ``shots`` samples from each trajectory and counts them
-    together.  Keys are bitstrings with qubit n-1 leftmost and qubit 0
-    rightmost.
+    A ``(2^n, B)`` batch's array draws ``shots`` samples from each
+    trajectory's column and counts them together.  Keys are bitstrings with
+    qubit n-1 leftmost and qubit 0 rightmost.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = state.probabilities()
     counts = rng.multinomial(shots, (probs / probs.sum(axis=0)).T)
-    if state.batch:
+    if probs.ndim > 1:
         counts = counts.sum(axis=0)
-    width = state.n
+    width = probs.shape[0].bit_length() - 1
     return {format(i, f"0{width}b"): int(counts[i]) for i in np.flatnonzero(counts)}
 
 
@@ -381,7 +377,7 @@ def apply_depolarizing(
     Each operand draws which trajectories it hits, then one Pauli per hit
     trajectory, and applies each Pauli to its trajectories in one call.
     """
-    apply_gate(state, g, zero_skip=zero_skip, rng=rng)
+    apply_gate(state, g, zero_skip=zero_skip)
     if cfg.p <= 0.0:
         return state
     for q in g.qubits:
@@ -412,22 +408,18 @@ def run_circuit(
     (qubit, outcome) pairs in execution order; a batch's outcomes are
     arrays, one per trajectory.
     """
+    if rng is None:
+        rng = np.random.default_rng()
     state = StateVector(n, batch)
     transcript: list[tuple[int, int]] = []
     noisy = noise is not None and noise.p > 0.0
     for g in instructions:
         if g.kind is GateKind.MEASURE:
-            if rng is None:
-                rng = np.random.default_rng()
             bit, _ = measure(state, g.qubits[0], rng)
             transcript.append((g.qubits[0], bit))
         elif g.kind is GateKind.PREP_Z:
-            if rng is None:
-                rng = np.random.default_rng()
             prep_z(state, g.qubits[0], rng)
         elif noisy:
-            if rng is None:
-                rng = np.random.default_rng()
             apply_depolarizing(state, g, noise, rng, zero_skip=zero_skip)
         else:
             apply_gate(state, g, zero_skip=zero_skip)

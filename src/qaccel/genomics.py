@@ -202,16 +202,9 @@ class _CircuitWriter:
         elif len(qubits) == 2:
             self.add(GateKind.CPHASE, qubits[0], qubits[1])
         else:
-            controls, target = qubits[:-1], qubits[-1]
-            self.add(GateKind.H, target)
-            if len(controls) == 2:
-                self.add(GateKind.TOFFOLI, controls[0], controls[1], target)
-            else:
-                top, applied = self._and_ladder(controls[:-1])
-                self.add(GateKind.TOFFOLI, top, controls[-1], target)
-                for g in reversed(applied):
-                    self.ops.append(g)
-            self.add(GateKind.H, target)
+            self.add(GateKind.H, qubits[-1])
+            self.multi_controlled_x(qubits[:-1], qubits[-1:])
+            self.add(GateKind.H, qubits[-1])
 
     def global_phase_flip(self) -> None:
         """Multiply the whole state by -1: (XZ)^2 = -I on any one qubit."""

@@ -17,7 +17,7 @@ import numpy as np
 from ..cqasm import emit, parse
 from ..errors import CapacityError, MappingError, ParseError
 from ..genomics import AlignmentInstance, align, build_alignment_circuit, nucleotides_to_bits
-from ..mapper import initial_placement, route
+from ..mapper import map_circuit
 from .bench import bench_depth_scaling, bench_gates, bench_qubit_scaling
 from .records import store_query
 from .runner import parse_topology_spec, run_file
@@ -127,10 +127,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_map(args) -> int:
     program = parse(Path(args.file).read_text(encoding="utf-8"))
-    topo = parse_topology_spec(args.topology)
-    layout = initial_placement(program, topo, args.placement)
-    routed, _final, report = route(program, topo, layout)
-    mapped = emit(routed)
+    mapped, report = map_circuit(program, parse_topology_spec(args.topology), args.placement)
     if args.output:
         Path(args.output).write_text(mapped, encoding="utf-8")
     else:

@@ -8,6 +8,9 @@ noiseless run's state is its own ideal reference and its fidelity is 1 by
 construction.  Every run makes one noiseless engine pass for that reference;
 a noisy run then simulates its shots as batches of trajectories, one readout
 each, and records trajectory 0 of its first batch as its final state.
+After its pass a noiseless run keeps one amplitude buffer and one
+probability array, shared by sampling, the support check and the top-k
+summary; a noisy run adds its recorded trajectory and that one's array.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from ..cqasm import Program, emit, parse
 from ..gates import GateKind, NoiseConfig, run_circuit, sample
 from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
-from ..statecore import MemoryParams, estimate_total_memory
+from ..statecore import MemoryParams, estimate_total_memory, probabilities
 from .records import FinalState, RunRecord, store_append
 
 #: Ideal-state probabilities above this threshold define the correct-answer set.
@@ -60,9 +63,9 @@ class RunOutcome:
     store_path: Path | None
 
 
-def _top_states(amps: np.ndarray, n: int, top_k: int) -> list[FinalState]:
-    """The top_k nonzero basis states by descending probability, ties by index."""
-    probs = amps.real**2 + amps.imag**2
+def _top_states(amps: np.ndarray, probs: np.ndarray, n: int, top_k: int) -> list[FinalState]:
+    """The top_k nonzero basis states by descending probability (``probs``
+    of ``amps``), ties by index."""
     k = min(top_k, probs.size)
     if k == 0:
         return []
@@ -111,15 +114,16 @@ def run_program(
     # child 0 is unused; keeping four children keeps seeded histograms stable across versions
     _, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
-    noise = NoiseConfig(noise_p) if noise_p > 0 else None
+    noise = NoiseConfig(noise_p) if noise_p else None
 
     ideal_state, _ = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))
     ideal = recorded = ideal_state.live
+    del ideal_state  # only its live buffer is needed from here on
     width = 1  # trajectories in the widest state
     if noise is None:
-        histogram = sample(ideal_state, shots, np.random.default_rng(sample_seq))
+        ideal_probs = probs = probabilities(ideal)
+        histogram = sample(probs, shots, np.random.default_rng(sample_seq))
     else:
-        del ideal_state  # only its live buffer is needed from here on
         # one noisy trajectory per shot, simulated in batches, one readout each
         histogram = {}
         shot_rng = np.random.default_rng(shot_seq)
@@ -129,11 +133,11 @@ def run_program(
                                    batch=min(width, shots - start))
             if start == 0:  # a copy, so the batch buffers are not kept alive
                 recorded = batch.live[:, 0].copy()
-            for key, count in sample(batch, 1, shot_rng).items():
+            for key, count in sample(batch.probabilities(), 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
             del batch  # freed before the next batch is allocated
+        ideal_probs, probs = probabilities(ideal), probabilities(recorded)
 
-    ideal_probs = ideal.real**2 + ideal.imag**2
     support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
     counts = gate_count(executed)
     depth = schedule_asap(executed).depth
@@ -163,7 +167,7 @@ def run_program(
         circuit_hash=circuit_hash,
         config=config,
         metrics=metric_set,
-        final_states=_top_states(recorded, executed.n, top_k),
+        final_states=_top_states(recorded, probs, executed.n, top_k),
         wall_time_ns=time.perf_counter_ns() - started,
         peak_state_bytes=estimate_total_memory(MemoryParams(executed.n, batch=width)),
     )

@@ -394,7 +394,7 @@ def route(
 def map_circuit(
     program: Program, topo: Topology, strategy: str = "greedy"
 ) -> tuple[str, MappingReport]:
-    """Full pipeline: place, route, schedule; returns mapped text and report."""
+    """Place and route; returns the mapped cQASM text and the report."""
     from .cqasm import emit
 
     layout = initial_placement(program, topo, strategy)

@@ -9,8 +9,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cqasm import Program
-
-_NORM_TOL = 1e-9
+from .statecore import NORM_TOL, probabilities
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ def fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
     if ideal.shape != actual.shape:
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {actual.shape}")
     for name, vec in (("ideal", ideal), ("actual", actual)):
-        norm = float((vec.real**2 + vec.imag**2).sum())
-        if abs(norm - 1.0) > _NORM_TOL:
+        norm = float(probabilities(vec).sum())
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
     # a ufunc product and sum, not np.vdot: a BLAS dot over a large state
     # wakes OpenBLAS worker threads that go on spinning after it returns

@@ -6,6 +6,8 @@ gate), the other receives the gate's output, and a parity flag toggles their
 roles after every gate so no copy-back is ever required.  A batch of B
 independent trajectories (noisy shots) keeps the same two buffers with a
 trailing trajectory axis, ``(2^n, B)``; a plain state is ``(2^n,)``.
+:func:`probabilities` is the one place that turns amplitudes of either
+shape into probabilities.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
 least significant bit.
@@ -29,6 +31,13 @@ MAX_QUBITS = 30
 
 #: Normalization / equivalence tolerance for double-precision states.
 NORM_TOL = 1e-9
+
+
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """Per-basis-state probability re^2 + im^2 of an amplitude array: a
+    ``(2^n,)`` state, a ``(2^n, B)`` batch (one column per trajectory) or a
+    view of either."""
+    return amps.real**2 + amps.imag**2
 
 
 @dataclass(frozen=True)
@@ -158,14 +167,12 @@ class StateVector:
         return complex(self.live[i])
 
     def probabilities(self) -> np.ndarray:
-        """Per-basis-state probability: re^2 + im^2 of the live amplitudes
-        (one column per trajectory of a batch)."""
-        amps = self.live
-        return amps.real**2 + amps.imag**2
+        """:func:`probabilities` of the live buffer."""
+        return probabilities(self.live)
 
     def norm_squared(self) -> float | np.ndarray:
         """Squared norm; one per trajectory of a batch."""
-        norms = self.probabilities().sum(axis=0)
+        norms = probabilities(self.live).sum(axis=0)
         return norms if self.batch else float(norms)
 
     def copy(self) -> "StateVector":
@@ -186,7 +193,7 @@ class StateVector:
         n = int(amps.size).bit_length() - 1
         if (1 << n) != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
-        norm = float((amps.real**2 + amps.imag**2).sum())
+        norm = float(probabilities(amps).sum())
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum of squares is {norm!r}")
         state = cls(n)
@@ -200,13 +207,3 @@ class StateVector:
 def alloc_state(n: int) -> StateVector:
     """Allocate the all-zero ground state |0...0> on n qubits."""
     return StateVector(n)
-
-
-def get_amplitude(state: StateVector, i: int) -> Amplitude:
-    """Read one live-buffer amplitude without disturbing the state."""
-    return state.amplitude(i)
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """Probability of each basis state in the live buffer."""
-    return state.probabilities()

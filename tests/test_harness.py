@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,7 +29,7 @@ from qaccel.harness.records import (
 from qaccel.harness import runner
 from qaccel.harness.runner import parse_topology_spec, run_file, run_program
 from qaccel.metrics import MetricSet
-from qaccel.statecore import MemoryParams, estimate_total_memory
+from qaccel.statecore import MemoryParams, estimate_peak_memory, estimate_total_memory
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
 
@@ -159,6 +160,20 @@ class TestRunPipeline:
         assert metrics.fidelity == pytest.approx(1.0, abs=1e-9)
         assert metrics.success_probability == 1.0
 
+    def test_noiseless_run_peak_fits_the_memory_model(self):
+        # after its pass a run holds one amplitude buffer and one probability array
+        n = 16
+        body = "h q[0]\n" + "".join(f"cnot q[{q}], q[{q + 1}]\n" for q in range(n - 1))
+        program = parse(f"version 1.0\nqubits {n}\n{body}")
+        run_program(parse(BELL), shots=10, seed=1, persist=False)  # one-off imports
+        tracemalloc.start()
+        try:
+            run_program(program, shots=1000, seed=1, persist=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_peak_memory(MemoryParams(n))
+
     def test_final_state_ties_in_index_order(self):
         program = parse("version 1.0\nqubits 3\nh q[0]\nh q[1]\nh q[2]\n")
         record = run_program(program, shots=10, seed=0, top_k=3, persist=False).record
@@ -236,7 +251,7 @@ class TestNoisyTrajectories:
         rng, reference = np.random.default_rng(1234), Counter()
         for _ in range(shots):  # one fresh trajectory and one readout per shot
             trajectory, _ = run_circuit(2, self.OPS, rng=rng, noise=noise)
-            reference.update(sample(trajectory, 1, rng))
+            reference.update(sample(trajectory.probabilities(), 1, rng))
         keys = sorted(set(batched) | set(reference))
         assert len(keys) == 4
         table = np.array([[batched.get(k, 0) for k in keys], [reference[k] for k in keys]])
@@ -340,6 +355,16 @@ class TestCliExitCodes:
         assert exit_info.value.code == 0
         assert "--shots" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("noise_p", ["-0.5", "nan"])
+    def test_bad_noise_p_exits_one_and_stores_nothing(self, noise_p, tmp_path, capsys):
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        store = tmp_path / "runs.jsonl"
+        argv = ["run", str(qasm), "--noise-p", noise_p, "--store", str(store)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not store.exists()
+
     def test_non_finite_angle_exits_one(self, tmp_path, capsys):
         qasm = tmp_path / "nan.qasm"
         qasm.write_text("version 1.0\nqubits 1\nrx q[0], nan\n")
@@ -350,7 +375,7 @@ class TestCliExitCodes:
         "argv, target",
         [
             (["run", "{qasm}"], "run_file"),
-            (["map", "{qasm}", "--topology", "line:2"], "route"),
+            (["map", "{qasm}", "--topology", "line:2"], "map_circuit"),
             (["align", "--reference", "0110", "--read", "01"], "align"),
             (["bench", "depth", "--counts", "20"], "bench_depth_scaling"),
             (["metrics", "query", "--store", "{store}"], "store_query"),

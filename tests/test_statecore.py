@@ -15,7 +15,6 @@ from qaccel.statecore import (
     estimate_matrix_memory,
     estimate_total_memory,
     estimate_vector_memory,
-    get_amplitude,
     probabilities,
 )
 
@@ -122,35 +121,41 @@ class TestMemoryModel:
 
 
 class TestInspection:
-    def test_get_amplitude_ground(self):
+    def test_amplitude_ground(self):
         state = alloc_state(2)
-        assert get_amplitude(state, 0) == 1.0 + 0j
-        assert get_amplitude(state, 3) == 0j
+        assert state.amplitude(0) == 1.0 + 0j
+        assert state.amplitude(3) == 0j
 
-    def test_get_amplitude_out_of_range(self):
+    def test_amplitude_out_of_range(self):
         with pytest.raises(IndexError):
-            get_amplitude(alloc_state(2), 4)
+            alloc_state(2).amplitude(4)
         with pytest.raises(IndexError):
-            get_amplitude(alloc_state(2), -1)
+            alloc_state(2).amplitude(-1)
 
     def test_probabilities_ground(self):
-        np.testing.assert_array_equal(probabilities(alloc_state(1)), [1.0, 0.0])
+        np.testing.assert_array_equal(probabilities(alloc_state(1).live), [1.0, 0.0])
 
     def test_probabilities_after_h(self):
         state = alloc_state(1)
         apply_gate(state, gate("h", 0))
-        np.testing.assert_allclose(probabilities(state), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(probabilities(state.live), [0.5, 0.5], atol=1e-15)
 
     def test_probabilities_bell(self):
         state = alloc_state(2)
         apply_gate(state, gate("h", 0))
         apply_gate(state, gate("cnot", 0, 1))
-        np.testing.assert_allclose(probabilities(state), [0.5, 0, 0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(probabilities(state.live), [0.5, 0, 0, 0.5], atol=1e-12)
 
-    def test_get_amplitude_leaves_state_unchanged(self):
+    def test_probabilities_of_a_batch_view_match_each_column(self):
+        state = StateVector(2, 3)
+        state.live[:] = np.arange(12).reshape(4, 3) * (0.1 + 0.2j)
+        columns = [probabilities(state.live[:, j]) for j in range(3)]
+        np.testing.assert_array_equal(state.probabilities(), np.stack(columns, axis=1))
+
+    def test_amplitude_leaves_state_unchanged(self):
         state = alloc_state(2)
         before = state.live.copy()
-        get_amplitude(state, 2)
+        state.amplitude(2)
         np.testing.assert_array_equal(state.live, before)
 
 
