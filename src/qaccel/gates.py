@@ -20,6 +20,17 @@ addition of a signed zero.  Complex coefficients are split into a real and an
 imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
 
+Noiseless passes of :func:`run_circuit` on registers of at least
+``SCAN_MIN_QUBITS`` qubits fuse each run of consecutive permutation gates
+(X, CNOT, SWAP, TOFFOLI) on at most ``FUSE_MAX_QUBITS`` qubits, greedily in
+program order, into one block: a permutation of its operand subspace, cached
+by its gate sequence.  A block takes the same kernel choice as a gate.  The
+scatter moves each nonzero input through a lookup table of its operand bits;
+the strided kernel applies the block's permutation as merged terms from the
+same term builder as the gates.  A permutation's nonzero entries are all 1,
+so each amplitude is added once to a +0 in its new place, as the unfused
+gates would do, and output stays byte-identical.  Noisy passes stay unfused.
+
 A batch of trajectories (see statecore) adds a trailing axis that both
 kernels carry along: the strided views gain it as their last axis, and the
 scatter's index arrays select whole rows, scanned as nonzero when any
@@ -160,6 +171,17 @@ SCAN_MIN_QUBITS = 13
 #: nonzero; on a larger support the strided kernel is faster.
 SCATTER_MAX_FRACTION = 1 / 16
 
+#: Noiseless passes on registers of at least SCAN_MIN_QUBITS qubits fuse each
+#: run of consecutive permutation gates on at most this many qubits into one
+#: block, applied in one pass.  Over the 32 perfbench ``align`` instances of
+#: seed 1 (17 qubits; median in-process CPU time, 2-core VM, 3 to 6 rounds)
+#: an op took 237-279 ms unfused, 147-163 ms at a cap of 4, 91-103 at 5,
+#: 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514 gates became
+#: 306, 184, 143, 110 and 110 applications.  The cap is 6 because the
+#: ``align`` benchmark's peak RSS stays flat there (47.9-48.0 MiB against
+#: 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.
+FUSE_MAX_QUBITS = 6
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 #: Each unitary kind's matrix on its operand subspace (a rotation's as a
@@ -179,6 +201,10 @@ _MATRICES = {
     GateKind.SWAP: np.eye(4)[[0, 2, 1, 3]],
     GateKind.TOFFOLI: np.eye(8)[[0, 1, 2, 7, 4, 5, 6, 3]],
 }
+
+#: The permutation kinds, each as the subspace index every column moves to.
+_PERMUTATIONS = {kind: np.argmax(np.asarray(_MATRICES[kind]), axis=0)
+                 for kind in (GateKind.X, GateKind.CNOT, GateKind.SWAP, GateKind.TOFFOLI)}
 
 
 def _merge(terms: list[tuple[int, int, int, complex]], bit: int) -> list:
@@ -203,15 +229,12 @@ class _Table(NamedTuple):
     coefs: np.ndarray  # and its coefficient
 
 
-@functools.lru_cache(maxsize=4096)
-def _table(kind: GateKind, angle: float | None) -> _Table:
-    """A gate's nonzero matrix entries as terms, each complex entry split into
-    a real and an imaginary term so each product is one rounding, and terms
-    that act alike on an operand bit merged so that it stays a free axis."""
-    m = _MATRICES[kind]
-    if kind.takes_angle:
-        m = m(math.cos(angle / 2.0), math.sin(angle / 2.0))
-    k, terms, m = kind.arity, [], np.asarray(m, complex)
+def _table(m: np.ndarray) -> _Table:
+    """An operand-subspace matrix's nonzero entries as terms, each complex
+    entry split into a real and an imaginary term so each product is one
+    rounding, and terms that act alike on an operand bit merged so that it
+    stays a free axis."""
+    k, terms = m.shape[0].bit_length() - 1, []
     for row, col in zip(*np.nonzero(m)):
         for part in (float(m[row, col].real), complex(0.0, m[row, col].imag)):
             if part:
@@ -226,6 +249,24 @@ def _table(kind: GateKind, angle: float | None) -> _Table:
     views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
     cares, rows, cols, coefs = (np.array(column) for column in zip(*terms))
     return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex))
+
+
+@functools.lru_cache(maxsize=4096)
+def _gate_table(kind: GateKind, angle: float | None) -> _Table:
+    """:func:`_table` of a gate's matrix, built once per (kind, angle)."""
+    m = _MATRICES[kind]
+    if kind.takes_angle:
+        m = m(math.cos(angle / 2.0), math.sin(angle / 2.0))
+    return _table(np.asarray(m, complex))
+
+
+@functools.lru_cache(maxsize=256)
+def _permutation_table(perm: tuple[int, ...]) -> _Table:
+    """:func:`_table` of the permutation matrix sending subspace index i to
+    ``perm[i]``, built once per permutation."""
+    m = np.zeros((len(perm), len(perm)), complex)
+    m[perm, np.arange(len(perm))] = 1
+    return _table(m)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -298,17 +339,96 @@ def apply_gate(
 def _apply_terms(state: StateVector, src, dst, g: GateInstance, zero_skip: bool) -> None:
     """Add a unitary gate's terms from ``src`` into the zeroed ``dst``
     through the kernel that zero-skipping picks."""
-    table, layout = _table(g.kind, g.angle), _layout(g.qubits)
-    if not zero_skip:  # the reference: every basis state through the scatter
-        nonzero = np.arange(state.dim)
-    elif not state.dense and state.n >= SCAN_MIN_QUBITS:
-        occupied = src != 0
-        nonzero = (occupied if src.ndim == 1 else occupied.any(axis=1)).nonzero()[0]
-        state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
-    if zero_skip and (state.dense or state.n < SCAN_MIN_QUBITS):
+    table, layout = _gate_table(g.kind, g.angle), _layout(g.qubits)
+    rows = _scatter_rows(state, src, zero_skip)
+    if rows is None:
         _strided(src, dst, layout, table)
     else:
-        _scatter(src, dst, layout, table, nonzero)
+        _scatter(src, dst, layout, table, rows)
+
+
+def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:
+    """Pick the kernel for the next pass over ``src``: the rows the scatter
+    must move, or None for the strided kernel.  Scanning updates
+    ``state.dense``."""
+    if not zero_skip:  # the reference: every basis state through the scatter
+        return np.arange(state.dim)
+    if state.dense or state.n < SCAN_MIN_QUBITS:
+        return None
+    occupied = src != 0
+    nonzero = (occupied if src.ndim == 1 else occupied.any(axis=1)).nonzero()[0]
+    state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
+    return None if state.dense else nonzero
+
+
+def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Each index's bits at ``qubits`` as a subspace index (``qubits[j]``
+    becomes bit j)."""
+    local = np.zeros_like(index)
+    for j, q in enumerate(qubits):
+        local |= (index >> q & 1) << j
+    return local
+
+
+def _flips(qubits: tuple[int, ...], perm: np.ndarray) -> np.ndarray:
+    """Per subspace index i, the bits at ``qubits`` that moving it to
+    ``perm[i]`` flips."""
+    return _layout(qubits)[2][np.arange(perm.size) ^ perm]
+
+
+class _Block(NamedTuple):
+    """Consecutive permutation gates fused into one permutation of their
+    joint operand subspace."""
+
+    qubits: tuple[int, ...]  # ascending; qubits[j] is subspace bit j
+    perm: np.ndarray  # subspace index i goes to perm[i]
+    flips: np.ndarray  # and flips these register bits
+
+
+@functools.lru_cache(maxsize=4096)
+def _block(gates: tuple[GateInstance, ...]) -> _Block:
+    """Compose permutation gates, in order, on the subspace of their qubits."""
+    qubits = tuple(sorted({q for g in gates for q in g.qubits}))
+    dest = np.arange(1 << len(qubits))
+    for g in gates:
+        operands = tuple(qubits.index(q) for q in g.qubits)
+        dest ^= _flips(operands, _PERMUTATIONS[g.kind])[_gather(dest, operands)]
+    flips = _flips(qubits, dest)
+    dest.flags.writeable = flips.flags.writeable = False
+    return _Block(qubits, dest, flips)
+
+
+def _apply_block(state: StateVector, block: _Block, zero_skip: bool) -> None:
+    """Apply a fused block, as its gates one by one would, byte for byte:
+    each amplitude is added once to a +0 in its new place."""
+    if block.qubits[-1] >= state.n:
+        raise IndexError(f"operands {block.qubits} out of range for {state.n} qubits")
+    src, dst = state.live, state.dead
+    rows = _scatter_rows(state, src, zero_skip)
+    if rows is None:
+        _strided(src, dst, _layout(block.qubits), _permutation_table(tuple(block.perm.tolist())))
+    else:
+        dst[rows ^ block.flips[_gather(rows, block.qubits)]] += src[rows]
+    state.toggle_after_gate()
+
+
+def _fused(instructions: Iterable[GateInstance]):
+    """The instructions with each run of two or more consecutive permutation
+    gates on at most ``FUSE_MAX_QUBITS`` qubits replaced by its block."""
+    run: list[GateInstance] = []
+    span: set[int] = set()
+    for g in instructions:
+        permutes = g.kind in _PERMUTATIONS
+        if run and not (permutes and len(span.union(g.qubits)) <= FUSE_MAX_QUBITS):
+            yield run[0] if len(run) == 1 else _block(tuple(run))
+            run, span = [], set()
+        if permutes:
+            run.append(g)
+            span.update(g.qubits)
+        else:
+            yield g
+    if run:
+        yield run[0] if len(run) == 1 else _block(tuple(run))
 
 
 def measure(
@@ -410,11 +530,18 @@ def run_circuit(
     """
     if rng is None:
         rng = np.random.default_rng()
+    noisy = noise is not None and noise.p > 0.0
+    if not noisy and n >= SCAN_MIN_QUBITS:
+        # blocks built and cached before the buffers exist: built during the
+        # pass, they kept the heap from shrinking and raised the perfbench
+        # run_dense peak RSS by about 2 MiB
+        instructions = list(_fused(instructions))
     state = StateVector(n, batch)
     transcript: list[tuple[int, int]] = []
-    noisy = noise is not None and noise.p > 0.0
     for g in instructions:
-        if g.kind is GateKind.MEASURE:
+        if isinstance(g, _Block):
+            _apply_block(state, g, zero_skip)
+        elif g.kind is GateKind.MEASURE:
             bit, _ = measure(state, g.qubits[0], rng)
             transcript.append((g.qubits[0], bit))
         elif g.kind is GateKind.PREP_Z:

@@ -13,6 +13,10 @@ The circuit works in four stages, one kernel each:
              register is all zero, then inversion about the mean spreads
              amplitude toward them.
 
+Nucleotide inputs are translated to two bits per base and sliced at a
+stride of two bits, so every candidate window starts on a base and
+positions count bases; binary inputs slice at every bit.
+
 Index values beyond the real slice count are padded with sentinel slices
 holding the bitwise complement of the read, so their post-XOR distance is
 maximal and they can never be marked.  Multi-controlled gates are lowered
@@ -49,6 +53,19 @@ def nucleotides_to_bits(seq: str) -> str:
         raise ValueError(f"not a nucleotide sequence: {seq!r}") from exc
 
 
+def sequence_bits(reference: str, read: str) -> tuple[str, str, int]:
+    """The binary forms of a reference and a read given in one alphabet,
+    both 01 or both ACGT, and the bits per symbol: 1 or 2."""
+    binary = _is_binary(reference), _is_binary(read)
+    if all(binary):
+        return reference, read, 1
+    if any(binary):
+        raise ValueError(
+            f"reference and read must be both 01 or both ACGT: {reference!r}, {read!r}"
+        )
+    return nucleotides_to_bits(reference), nucleotides_to_bits(read), 2
+
+
 def _padded_index_count(positions: int) -> int:
     """Round the candidate count up to a power of two, minimum 4.
 
@@ -65,12 +82,15 @@ def _padded_index_count(positions: int) -> int:
 
 @dataclass(frozen=True)
 class AlignmentInstance:
-    """One read-alignment problem over binary strings."""
+    """One read-alignment problem over binary strings whose symbols are
+    ``stride`` bits wide: candidate windows start every ``stride`` bits,
+    and positions count symbols."""
 
     reference: str
     read: str
     iterations: int = 1
     diffusion: str = DIFFUSION_JOINT
+    stride: int = 1
 
     def __post_init__(self):
         if not _is_binary(self.reference):
@@ -79,6 +99,10 @@ class AlignmentInstance:
             raise ValueError(f"read must be a non-empty 01-string: {self.read!r}")
         if len(self.read) > len(self.reference):
             raise ValueError("read longer than reference")
+        if self.stride < 1 or len(self.reference) % self.stride or len(self.read) % self.stride:
+            raise ValueError(
+                f"reference and read lengths must be multiples of the stride {self.stride}"
+            )
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.diffusion not in (DIFFUSION_JOINT, DIFFUSION_INDEX):
@@ -90,7 +114,7 @@ class AlignmentInstance:
 
     @property
     def positions(self) -> int:
-        return len(self.reference) - len(self.read) + 1
+        return (len(self.reference) - len(self.read)) // self.stride + 1
 
     @property
     def index_count(self) -> int:
@@ -117,8 +141,11 @@ class AlignmentInstance:
         return self.index_qubits + self.data_qubits + self.ancilla_qubits
 
 
-def encode_reference(reference: str, read_length: int) -> list[tuple[int, str | None]]:
-    """Slice the reference into read-sized windows, one per start position.
+def encode_reference(
+    reference: str, read_length: int, stride: int = 1
+) -> list[tuple[int, str | None]]:
+    """Slice the reference into read-sized windows, one per start position,
+    the windows starting ``stride`` bits apart.
 
     Returns (index, bits) pairs padded to the instance's index count;
     sentinel entries carry None and are filled in at circuit-build time.
@@ -129,9 +156,9 @@ def encode_reference(reference: str, read_length: int) -> list[tuple[int, str | 
         raise ValueError(f"reference must be a non-empty 01-string: {reference!r}")
     if read_length > len(reference):
         raise ValueError("read longer than reference")
-    positions = len(reference) - read_length + 1
+    positions = (len(reference) - read_length) // stride + 1
     slices: list[tuple[int, str | None]] = [
-        (i, reference[i : i + read_length]) for i in range(positions)
+        (i, reference[i * stride : i * stride + read_length]) for i in range(positions)
     ]
     for i in range(positions, _padded_index_count(positions)):
         slices.append((i, None))
@@ -223,7 +250,7 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
     superpose = w.take()
 
     sentinel = "".join("1" if ch == "0" else "0" for ch in read)
-    for position, bits in encode_reference(inst.reference, len(read)):
+    for position, bits in encode_reference(inst.reference, len(read), inst.stride):
         if bits is None:
             bits = sentinel
         conjugate = [w.index[b] for b in range(inst.index_qubits) if not (position >> b) & 1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..cqasm import emit, parse
 from ..errors import CapacityError, MappingError, ParseError
-from ..genomics import AlignmentInstance, align, build_alignment_circuit, nucleotides_to_bits
+from ..genomics import AlignmentInstance, align, build_alignment_circuit, sequence_bits
 from ..mapper import map_circuit
 from .bench import bench_depth_scaling, bench_gates, bench_qubit_scaling
 from .records import store_query
@@ -136,19 +136,9 @@ def _cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _normalize_sequence(seq: str) -> str:
-    if set(seq) <= {"0", "1"}:
-        return seq
-    return nucleotides_to_bits(seq)
-
-
 def _cmd_align(args) -> int:
-    inst = AlignmentInstance(
-        reference=_normalize_sequence(args.reference),
-        read=_normalize_sequence(args.read),
-        iterations=args.iterations,
-        diffusion=args.diffusion,
-    )
+    reference, read, stride = sequence_bits(args.reference, args.read)
+    inst = AlignmentInstance(reference, read, args.iterations, args.diffusion, stride)
     if args.emit_qasm:
         sys.stdout.write(emit(build_alignment_circuit(inst)))
         return EXIT_OK

@@ -258,6 +258,112 @@ class TestKernels:
         assert calls == {"scatter": 3, "strided": 4}
 
 
+class TestFusion:
+    """Runs of permutation gates fused into blocks in noiseless passes,
+    against the same gates applied one at a time."""
+
+    PERMUTATION_KINDS = ("x", "cnot", "swap", "toffoli")
+    OTHER_KINDS = ("h", "ry", "z", "cz")
+
+    @classmethod
+    def permutation_heavy(cls, rng, n, count):
+        """Mostly X/CNOT/SWAP/TOFFOLI, with H/RY/Z/CZ interleaved."""
+        ops = []
+        for _ in range(count):
+            kinds = cls.PERMUTATION_KINDS if rng.random() < 0.8 else cls.OTHER_KINDS
+            kind = kinds[int(rng.integers(len(kinds)))]
+            qubits = rng.choice(n, size=gates.MNEMONICS[kind].arity, replace=False)
+            angle = float(rng.uniform(-np.pi, np.pi)) if kind == "ry" else None
+            ops.append(gate(kind, *(int(q) for q in qubits), angle=angle))
+        return ops
+
+    @staticmethod
+    def stepwise(n, ops, zero_skip, batch=None):
+        state = StateVector(n, batch)
+        for g in ops:
+            apply_gate(state, g, zero_skip=zero_skip)
+        return state
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        applied = []
+        original = gates._apply_block
+
+        def counted(state, block, zero_skip):
+            original(state, block, zero_skip)
+            applied.append((len(block.qubits), state.dense))
+
+        monkeypatch.setattr(gates, "_apply_block", counted)
+        return applied
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_fused_runs_match_stepwise_byte_for_byte(self, monkeypatch, dense, batch):
+        applied = self.count_blocks(monkeypatch)
+        rng = np.random.default_rng(1300 + 2 * dense + (batch or 0))
+        for n in range(13, 18):
+            ops = self.permutation_heavy(rng, n, 40)
+            if dense:  # a support of 1/8 of the register marks the state dense
+                ops = [gate("h", q) for q in range(n - 3)] + ops
+            for zero_skip in (True, False):
+                del applied[:]
+                state, _ = run_circuit(n, ops, zero_skip=zero_skip, batch=batch)
+                reference = self.stepwise(n, ops, zero_skip, batch)
+                assert state.live.tobytes() == reference.live.tobytes()
+                assert not state.dead.any()
+                assert applied and all(k <= gates.FUSE_MAX_QUBITS for k, _ in applied)
+                if zero_skip:
+                    assert all(seen == dense for _, seen in applied)
+
+    def test_fused_runs_match_the_oracle_on_small_registers(self, monkeypatch):
+        applied = self.count_blocks(monkeypatch)
+        monkeypatch.setattr(gates, "SCAN_MIN_QUBITS", 3)
+        rng = np.random.default_rng(1010)
+        for _ in range(40):
+            n = int(rng.integers(3, 11))
+            ops = self.permutation_heavy(rng, n, 30)
+            for zero_skip in (True, False):
+                state, _ = run_circuit(n, ops, zero_skip=zero_skip)
+                assert state.live.tobytes() == self.stepwise(n, ops, zero_skip).live.tobytes()
+            assert np.abs(simulate_instructions(n, ops) - state.live).max() <= 1e-9
+        assert len(applied) > 100
+
+    def test_blocks_respect_the_qubit_cap(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(3, 18))
+            ops = self.permutation_heavy(rng, n, 60)
+            items = list(gates._fused(ops))
+            blocks = [item for item in items if isinstance(item, gates._Block)]
+            assert blocks and all(len(b.qubits) <= gates.FUSE_MAX_QUBITS for b in blocks)
+
+    def test_other_gates_measure_and_prep_z_end_a_block(self):
+        x, cnot = (lambda q: gate("x", q)), (lambda a, b: gate("cnot", a, b))
+        ops = [x(0), cnot(0, 1), gate("h", 2), x(1), x(0), gate("measure", 0), x(2), x(3),
+               gate("prep_z", 1), x(1), cnot(1, 2), gate("rz", 0, angle=0.5), x(4)]
+        block = gates._block
+        assert list(gates._fused(ops)) == [
+            block((x(0), cnot(0, 1))), ops[2], block((x(1), x(0))), ops[5],
+            block((x(2), x(3))), ops[8], block((x(1), cnot(1, 2))), ops[11], x(4)]
+
+    def test_a_full_block_ends_and_a_lone_gate_stays_a_gate(self):
+        cap = gates.FUSE_MAX_QUBITS
+        ops = [gate("x", q) for q in range(cap + 1)]
+        assert list(gates._fused(ops)) == [gates._block(tuple(ops[:cap])), ops[cap]]
+
+    def test_noisy_pass_applies_no_block(self, monkeypatch):
+        applied = self.count_blocks(monkeypatch)
+        ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
+        run_circuit(13, ops, rng=np.random.default_rng(0), noise=NoiseConfig(0.01), batch=2)
+        assert applied == []
+        run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
+        assert applied
+
+    def test_block_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            run_circuit(13, [gate("x", 0), gate("cnot", 0, 13)])
+
+
 class TestMeasurement:
     def test_deterministic_one(self):
         rng = np.random.default_rng(0)

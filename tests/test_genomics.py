@@ -11,6 +11,7 @@ from qaccel.genomics import (
     encode_reference,
     index_marginals,
     nucleotides_to_bits,
+    sequence_bits,
 )
 from qaccel.gates import run_circuit
 from qaccel.tensor_oracle import dense_simulate, simulate_instructions
@@ -43,6 +44,11 @@ class TestEncodeReference:
     def test_empty_read(self):
         with pytest.raises(ValueError):
             encode_reference("01", 0)
+
+    def test_nucleotide_windows_start_on_bases(self):
+        # TAAT: every window starts on a base, so there are 3, not 5
+        assert encode_reference("11000011", 4, 2) == [
+            (0, "1100"), (1, "0000"), (2, "0011"), (3, None)]
 
     def test_two_candidates_pad_to_four(self):
         slices = encode_reference("011", 2)
@@ -84,6 +90,21 @@ class TestInstance:
         assert nucleotides_to_bits("ACGT") == "00011011"
         with pytest.raises(ValueError):
             nucleotides_to_bits("ACGU")
+
+    def test_sequences_in_one_alphabet(self):
+        assert sequence_bits("0110", "01") == ("0110", "01", 1)
+        assert sequence_bits("TAAT", "aa") == ("11000011", "0000", 2)
+        for reference, read in (("0110", "CG"), ("ACGT", "01")):
+            with pytest.raises(ValueError):
+                sequence_bits(reference, read)
+
+    def test_stride_counts_positions_in_symbols(self):
+        inst = AlignmentInstance("11000011", "0000", stride=2)
+        assert inst.positions == 3 and inst.index_count == 4
+        with pytest.raises(ValueError):
+            AlignmentInstance("110000110", "0000", stride=2)
+        with pytest.raises(ValueError):
+            AlignmentInstance("11000011", "000", stride=2)
 
 
 class TestStageInvariants:

@@ -1,5 +1,6 @@
 """Run store, execution pipeline, CLI exit codes, and benchmark plumbing."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from helpers import make_program, random_circuit
 from qaccel import gates, statecore, tensor_oracle
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
+from qaccel.genomics import AlignmentInstance, build_alignment_circuit
 from qaccel.gates import NoiseConfig, gate, run_circuit, sample
 from qaccel.harness.bench import (
     bench_depth_scaling,
@@ -30,6 +32,11 @@ from qaccel.harness import runner
 from qaccel.harness.runner import parse_topology_spec, run_file, run_program
 from qaccel.metrics import MetricSet
 from qaccel.statecore import MemoryParams, estimate_peak_memory, estimate_total_memory
+
+#: sha256 of ``align --emit-qasm`` for a 32-bit binary reference and a 5-bit
+#: read (the first perfbench ``align`` instance of seed 1); binary inputs slice
+#: at every bit, so this circuit must not change.
+EMITTED_ALIGNMENT_SHA256 = "702b411d042951530adda9074efcf753097bd0871dbee9394a90c6850ee3c577"
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
 
@@ -193,6 +200,21 @@ class TestRunPipeline:
                 assert abs(amp - expected[i]) < 1e-9, (trial, i)
             assert set(np.flatnonzero(np.abs(expected) ** 2 > 1e-9)) <= set(listed), trial
             assert record.metrics.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    def test_fused_run_records_the_executed_gate_counts(self, monkeypatch):
+        fused = []
+        original = gates._apply_block
+        monkeypatch.setattr(gates, "_apply_block",
+                            lambda *args: fused.append(args[1]) or original(*args))
+        ops = [gate("h", 0), gate("x", 1), gate("cnot", 0, 2), gate("toffoli", 0, 2, 3),
+               gate("swap", 3, 12), gate("x", 12), gate("measure", 12)]
+        record = run_program(make_program(13, ops), shots=10, seed=1, persist=False).record
+        assert len(fused) == 1
+        assert record.metrics.total_gates == 7
+        assert record.metrics.by_kind == {"h": 1, "x": 2, "cnot": 1, "toffoli": 1, "swap": 1,
+                                          "measure": 1}
+        assert {fs.bitstring for fs in record.final_states} == {
+            "1000000000010", "0000000000111"}
 
     def test_run_does_not_use_dense_oracle(self, monkeypatch):
         def refuse(*_args, **_kwargs):
@@ -439,6 +461,39 @@ class TestCliSubcommands:
     def test_align_accepts_nucleotides(self, capsys):
         code = main(["align", "--reference", "ACGT", "--read", "CG", "--seed", "1"])
         assert code == 0
+
+    @staticmethod
+    def ranking(capsys):
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "position,probability"
+        return [(int(pos), float(prob)) for pos, prob in (line.split(",") for line in lines[1:])]
+
+    def test_align_nucleotides_rank_no_window_between_bases(self, capsys):
+        # CA is 0100 in bits; the bit window 10 at offset 1 straddles two bases
+        assert main(["align", "--reference", "CA", "--read", "G", "--seed", "1"]) == 0
+        rows = self.ranking(capsys)
+        assert sorted(pos for pos, _ in rows) == [0, 1]
+        assert rows[0][1] == rows[1][1]  # no base matches, so none is amplified
+
+    def test_align_nucleotide_positions_count_bases(self, capsys):
+        assert main(["align", "--reference", "TAAT", "--read", "AA", "--seed", "1"]) == 0
+        rows = self.ranking(capsys)
+        assert sorted(pos for pos, _ in rows) == [0, 1, 2]
+        assert rows[0][0] == 1 and rows[0][1] > rows[1][1]
+
+    @pytest.mark.parametrize("reference, read", [("0110", "CG"), ("ACGT", "01")])
+    def test_align_mixed_alphabets_exit_one(self, reference, read, capsys):
+        assert main(["align", "--reference", reference, "--read", read]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_align_emit_qasm_of_a_binary_instance_is_unchanged(self, capsys):
+        reference, read = "11100110010010000101111100100001", "00010"
+        assert main(["align", "--reference", reference, "--read", read, "--emit-qasm"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EMITTED_ALIGNMENT_SHA256
+        lines = [line for line in out.splitlines()[2:] if line and not line.startswith(".")]
+        inst = AlignmentInstance(reference, read)
+        assert len(lines) == len(build_alignment_circuit(inst).instructions) == 514
 
     def test_align_emit_qasm(self, capsys):
         code = main(["align", "--reference", "0110", "--read", "01", "--emit-qasm"])
