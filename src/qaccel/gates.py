@@ -16,7 +16,11 @@ measured crossovers of the kernels.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, so a skipped zero input only drops the
-addition of a signed zero.  Complex coefficients are split into a real and an
+addition of a signed zero.  After a scatter the old input buffer is cleared
+only at the rows the scan listed (all rows, as a slice, for the no-skip
+reference); its other rows hold +0 already, since no kernel output, and so
+no live buffer, is ever -0.0 (see statecore).  The strided kernel's input
+is cleared whole.  Complex coefficients are split into a real and an
 imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
 
@@ -179,7 +183,11 @@ SCATTER_MAX_FRACTION = 1 / 16
 #: 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514 gates became
 #: 306, 184, 143, 110 and 110 applications.  The cap is 6 because the
 #: ``align`` benchmark's peak RSS stays flat there (47.9-48.0 MiB against
-#: 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.
+#: 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.  That
+#: rise is glibc malloc keeping freed heap pages, not live data: at a cap of
+#: 8 the benchmark read 51.1 MiB, and 48.3-48.7 MiB with either
+#: MALLOC_MMAP_THRESHOLD_=131072 or MALLOC_TRIM_THRESHOLD_=0 set on its
+#: process, which make glibc map large blocks on their own or trim its heap.
 FUSE_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -331,20 +339,22 @@ def apply_gate(
         _apply_terms(state, src, dst, g, zero_skip)
         state.live[:, columns] = dst
     else:
-        _apply_terms(state, state.live, state.dead, g, zero_skip)
-        state.toggle_after_gate()
+        state.toggle_after_gate(_apply_terms(state, state.live, state.dead, g, zero_skip))
     return state
 
 
-def _apply_terms(state: StateVector, src, dst, g: GateInstance, zero_skip: bool) -> None:
+def _apply_terms(state: StateVector, src, dst, g: GateInstance,
+                 zero_skip: bool) -> np.ndarray | None:
     """Add a unitary gate's terms from ``src`` into the zeroed ``dst``
-    through the kernel that zero-skipping picks."""
+    through the kernel that zero-skipping picks; returns the rows scattered,
+    or None after the strided kernel."""
     table, layout = _gate_table(g.kind, g.angle), _layout(g.qubits)
     rows = _scatter_rows(state, src, zero_skip)
     if rows is None:
         _strided(src, dst, layout, table)
     else:
         _scatter(src, dst, layout, table, rows)
+    return rows
 
 
 def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:
@@ -409,7 +419,7 @@ def _apply_block(state: StateVector, block: _Block, zero_skip: bool) -> None:
         _strided(src, dst, _layout(block.qubits), _permutation_table(tuple(block.perm.tolist())))
     else:
         dst[rows ^ block.flips[_gather(rows, block.qubits)]] += src[rows]
-    state.toggle_after_gate()
+    state.toggle_after_gate(rows)
 
 
 def _fused(instructions: Iterable[GateInstance]):

@@ -306,10 +306,12 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Ranked candidate positions plus a sampled index histogram."""
+    """Ranked candidate positions plus sampled index readouts: a histogram
+    of the real positions, and how many readouts fell on padded indices."""
 
     ranking: tuple[tuple[int, float], ...]
     histogram: dict[int, int]
+    padding_readouts: int
 
 
 def index_marginals(inst: AlignmentInstance, state_probs: np.ndarray) -> np.ndarray:
@@ -325,7 +327,9 @@ def align(
 
     Ranking uses the exact index-register marginals of the final state,
     descending, ties broken by ascending position; sentinel indices are
-    dropped.  The histogram holds ``shots`` sampled index readouts.
+    dropped.  ``shots`` index readouts are drawn over every index value;
+    the histogram counts those of real positions, and the rest are
+    ``padding_readouts``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -339,5 +343,6 @@ def align(
         )
     )
     counts = rng.multinomial(shots, marginals / marginals.sum())
-    histogram = {int(i): int(c) for i, c in enumerate(counts) if c}
-    return AlignmentResult(ranking, histogram)
+    real = counts[: inst.positions]
+    histogram = {int(i): int(c) for i, c in enumerate(real) if c}
+    return AlignmentResult(ranking, histogram, shots - int(real.sum()))

@@ -146,7 +146,8 @@ def _cmd_align(args) -> int:
     print("position,probability")
     for pos, prob in result.ranking:
         print(f"{pos},{prob:.6f}")
-    print(f"sampled index counts: {result.histogram}", file=sys.stderr)
+    print(f"sampled index counts: {result.histogram}; "
+          f"padding readouts: {result.padding_readouts}", file=sys.stderr)
     return EXIT_OK
 
 

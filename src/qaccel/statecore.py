@@ -3,11 +3,16 @@
 Amplitudes are complex numbers stored as (real, imaginary) pairs of doubles.
 A state holds two 2^n amplitude buffers; one is live (the input to the next
 gate), the other receives the gate's output, and a parity flag toggles their
-roles after every gate so no copy-back is ever required.  A batch of B
-independent trajectories (noisy shots) keeps the same two buffers with a
-trailing trajectory axis, ``(2^n, B)``; a plain state is ``(2^n,)``.
-:func:`probabilities` is the one place that turns amplitudes of either
-shape into probabilities.
+roles after every gate so no copy-back is ever required.  After a gate the
+old input buffer is cleared: whole, or after a sparse pass only the rows a
+scan found nonzero.  The rest already holds +0 bit for bit, because live
+buffers never hold -0.0: kernels start every output at +0, ``measure``
+writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
+
+A batch of B independent trajectories (noisy shots) keeps the same two
+buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
+``(2^n,)``.  :func:`probabilities` is the one place that turns amplitudes
+of either shape into probabilities.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
 least significant bit.
@@ -104,9 +109,9 @@ class StateVector:
 
     ``parity`` names the live buffer: 0 means the even buffer holds the
     current amplitudes, 1 means the odd buffer does.  Between gates the
-    non-live buffer is kept all zeros.  ``dense`` records that zero-skipping
-    found most amplitudes nonzero, so the engine stops scanning for zeros
-    until :meth:`reset_ground`.  With ``batch=B`` the buffers are
+    non-live buffer is kept all +0, bit for bit.  ``dense`` records that
+    zero-skipping found most amplitudes nonzero, so the engine stops
+    scanning for zeros until :meth:`reset_ground`.  With ``batch=B`` the buffers are
     ``(2^n, B)``, one column per trajectory; ``batch`` is None for a plain
     ``(2^n,)`` state, which acts as a single trajectory.
     """
@@ -145,12 +150,19 @@ class StateVector:
 
     @property
     def dead(self) -> np.ndarray:
-        """The scratch buffer the next gate will write into (all zeros)."""
+        """The scratch buffer the next gate will write into (all +0)."""
         return self.buf_odd if self.parity == 0 else self.buf_even
 
-    def toggle_after_gate(self) -> None:
-        """Zero the old input buffer and make the output buffer live."""
-        self.live[:] = 0
+    def toggle_after_gate(self, rows: np.ndarray | None = None) -> None:
+        """Zero the old input buffer and make the output buffer live.
+
+        ``rows``, the rows a scan found nonzero in the old input, limits the
+        zeroing to them; every other row of it is already +0.
+        """
+        if rows is None or rows.size == self.dim:
+            self.live[:] = 0
+        else:
+            self.live[rows] = 0
         self.parity ^= 1
 
     def reset_ground(self) -> None:
@@ -188,16 +200,19 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
-        """Build a state from an explicit amplitude vector (must be normalized)."""
+        """Build a state from an explicit amplitude vector (must be finite and
+        normalized); -0.0 components are stored as +0.0."""
         amps = np.asarray(amps, dtype=np.complex128).ravel()
         n = int(amps.size).bit_length() - 1
         if (1 << n) != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(probabilities(amps).sum())
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum of squares is {norm!r}")
         state = cls(n)
-        state.buf_even[:] = amps
+        state.buf_even[:] = amps + 0.0  # exact, and -0.0 + 0.0 is +0.0
         return state
 
     def __repr__(self) -> str:

@@ -224,7 +224,7 @@ class TestKernels:
         state = StateVector(n)
         for g in ops:
             apply_gate(state, g, zero_skip=zero_skip)
-            assert not state.dead.any()
+            assert not state.dead.view(np.uint64).any()
         return state.live.copy()
 
     def test_kernels_agree_bit_for_bit_and_with_oracle(self, monkeypatch):
@@ -310,7 +310,7 @@ class TestFusion:
                 state, _ = run_circuit(n, ops, zero_skip=zero_skip, batch=batch)
                 reference = self.stepwise(n, ops, zero_skip, batch)
                 assert state.live.tobytes() == reference.live.tobytes()
-                assert not state.dead.any()
+                assert not state.dead.view(np.uint64).any()
                 assert applied and all(k <= gates.FUSE_MAX_QUBITS for k, _ in applied)
                 if zero_skip:
                     assert all(seen == dense for _, seen in applied)
@@ -350,6 +350,34 @@ class TestFusion:
         cap = gates.FUSE_MAX_QUBITS
         ops = [gate("x", q) for q in range(cap + 1)]
         assert list(gates._fused(ops)) == [gates._block(tuple(ops[:cap])), ops[cap]]
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_negative_zero_inputs_keep_the_dead_buffer_clear(self, batch):
+        # a sparse pass clears only the rows its scan found nonzero, which is
+        # exact because from_amplitudes stores the -0.0 entries as +0.0
+        rng = np.random.default_rng(1415 + (batch or 0))
+        for n in (13, 14, 15):
+            columns = []
+            for _ in range(batch or 1):
+                amps = np.full(1 << n, complex(-0.0, -0.0))
+                support = rng.choice(1 << n, size=64, replace=False)
+                amps[support] = rng.normal(size=64) + 1j * rng.normal(size=64)
+                amps[support[:8]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries too
+                columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
+            items = list(gates._fused(self.permutation_heavy(rng, n, 40)))
+            assert any(isinstance(item, gates._Block) for item in items)
+            finals = []
+            for zero_skip in (True, False):
+                state = StateVector(n, batch)
+                state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
+                for item in items:
+                    if isinstance(item, gates._Block):
+                        gates._apply_block(state, item, zero_skip)
+                    else:
+                        apply_gate(state, item, zero_skip=zero_skip)
+                    assert not state.dead.view(np.uint64).any()
+                finals.append(state.live.tobytes())
+            assert finals[0] == finals[1]
 
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.count_blocks(monkeypatch)
@@ -545,7 +573,7 @@ class TestTrajectoryBatch:
                         apply_gate(batch, pauli, zero_skip=zero_skip, columns=columns)
                         for j in columns:
                             apply_gate(singles[j], pauli, zero_skip=zero_skip)
-            assert not batch.dead.any()
+            assert not batch.dead.view(np.uint64).any()
         return batch, singles
 
     @staticmethod
@@ -623,7 +651,7 @@ class TestTrajectoryBatch:
         np.testing.assert_allclose(state.live, [1 - bits, bits], atol=1e-15)
         prep_z(state, 0, rng)
         np.testing.assert_allclose(state.live, np.repeat([[1], [0]], 64, axis=1), atol=1e-15)
-        assert not state.dead.any()
+        assert not state.dead.view(np.uint64).any()
 
     def test_sample_reads_each_trajectory(self):
         state = StateVector(2, 6)

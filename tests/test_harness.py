@@ -475,6 +475,13 @@ class TestCliSubcommands:
         assert sorted(pos for pos, _ in rows) == [0, 1]
         assert rows[0][1] == rows[1][1]  # no base matches, so none is amplified
 
+    def test_align_histogram_counts_real_positions_only(self, capsys):
+        # CA has 2 positions, padded to 4 index values; seeded counts of the
+        # real positions are those of one draw over all 4
+        assert main(["align", "--reference", "CA", "--read", "G", "--seed", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "sampled index counts: {0: 246, 1: 232}; padding readouts: 522" in err
+
     def test_align_nucleotide_positions_count_bases(self, capsys):
         assert main(["align", "--reference", "TAAT", "--read", "AA", "--seed", "1"]) == 0
         rows = self.ranking(capsys)

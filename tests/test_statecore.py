@@ -168,7 +168,7 @@ class TestBufferInvariants:
             for g in random_circuit(rng, n, max_gates=12):
                 apply_gate(state, g)
                 assert abs(state.norm_squared() - 1.0) <= 1e-9
-                assert not state.dead.any()
+                assert not state.dead.view(np.uint64).any()
 
     def test_reset_ground(self):
         state = alloc_state(2)
@@ -189,6 +189,17 @@ class TestBufferInvariants:
             StateVector.from_amplitudes(np.array([1.0, 1.0]))
         state = StateVector.from_amplitudes(np.array([0.6, 0.8j]))
         assert state.n == 1
+
+    @pytest.mark.parametrize("amps", [[np.nan, 0], [1, np.nan], [np.inf, 0], [1, 1j * np.nan]])
+    def test_from_amplitudes_rejects_non_finite(self, amps):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_amplitudes(np.array(amps, complex))
+
+    def test_from_amplitudes_stores_negative_zero_as_positive(self):
+        amps = np.array([complex(-0.0, -0.0), complex(0.6, -0.0), complex(-0.0, 0.8), -0.0])
+        state = StateVector.from_amplitudes(amps)
+        assert state.live.view(np.uint64).tolist() == np.array(
+            [0, 0.6, 0.8j, 0]).view(np.uint64).tolist()
 
     def test_max_qubits_constant(self):
         assert MAX_QUBITS == 30
