@@ -25,15 +25,26 @@ imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
 
 Noiseless passes of :func:`run_circuit` on registers of at least
-``SCAN_MIN_QUBITS`` qubits fuse each run of consecutive permutation gates
-(X, CNOT, SWAP, TOFFOLI) on at most ``FUSE_MAX_QUBITS`` qubits, greedily in
-program order, into one block: a permutation of its operand subspace, cached
-by its gate sequence.  A block takes the same kernel choice as a gate.  The
-scatter moves each nonzero input through a lookup table of its operand bits;
-the strided kernel applies the block's permutation as merged terms from the
-same term builder as the gates.  A permutation's nonzero entries are all 1,
-so each amplitude is added once to a +0 in its new place, as the unfused
-gates would do, and output stays byte-identical.  Noisy passes stay unfused.
+``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs.  One-qubit
+gates that are not signed permutations (H, RX, RY, RZ, Y) are held per
+qubit and move past gates on other qubits; when an instruction touches
+their qubit, or the pass ends, they go out as one 2x2 product, or as
+themselves when alone.  Each run of signed permutation gates (X, Z, CNOT,
+CZ, SWAP, TOFFOLI) on at most ``FUSE_MAX_QUBITS`` qubits becomes one block:
+a permutation of its operand subspace with a sign per entry, cached by its
+gate sequence.  A held product goes out before the open run unless that run
+touches its qubit, in which case the run closes first.  Gates, products and
+blocks take the same kernel choice through one path; a block's scatter
+moves each nonzero input through a lookup table of its operand bits,
+negated where its sign is -1, and the strided kernel applies its signed
+matrix as merged terms from the same term builder as the gates.  Each
+amplitude then lands once, exactly negated or not, on a +0 in its new
+place, so a block gives the bytes of its gates applied one at a time.  A
+product rounds differently from its gates, and so do two non-permutation
+gates on different qubits that fusion has swapped: fused passes differ from
+program order in the last bits (at most 1.2e-16 per amplitude over random
+13-16-qubit circuits).  Zero-skip and no-skip passes fuse alike and stay
+byte-identical.  Noisy passes stay unfused.
 
 A batch of trajectories (see statecore) adds a trailing axis that both
 kernels carry along: the strided views gain it as their last axis, and the
@@ -176,8 +187,9 @@ SCAN_MIN_QUBITS = 13
 SCATTER_MAX_FRACTION = 1 / 16
 
 #: Noiseless passes on registers of at least SCAN_MIN_QUBITS qubits fuse each
-#: run of consecutive permutation gates on at most this many qubits into one
-#: block, applied in one pass.  Over the 32 perfbench ``align`` instances of
+#: run of signed permutation gates on at most this many qubits into one
+#: block, applied in one pass.  The figures below were measured before Z
+#: and CZ joined the blocks.  Over the 32 perfbench ``align`` instances of
 #: seed 1 (17 qubits; median in-process CPU time, 2-core VM, 3 to 6 rounds)
 #: an op took 237-279 ms unfused, 147-163 ms at a cap of 4, 91-103 at 5,
 #: 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514 gates became
@@ -210,9 +222,12 @@ _MATRICES = {
     GateKind.TOFFOLI: np.eye(8)[[0, 1, 2, 7, 4, 5, 6, 3]],
 }
 
-#: The permutation kinds, each as the subspace index every column moves to.
-_PERMUTATIONS = {kind: np.argmax(np.asarray(_MATRICES[kind]), axis=0)
-                 for kind in (GateKind.X, GateKind.CNOT, GateKind.SWAP, GateKind.TOFFOLI)}
+#: The signed permutation kinds, each as the subspace index every column
+#: moves to and whether it is negated on the way.
+_PERMUTATIONS = {kind: (np.argmax(np.abs(m), axis=0), m.sum(axis=0) < 0)
+                 for kind in (GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.CPHASE,
+                              GateKind.SWAP, GateKind.TOFFOLI)
+                 for m in [np.asarray(_MATRICES[kind])]}
 
 
 def _merge(terms: list[tuple[int, int, int, complex]], bit: int) -> list:
@@ -227,6 +242,13 @@ def _merge(terms: list[tuple[int, int, int, complex]], bit: int) -> list:
                 care, row, col = care & ~bit, (row & ~bit) | ((row ^ col) & bit), col & ~bit
             merged.append((care, row, col, coef))
     return merged
+
+
+#: A free operand axis in a term's view, kept or reversed.  Every table
+#: shares these two slices, so cached tables hold no slice objects of their
+#: own: after the perfbench ``align`` pool, the tables and blocks cached in
+#: this module took 0.83 MiB this way against 1.12 MiB.
+_STEPS = (np.s_[::1], np.s_[::-1])
 
 
 class _Table(NamedTuple):
@@ -251,7 +273,7 @@ def _table(m: np.ndarray) -> _Table:
         terms = _merge(terms, 1 << j)
 
     def key(care, value, flip=0):  # leading-axis index, operand k-1 first
-        return tuple((value >> j) & 1 if care >> j & 1 else np.s_[:: 1 - 2 * (flip >> j & 1)]
+        return tuple((value >> j) & 1 if care >> j & 1 else _STEPS[flip >> j & 1]
                      for j in reversed(range(k)))
 
     views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
@@ -259,22 +281,18 @@ def _table(m: np.ndarray) -> _Table:
     return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex))
 
 
-@functools.lru_cache(maxsize=4096)
-def _gate_table(kind: GateKind, angle: float | None) -> _Table:
-    """:func:`_table` of a gate's matrix, built once per (kind, angle)."""
+def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
+    """A unitary kind's matrix on its operand subspace."""
     m = _MATRICES[kind]
     if kind.takes_angle:
         m = m(math.cos(angle / 2.0), math.sin(angle / 2.0))
-    return _table(np.asarray(m, complex))
+    return np.asarray(m, complex)
 
 
-@functools.lru_cache(maxsize=256)
-def _permutation_table(perm: tuple[int, ...]) -> _Table:
-    """:func:`_table` of the permutation matrix sending subspace index i to
-    ``perm[i]``, built once per permutation."""
-    m = np.zeros((len(perm), len(perm)), complex)
-    m[perm, np.arange(len(perm))] = 1
-    return _table(m)
+@functools.lru_cache(maxsize=4096)
+def _gate_table(kind: GateKind, angle: float | None) -> _Table:
+    """:func:`_table` of a gate's matrix, built once per (kind, angle)."""
+    return _table(_matrix(kind, angle))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -314,6 +332,19 @@ def _scatter(src, dst, layout, table: _Table, nonzero: np.ndarray) -> None:
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
 
+def _move(src, dst, block: _Block, nonzero: np.ndarray) -> None:
+    """Sparse kernel of a signed permutation block: each given input,
+    negated where the block says so, is added to its target in one indexed
+    add; the index arrays select whole rows, so a batch moves every
+    trajectory."""
+    local = _gather(nonzero, block.qubits)
+    moved = src[nonzero]
+    if block.negate is not None:
+        negate = block.negate[local]
+        moved[negate] = -moved[negate]
+    dst[nonzero ^ block.flips[local]] += moved
+
+
 def apply_gate(
     state: StateVector,
     g: GateInstance,
@@ -333,27 +364,40 @@ def apply_gate(
         raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
     if not g.kind.is_unitary:
         raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
+    table = _gate_table(g.kind, g.angle)
     if columns is not None and len(columns) < (state.batch or 1):
         src = state.live[:, columns]
         dst = np.zeros_like(src)
-        _apply_terms(state, src, dst, g, zero_skip)
+        _apply_terms(state, src, dst, g.qubits, table, zero_skip)
         state.live[:, columns] = dst
     else:
-        state.toggle_after_gate(_apply_terms(state, state.live, state.dead, g, zero_skip))
+        state.toggle_after_gate(
+            _apply_terms(state, state.live, state.dead, g.qubits, table, zero_skip))
     return state
 
 
-def _apply_terms(state: StateVector, src, dst, g: GateInstance,
-                 zero_skip: bool) -> np.ndarray | None:
-    """Add a unitary gate's terms from ``src`` into the zeroed ``dst``
-    through the kernel that zero-skipping picks; returns the rows scattered,
-    or None after the strided kernel."""
-    table, layout = _gate_table(g.kind, g.angle), _layout(g.qubits)
+def _apply_block(state: StateVector, block: _Block, zero_skip: bool) -> None:
+    """Apply a fused block; toggles the buffer parity."""
+    if block.qubits[-1] >= state.n:
+        raise IndexError(f"operands {block.qubits} out of range for {state.n} qubits")
+    state.toggle_after_gate(_apply_terms(state, state.live, state.dead, block.qubits,
+                                         block.table, zero_skip, block))
+
+
+def _apply_terms(state: StateVector, src, dst, qubits: tuple[int, ...], table: _Table,
+                 zero_skip: bool, block: _Block | None = None) -> np.ndarray | None:
+    """Add the terms of a gate's or a block's table on ``qubits`` from
+    ``src`` into the zeroed ``dst`` through the kernel that zero-skipping
+    picks (a signed permutation block scatters through its lookup); returns
+    the rows scattered, or None after the strided kernel."""
+    layout = _layout(qubits)
     rows = _scatter_rows(state, src, zero_skip)
     if rows is None:
         _strided(src, dst, layout, table)
-    else:
+    elif block is None or block.flips is None:
         _scatter(src, dst, layout, table, rows)
+    else:
+        _move(src, dst, block, rows)
     return rows
 
 
@@ -387,58 +431,92 @@ def _flips(qubits: tuple[int, ...], perm: np.ndarray) -> np.ndarray:
 
 
 class _Block(NamedTuple):
-    """Consecutive permutation gates fused into one permutation of their
-    joint operand subspace."""
+    """Gates fused into one operation on the subspace of their qubits: a
+    product of one-qubit gates on one qubit, or a signed permutation."""
 
+    gates: tuple[GateInstance, ...]  # in the order they act
     qubits: tuple[int, ...]  # ascending; qubits[j] is subspace bit j
-    perm: np.ndarray  # subspace index i goes to perm[i]
-    flips: np.ndarray  # and flips these register bits
+    table: _Table  # the fused matrix's terms
+    flips: np.ndarray | None = None  # a permutation moves subspace index i flipping these bits
+    negate: np.ndarray | None = None  # and negates it where True (None: nowhere)
 
 
 @functools.lru_cache(maxsize=4096)
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
-    """Compose permutation gates, in order, on the subspace of their qubits."""
+    """Compose signed permutation gates, in order, on the subspace of their
+    qubits: each subspace index's destination and sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     dest = np.arange(1 << len(qubits))
+    negate = np.zeros(dest.size, bool)
     for g in gates:
         operands = tuple(qubits.index(q) for q in g.qubits)
-        dest ^= _flips(operands, _PERMUTATIONS[g.kind])[_gather(dest, operands)]
+        perm, signs = _PERMUTATIONS[g.kind]
+        local = _gather(dest, operands)
+        negate ^= signs[local]
+        dest ^= _flips(operands, perm)[local]
+    m = np.zeros((dest.size, dest.size))
+    m[dest, np.arange(dest.size)] = np.where(negate, -1.0, 1.0)
     flips = _flips(qubits, dest)
-    dest.flags.writeable = flips.flags.writeable = False
-    return _Block(qubits, dest, flips)
+    flips.flags.writeable = negate.flags.writeable = False
+    return _Block(gates, qubits, _table(m), flips, negate if negate.any() else None)
 
 
-def _apply_block(state: StateVector, block: _Block, zero_skip: bool) -> None:
-    """Apply a fused block, as its gates one by one would, byte for byte:
-    each amplitude is added once to a +0 in its new place."""
-    if block.qubits[-1] >= state.n:
-        raise IndexError(f"operands {block.qubits} out of range for {state.n} qubits")
-    src, dst = state.live, state.dead
-    rows = _scatter_rows(state, src, zero_skip)
-    if rows is None:
-        _strided(src, dst, _layout(block.qubits), _permutation_table(tuple(block.perm.tolist())))
-    else:
-        dst[rows ^ block.flips[_gather(rows, block.qubits)]] += src[rows]
-    state.toggle_after_gate(rows)
+def _product(gates: list[GateInstance]) -> GateInstance | _Block:
+    """One-qubit gates on one qubit, in order: a lone gate stays itself,
+    more become one block of their 2x2 product."""
+    if len(gates) == 1:
+        return gates[0]
+    m = _matrix(gates[0].kind, gates[0].angle)
+    for g in gates[1:]:
+        m = _matrix(g.kind, g.angle) @ m
+    return _Block(tuple(gates), gates[0].qubits, _table(m))
 
 
 def _fused(instructions: Iterable[GateInstance]):
-    """The instructions with each run of two or more consecutive permutation
-    gates on at most ``FUSE_MAX_QUBITS`` qubits replaced by its block."""
+    """The instructions with gates fused into blocks, in an order that keeps
+    each qubit's own order.
+
+    One-qubit gates that are not signed permutations are held per qubit and
+    let past gates on other qubits; they go out as one product when an
+    instruction touches their qubit, and at the end.  Each run of two or
+    more signed permutation gates on at most ``FUSE_MAX_QUBITS`` qubits
+    becomes one block.  A released gate or product goes out before the open
+    run unless that run touches its qubit, in which case the run closes
+    first.
+    """
+    held: dict[int, list[GateInstance]] = {}
     run: list[GateInstance] = []
     span: set[int] = set()
+
+    def close():
+        nonlocal run, span
+        closed = run[0] if len(run) == 1 else _block(tuple(run))
+        run, span = [], set()
+        return closed
+
+    def release(qubits):
+        for q in qubits:
+            if q in held:
+                if q in span:
+                    yield close()
+                yield _product(held.pop(q))
+
     for g in instructions:
+        if g.kind.is_unitary and g.kind not in _PERMUTATIONS:  # Y, H, RX, RY, RZ
+            held.setdefault(g.qubits[0], []).append(g)
+            continue
+        yield from release(g.qubits)
         permutes = g.kind in _PERMUTATIONS
         if run and not (permutes and len(span.union(g.qubits)) <= FUSE_MAX_QUBITS):
-            yield run[0] if len(run) == 1 else _block(tuple(run))
-            run, span = [], set()
+            yield close()
         if permutes:
             run.append(g)
             span.update(g.qubits)
         else:
             yield g
+    yield from release(list(held))
     if run:
-        yield run[0] if len(run) == 1 else _block(tuple(run))
+        yield close()
 
 
 def measure(
@@ -542,9 +620,9 @@ def run_circuit(
         rng = np.random.default_rng()
     noisy = noise is not None and noise.p > 0.0
     if not noisy and n >= SCAN_MIN_QUBITS:
-        # blocks built and cached before the buffers exist: built during the
-        # pass, they kept the heap from shrinking and raised the perfbench
-        # run_dense peak RSS by about 2 MiB
+        # blocks and their tables built before the buffers exist: built
+        # during the pass, they kept the heap from shrinking and raised the
+        # perfbench run_dense peak RSS by about 2 MiB
         instructions = list(_fused(instructions))
     state = StateVector(n, batch)
     transcript: list[tuple[int, int]] = []

@@ -4,10 +4,11 @@ parse -> optional map -> simulate -> metrics -> persist.  The recorded
 final state is the pre-measurement state: measure instructions mark the
 register for readout and sampling, while fidelity and the state summary
 are taken before any collapse.  The engine simulates perfect qubits, so a
-noiseless run's state is its own ideal reference and its fidelity is 1 by
-construction.  Every run makes one noiseless engine pass for that reference;
-a noisy run then simulates its shots as batches of trajectories, one readout
-each, and records trajectory 0 of its first batch as its final state.
+noiseless run's state is its own ideal reference: it records fidelity 1
+without computing it, once that state's norm has been checked.  Every run
+makes one noiseless engine pass for that reference; a noisy run then
+simulates its shots as batches of trajectories, one readout each, and
+records trajectory 0 of its first batch as its final state.
 After its pass a noiseless run keeps one amplitude buffer and one
 probability array, shared by sampling, the support check and the top-k
 summary; a noisy run adds its recorded trajectory and that one's array.
@@ -27,7 +28,8 @@ import numpy as np
 from ..cqasm import Program, emit, parse
 from ..gates import GateKind, NoiseConfig, run_circuit, sample
 from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
-from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
+from ..metrics import (MetricSet, check_normalized, fidelity, gate_count, quantum_volume,
+                       success_probability)
 from ..statecore import MemoryParams, estimate_total_memory, probabilities
 from .records import FinalState, RunRecord, store_append
 
@@ -122,6 +124,8 @@ def run_program(
     width = 1  # trajectories in the widest state
     if noise is None:
         ideal_probs = probs = probabilities(ideal)
+        check_normalized(probs, "ideal")
+        run_fidelity = 1.0  # the recorded state is the ideal one
         histogram = sample(probs, shots, np.random.default_rng(sample_seq))
     else:
         # one noisy trajectory per shot, simulated in batches, one readout each
@@ -137,6 +141,7 @@ def run_program(
                 histogram[key] = histogram.get(key, 0) + count
             del batch  # freed before the next batch is allocated
         ideal_probs, probs = probabilities(ideal), probabilities(recorded)
+        run_fidelity = fidelity(ideal, recorded)
 
     support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
     counts = gate_count(executed)
@@ -145,7 +150,7 @@ def run_program(
         total_gates=counts.total,
         by_kind=counts.by_kind,
         depth=depth,
-        fidelity=fidelity(ideal, recorded),
+        fidelity=run_fidelity,
         success_probability=success_probability(histogram, support),
         quantum_volume=quantum_volume(depth) if depth <= 62 else None,
     )

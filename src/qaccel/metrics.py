@@ -31,6 +31,14 @@ def gate_count(program: Program) -> GateCounts:
     return GateCounts(by_kind, unitary, len(program.instructions))
 
 
+def check_normalized(probs: np.ndarray, name: str) -> None:
+    """Raise ValueError unless a state's probability array sums to 1 within
+    NORM_TOL."""
+    norm = float(probs.sum())
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
+
+
 def fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
     """|<ideal|actual>|^2 between two normalized state vectors."""
     ideal = np.asarray(ideal, dtype=complex).ravel()
@@ -38,9 +46,7 @@ def fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
     if ideal.shape != actual.shape:
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {actual.shape}")
     for name, vec in (("ideal", ideal), ("actual", actual)):
-        norm = float(probabilities(vec).sum())
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
+        check_normalized(probabilities(vec), name)
     # a ufunc product and sum, not np.vdot: a BLAS dot over a large state
     # wakes OpenBLAS worker threads that go on spinning after it returns
     return float(abs((ideal.conj() * actual).sum()) ** 2)

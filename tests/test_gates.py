@@ -259,11 +259,13 @@ class TestKernels:
 
 
 class TestFusion:
-    """Runs of permutation gates fused into blocks in noiseless passes,
-    against the same gates applied one at a time."""
+    """Gates fused into blocks in noiseless passes, against the same gates
+    applied one at a time: held one-qubit gates multiplied into 2x2 products,
+    and runs of signed permutation gates composed into blocks."""
 
     PERMUTATION_KINDS = ("x", "cnot", "swap", "toffoli")
     OTHER_KINDS = ("h", "ry", "z", "cz")
+    SIGNED_KINDS = ("x", "z", "cnot", "cz", "swap", "toffoli")
 
     @classmethod
     def permutation_heavy(cls, rng, n, count):
@@ -296,24 +298,49 @@ class TestFusion:
         monkeypatch.setattr(gates, "_apply_block", counted)
         return applied
 
+    @staticmethod
+    def products(items):
+        """The fused one-qubit products among ``_fused`` items."""
+        return [i for i in items if isinstance(i, gates._Block) and i.flips is None]
+
+    @staticmethod
+    def expand(items):
+        """``_fused`` items back to the gates they apply, in order."""
+        return [g for i in items for g in (i.gates if isinstance(i, gates._Block) else (i,))]
+
     @pytest.mark.parametrize("batch", [None, 2])
     @pytest.mark.parametrize("dense", [False, True])
     def test_fused_runs_match_stepwise_byte_for_byte(self, monkeypatch, dense, batch):
+        # byte for byte against the gates one at a time in the fused order
+        # unless a one-qubit product forms; in program order within 1e-12,
+        # since lone one-qubit gates on different qubits round differently
+        # when they swap places
         applied = self.count_blocks(monkeypatch)
         rng = np.random.default_rng(1300 + 2 * dense + (batch or 0))
+        kernels = set()
         for n in range(13, 18):
             ops = self.permutation_heavy(rng, n, 40)
             if dense:  # a support of 1/8 of the register marks the state dense
                 ops = [gate("h", q) for q in range(n - 3)] + ops
+            items = list(gates._fused(ops))
+            finals = []
             for zero_skip in (True, False):
                 del applied[:]
                 state, _ = run_circuit(n, ops, zero_skip=zero_skip, batch=batch)
+                if not self.products(items):
+                    in_order = self.stepwise(n, self.expand(items), zero_skip, batch)
+                    assert state.live.tobytes() == in_order.live.tobytes()
                 reference = self.stepwise(n, ops, zero_skip, batch)
-                assert state.live.tobytes() == reference.live.tobytes()
+                assert np.abs(state.live - reference.live).max() <= 1e-12
                 assert not state.dead.view(np.uint64).any()
                 assert applied and all(k <= gates.FUSE_MAX_QUBITS for k, _ in applied)
+                finals.append(state.live.tobytes())
                 if zero_skip:
-                    assert all(seen == dense for _, seen in applied)
+                    kernels.update(seen for _, seen in applied)
+            assert finals[0] == finals[1]
+        # held H gates go out when their qubit is next touched, so in the
+        # dense circuits the blocks see sparse states first, then dense ones
+        assert kernels == ({False, True} if dense else {False})
 
     def test_fused_runs_match_the_oracle_on_small_registers(self, monkeypatch):
         applied = self.count_blocks(monkeypatch)
@@ -322,9 +349,17 @@ class TestFusion:
         for _ in range(40):
             n = int(rng.integers(3, 11))
             ops = self.permutation_heavy(rng, n, 30)
+            items = list(gates._fused(ops))
+            finals = []
             for zero_skip in (True, False):
                 state, _ = run_circuit(n, ops, zero_skip=zero_skip)
-                assert state.live.tobytes() == self.stepwise(n, ops, zero_skip).live.tobytes()
+                if not self.products(items):
+                    in_order = self.stepwise(n, self.expand(items), zero_skip).live
+                    assert state.live.tobytes() == in_order.tobytes()
+                reference = self.stepwise(n, ops, zero_skip).live
+                assert np.abs(state.live - reference).max() <= 1e-12
+                finals.append(state.live.tobytes())
+            assert finals[0] == finals[1]
             assert np.abs(simulate_instructions(n, ops) - state.live).max() <= 1e-9
         assert len(applied) > 100
 
@@ -338,13 +373,114 @@ class TestFusion:
             assert blocks and all(len(b.qubits) <= gates.FUSE_MAX_QUBITS for b in blocks)
 
     def test_other_gates_measure_and_prep_z_end_a_block(self):
+        # measure and prep_z end a block; H and RZ are held and go out when
+        # their qubit is next touched (x(2)) or at the end (rz on q0)
         x, cnot = (lambda q: gate("x", q)), (lambda a, b: gate("cnot", a, b))
         ops = [x(0), cnot(0, 1), gate("h", 2), x(1), x(0), gate("measure", 0), x(2), x(3),
                gate("prep_z", 1), x(1), cnot(1, 2), gate("rz", 0, angle=0.5), x(4)]
         block = gates._block
         assert list(gates._fused(ops)) == [
-            block((x(0), cnot(0, 1))), ops[2], block((x(1), x(0))), ops[5],
-            block((x(2), x(3))), ops[8], block((x(1), cnot(1, 2))), ops[11], x(4)]
+            block((x(0), cnot(0, 1), x(1), x(0))), ops[5], ops[2], block((x(2), x(3))), ops[8],
+            ops[11], block((x(1), cnot(1, 2), x(4)))]
+
+    def test_released_gates_pass_a_run_on_other_qubits_and_close_one_on_theirs(self):
+        h, rz, ry = gate("h", 0), gate("rz", 0, angle=0.5), gate("ry", 1, angle=0.3)
+        x, cnot = (lambda q: gate("x", q)), (lambda a, b: gate("cnot", a, b))
+        # the product of h and rz goes out before the run on qubits 1 and 2
+        items = list(gates._fused([h, rz, x(1), cnot(1, 2), x(0)]))
+        assert self.products(items) == [items[0]] and items[0].gates == (h, rz)
+        assert items[1:] == [gates._block((x(1), cnot(1, 2), x(0)))]
+        # a run that touches the released qubit closes first
+        held = gate("h", 1)
+        items = list(gates._fused([x(1), cnot(1, 2), held, ry, x(1)]))
+        assert items[0] == gates._block((x(1), cnot(1, 2)))
+        assert items[1].gates == (held, ry) and items[2:] == [x(1)]
+        # X is never held, and a lone held gate stays a gate
+        assert list(gates._fused([x(0), h, x(0)])) == [x(0), h, x(0)]
+
+    def test_fusion_keeps_each_qubits_gate_order(self):
+        rng = np.random.default_rng(1616)
+        for _ in range(60):
+            n = int(rng.integers(3, 18))
+            ops = random_circuit(rng, n, max_gates=60, min_gates=20)
+            for i in sorted(rng.choice(len(ops), size=4, replace=False), reverse=True):
+                ops.insert(int(i), gate(("measure", "prep_z")[int(i) % 2], int(rng.integers(n))))
+            items = list(gates._fused(ops))
+            flat = self.expand(items)
+            assert sorted(map(repr, flat)) == sorted(map(repr, ops))
+            # per-qubit order kept, so no gate crosses a measure or prep_z on its qubit
+            for q in range(n):
+                assert [g for g in flat if q in g.qubits] == [g for g in ops if q in g.qubits]
+            assert [g for g in flat if not g.kind.is_unitary] == [
+                g for g in ops if not g.kind.is_unitary]
+            for item in items:
+                if isinstance(item, gates._Block):
+                    assert len(item.gates) > 1 and len(item.qubits) <= gates.FUSE_MAX_QUBITS
+                    signed = {g.kind in gates._PERMUTATIONS for g in item.gates}
+                    assert signed == {item.flips is not None}
+                    assert item.flips is not None or len(item.qubits) == 1
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_signed_blocks_match_stepwise_byte_for_byte(self, batch):
+        # no gate is held, so the fused order is the program order
+        rng = np.random.default_rng(1717 + (batch or 0))
+        negated = 0
+        for n in (13, 14, 15, 16):
+            for support in (64, 1 << n):  # sparse, then dense
+                columns = []
+                for _ in range(batch or 1):
+                    amps = np.full(1 << n, complex(-0.0, -0.0))
+                    rows = rng.choice(1 << n, size=support, replace=False)
+                    amps[rows] = rng.normal(size=support) + 1j * rng.normal(size=support)
+                    amps[rows[:8]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries
+                    amps[rows[8:16]] = complex(0.5, -0.0)
+                    columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
+                ops = []
+                for _ in range(60):
+                    kind = self.SIGNED_KINDS[int(rng.integers(len(self.SIGNED_KINDS)))]
+                    qubits = rng.choice(n, size=gates.MNEMONICS[kind].arity, replace=False)
+                    ops.append(gate(kind, *(int(q) for q in qubits)))
+                items = list(gates._fused(ops))
+                assert self.expand(items) == ops
+                negated += sum(isinstance(i, gates._Block) and i.negate is not None for i in items)
+                finals = []
+                for zero_skip in (True, False):
+                    fused, stepwise = StateVector(n, batch), StateVector(n, batch)
+                    for state in (fused, stepwise):
+                        state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
+                    for item in items:
+                        if isinstance(item, gates._Block):
+                            gates._apply_block(fused, item, zero_skip)
+                        else:
+                            apply_gate(fused, item, zero_skip=zero_skip)
+                        assert not fused.dead.view(np.uint64).any()
+                    for g in ops:
+                        apply_gate(stepwise, g, zero_skip=zero_skip)
+                    assert fused.live.tobytes() == stepwise.live.tobytes()
+                    parts = fused.live.view(np.float64)
+                    assert not np.signbit(parts[parts == 0]).any()
+                    finals.append(fused.live.tobytes())
+                assert finals[0] == finals[1]
+        assert negated > 10
+
+    def test_random_circuits_of_every_kind(self, monkeypatch):
+        rng = np.random.default_rng(1919)
+        products = 0
+        for n in (13, 14, 15, 16):
+            ops = random_circuit(rng, n, max_gates=60, min_gates=40)
+            products += len(self.products(gates._fused(ops)))
+            finals = [run_circuit(n, ops, zero_skip=zero_skip)[0].live for zero_skip in (True, False)]
+            assert finals[0].tobytes() == finals[1].tobytes()
+            assert np.abs(finals[0] - self.stepwise(n, ops, True).live).max() <= 1e-12
+        monkeypatch.setattr(gates, "SCAN_MIN_QUBITS", 3)
+        for _ in range(40):
+            n = int(rng.integers(3, 11))
+            ops = random_circuit(rng, n, max_gates=40)
+            products += len(self.products(gates._fused(ops)))
+            finals = [run_circuit(n, ops, zero_skip=zero_skip)[0].live for zero_skip in (True, False)]
+            assert finals[0].tobytes() == finals[1].tobytes()
+            assert np.abs(simulate_instructions(n, ops) - finals[0]).max() <= 1e-9
+        assert products > 40
 
     def test_a_full_block_ends_and_a_lone_gate_stays_a_gate(self):
         cap = gates.FUSE_MAX_QUBITS
@@ -390,6 +526,13 @@ class TestFusion:
     def test_block_out_of_range_raises(self):
         with pytest.raises(IndexError):
             run_circuit(13, [gate("x", 0), gate("cnot", 0, 13)])
+
+    def test_product_out_of_range_raises(self):
+        # on a dense state, where the strided kernel would fail with another error
+        ops = [gate("h", q) for q in range(13)] + [gate("h", 13), gate("rz", 13, angle=0.5)]
+        assert len(self.products(gates._fused(ops))) == 1
+        with pytest.raises(IndexError):
+            run_circuit(13, ops)
 
 
 class TestMeasurement:

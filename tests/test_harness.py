@@ -216,6 +216,26 @@ class TestRunPipeline:
         assert {fs.bitstring for fs in record.final_states} == {
             "1000000000010", "0000000000111"}
 
+    def test_noiseless_record_reads_fidelity_exactly_one(self):
+        # the overlap of this state with itself sums to 0.9999999999999996
+        program = parse("version 1.0\nqubits 3\nh q[0]\nrx q[1], 0.7\n"
+                        "cnot q[0], q[2]\nry q[2], 0.35\n")
+        assert run_program(program, shots=10, seed=1, persist=False).record.metrics.fidelity == 1.0
+
+    def test_unnormalized_noiseless_state_exits_one(self, tmp_path, monkeypatch, capsys):
+        def unnormalized(*args, **kwargs):
+            state, transcript = run_circuit(*args, **kwargs)
+            state.live[:] *= 1.01
+            return state, transcript
+
+        monkeypatch.setattr(runner, "run_circuit", unnormalized)
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        store = tmp_path / "runs.jsonl"
+        assert main(["run", str(qasm), "--seed", "1", "--store", str(store)]) == 1
+        assert "not normalized" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_run_does_not_use_dense_oracle(self, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("the dense oracle is test-only")
