@@ -7,7 +7,7 @@ statecore).  The strided kernel adds ``coefficient * input[column]`` into
 ``output[row]`` over whole strided views, one axis per operand; the scatter
 takes only the nonzero inputs and adds each term's share by index arrays.
 
-Without zero-skipping every basis state goes through the scatter.  With it,
+Without zero-skipping every basis state goes through a sparse pass.  With it,
 registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
 amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
 nonzero; other gates are strided, and a larger support marks the state
@@ -24,25 +24,29 @@ is cleared whole.  Complex coefficients are split into a real and an
 imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
 
+A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
+TOFFOLI, or a fused block of them) also carries a lookup: each subspace
+index's flipped operand bits and whether it is negated.  In a sparse pass a
+signed permutation scatters through its table's lookup, in one indexed add,
+whether it is a lone gate or a block; every other table scatters term by
+term.  Each amplitude then lands once, exactly negated or not, on a +0 in
+its new place, so both scatters give the same bytes.
+
 Noiseless passes of :func:`run_circuit` on registers of at least
 ``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs.  One-qubit
 gates that are not signed permutations (H, RX, RY, RZ, Y) are held per
 qubit and move past gates on other qubits; when an instruction touches
 their qubit, or the pass ends, they go out as one 2x2 product, or as
-themselves when alone.  Each run of signed permutation gates (X, Z, CNOT,
-CZ, SWAP, TOFFOLI) on at most ``FUSE_MAX_QUBITS`` qubits becomes one block:
-a permutation of its operand subspace with a sign per entry, cached by its
+themselves when alone.  Each run of signed permutation gates on at most
+``FUSE_MAX_QUBITS`` qubits becomes one block: a signed permutation of its
+operand subspace, composed through its gates' lookups and cached by its
 gate sequence.  A held product goes out before the open run unless that run
 touches its qubit, in which case the run closes first.  Gates, products and
-blocks take the same kernel choice through one path; a block's scatter
-moves each nonzero input through a lookup table of its operand bits,
-negated where its sign is -1, and the strided kernel applies its signed
-matrix as merged terms from the same term builder as the gates.  Each
-amplitude then lands once, exactly negated or not, on a +0 in its new
-place, so a block gives the bytes of its gates applied one at a time.  A
-product rounds differently from its gates, and so do two non-permutation
-gates on different qubits that fusion has swapped: fused passes differ from
-program order in the last bits (at most 1.2e-16 per amplitude over random
+blocks all go through :func:`apply_gate`, each with its own table, so a
+block gives the bytes of its gates applied one at a time.  A product rounds
+differently from its gates, and so do two non-permutation gates on
+different qubits that fusion has swapped: fused passes differ from program
+order in the last bits (at most 1.2e-16 per amplitude over random
 13-16-qubit circuits).  Zero-skip and no-skip passes fuse alike and stay
 byte-identical.  Noisy passes stay unfused.
 
@@ -222,14 +226,6 @@ _MATRICES = {
     GateKind.TOFFOLI: np.eye(8)[[0, 1, 2, 7, 4, 5, 6, 3]],
 }
 
-#: The signed permutation kinds, each as the subspace index every column
-#: moves to and whether it is negated on the way.
-_PERMUTATIONS = {kind: (np.argmax(np.abs(m), axis=0), m.sum(axis=0) < 0)
-                 for kind in (GateKind.X, GateKind.Z, GateKind.CNOT, GateKind.CPHASE,
-                              GateKind.SWAP, GateKind.TOFFOLI)
-                 for m in [np.asarray(_MATRICES[kind])]}
-
-
 def _merge(terms: list[tuple[int, int, int, complex]], bit: int) -> list:
     """Fold each pair of (care, row, col, coef) terms that differ only in ``bit``
     of both row and column into one term leaving it free (flipped if they differ)."""
@@ -257,13 +253,17 @@ class _Table(NamedTuple):
     cols: np.ndarray  # their input values,
     flips: np.ndarray  # the operand bits it flips,
     coefs: np.ndarray  # and its coefficient
+    # a signed permutation's lookup: per subspace index, the operand bits
+    # moving it flips and where it is negated (None: nowhere); else None
+    moves: tuple[np.ndarray, np.ndarray | None] | None
 
 
 def _table(m: np.ndarray) -> _Table:
     """An operand-subspace matrix's nonzero entries as terms, each complex
     entry split into a real and an imaginary term so each product is one
     rounding, and terms that act alike on an operand bit merged so that it
-    stays a free axis."""
+    stays a free axis; a signed permutation (real, one +-1 per column) also
+    gets its lookup."""
     k, terms = m.shape[0].bit_length() - 1, []
     for row, col in zip(*np.nonzero(m)):
         for part in (float(m[row, col].real), complex(0.0, m[row, col].imag)):
@@ -278,7 +278,11 @@ def _table(m: np.ndarray) -> _Table:
 
     views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
     cares, rows, cols, coefs = (np.array(column) for column in zip(*terms))
-    return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex))
+    moves, nonzero = None, m != 0
+    if not m.imag.any() and (nonzero.sum(axis=0) == 1).all() and (abs(m[nonzero]) == 1).all():
+        negate = m.real.sum(axis=0) < 0
+        moves = (np.arange(m.shape[1]) ^ nonzero.argmax(axis=0), negate if negate.any() else None)
+    return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex), moves)
 
 
 def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
@@ -293,6 +297,12 @@ def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
 def _gate_table(kind: GateKind, angle: float | None) -> _Table:
     """:func:`_table` of a gate's matrix, built once per (kind, angle)."""
     return _table(_matrix(kind, angle))
+
+
+#: The kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP and
+#: TOFFOLI.
+_SIGNED = frozenset(kind for kind in _MATRICES
+                    if not kind.takes_angle and _gate_table(kind, None).moves is not None)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -310,10 +320,10 @@ def _layout(qubits: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
     return shape, order, spread
 
 
-def _strided(src, dst, layout, table: _Table) -> None:
+def _strided(src, dst, qubits: tuple[int, ...], table: _Table) -> None:
     """Dense kernel: each term adds a scaled input view into an output view;
     a batch's trajectory axis rides along as the last axis."""
-    shape, order, _ = layout
+    shape, order, _ = _layout(qubits)
     if src.ndim > 1:
         shape, order = shape + src.shape[1:], order + (len(shape),)
     s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
@@ -322,38 +332,39 @@ def _strided(src, dst, layout, table: _Table) -> None:
         view += s[in_key] if coef == 1 else coef * s[in_key]
 
 
-def _scatter(src, dst, layout, table: _Table, nonzero: np.ndarray) -> None:
+def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
     """Sparse kernel: each term, in order, moves the given inputs it selects
     to their targets (distinct within a term), as the strided kernel does;
     the index arrays select whole rows, so a batch moves every trajectory."""
-    spread = layout[2]
+    spread = _layout(qubits)[2]
     for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
         sources = nonzero[(nonzero & care) == col]
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
 
-def _move(src, dst, block: _Block, nonzero: np.ndarray) -> None:
-    """Sparse kernel of a signed permutation block: each given input,
-    negated where the block says so, is added to its target in one indexed
+def _move(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
+    """Sparse kernel of a signed permutation: each given input, negated
+    where the table's lookup says so, is added to its target in one indexed
     add; the index arrays select whole rows, so a batch moves every
     trajectory."""
-    local = _gather(nonzero, block.qubits)
+    flips, negate = table.moves
+    local = _gather(nonzero, qubits)
     moved = src[nonzero]
-    if block.negate is not None:
-        negate = block.negate[local]
+    if negate is not None:
+        negate = negate[local]
         moved[negate] = -moved[negate]
-    dst[nonzero ^ block.flips[local]] += moved
+    dst[nonzero ^ _layout(qubits)[2][flips][local]] += moved
 
 
 def apply_gate(
     state: StateVector,
-    g: GateInstance,
+    g: GateInstance | _Block,
     *,
     zero_skip: bool = True,
     columns: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply one unitary gate through the kernel table; toggles the buffer
-    parity.
+    """Apply one unitary gate, or a block of fused gates, through its table;
+    toggles the buffer parity.
 
     MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
@@ -362,9 +373,12 @@ def apply_gate(
     """
     if any(q >= state.n for q in g.qubits):
         raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
-    if not g.kind.is_unitary:
+    if isinstance(g, _Block):
+        table = g.table
+    elif g.kind.is_unitary:
+        table = _gate_table(g.kind, g.angle)
+    else:
         raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
-    table = _gate_table(g.kind, g.angle)
     if columns is not None and len(columns) < (state.batch or 1):
         src = state.live[:, columns]
         dst = np.zeros_like(src)
@@ -376,28 +390,19 @@ def apply_gate(
     return state
 
 
-def _apply_block(state: StateVector, block: _Block, zero_skip: bool) -> None:
-    """Apply a fused block; toggles the buffer parity."""
-    if block.qubits[-1] >= state.n:
-        raise IndexError(f"operands {block.qubits} out of range for {state.n} qubits")
-    state.toggle_after_gate(_apply_terms(state, state.live, state.dead, block.qubits,
-                                         block.table, zero_skip, block))
-
-
 def _apply_terms(state: StateVector, src, dst, qubits: tuple[int, ...], table: _Table,
-                 zero_skip: bool, block: _Block | None = None) -> np.ndarray | None:
-    """Add the terms of a gate's or a block's table on ``qubits`` from
-    ``src`` into the zeroed ``dst`` through the kernel that zero-skipping
-    picks (a signed permutation block scatters through its lookup); returns
-    the rows scattered, or None after the strided kernel."""
-    layout = _layout(qubits)
+                 zero_skip: bool) -> np.ndarray | None:
+    """Add the terms of a table on ``qubits`` from ``src`` into the zeroed
+    ``dst`` through the kernel that zero-skipping picks (a signed
+    permutation scatters through its lookup); returns the rows scattered,
+    or None after the strided kernel."""
     rows = _scatter_rows(state, src, zero_skip)
     if rows is None:
-        _strided(src, dst, layout, table)
-    elif block is None or block.flips is None:
-        _scatter(src, dst, layout, table, rows)
+        _strided(src, dst, qubits, table)
+    elif table.moves is None:
+        _scatter(src, dst, qubits, table, rows)
     else:
-        _move(src, dst, block, rows)
+        _move(src, dst, qubits, table, rows)
     return rows
 
 
@@ -424,12 +429,6 @@ def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     return local
 
 
-def _flips(qubits: tuple[int, ...], perm: np.ndarray) -> np.ndarray:
-    """Per subspace index i, the bits at ``qubits`` that moving it to
-    ``perm[i]`` flips."""
-    return _layout(qubits)[2][np.arange(perm.size) ^ perm]
-
-
 class _Block(NamedTuple):
     """Gates fused into one operation on the subspace of their qubits: a
     product of one-qubit gates on one qubit, or a signed permutation."""
@@ -437,28 +436,24 @@ class _Block(NamedTuple):
     gates: tuple[GateInstance, ...]  # in the order they act
     qubits: tuple[int, ...]  # ascending; qubits[j] is subspace bit j
     table: _Table  # the fused matrix's terms
-    flips: np.ndarray | None = None  # a permutation moves subspace index i flipping these bits
-    negate: np.ndarray | None = None  # and negates it where True (None: nowhere)
 
 
 @functools.lru_cache(maxsize=4096)
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
     """Compose signed permutation gates, in order, on the subspace of their
-    qubits: each subspace index's destination and sign."""
+    qubits: each subspace index, tagged with itself plus one, moves through
+    every gate's lookup as :func:`_move` moves amplitudes, and lands on its
+    destination with its sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
-    dest = np.arange(1 << len(qubits))
-    negate = np.zeros(dest.size, bool)
+    index = np.arange(1 << len(qubits))
+    tags = index + 1.0
     for g in gates:
-        operands = tuple(qubits.index(q) for q in g.qubits)
-        perm, signs = _PERMUTATIONS[g.kind]
-        local = _gather(dest, operands)
-        negate ^= signs[local]
-        dest ^= _flips(operands, perm)[local]
-    m = np.zeros((dest.size, dest.size))
-    m[dest, np.arange(dest.size)] = np.where(negate, -1.0, 1.0)
-    flips = _flips(qubits, dest)
-    flips.flags.writeable = negate.flags.writeable = False
-    return _Block(gates, qubits, _table(m), flips, negate if negate.any() else None)
+        moved = np.zeros_like(tags)
+        _move(tags, moved, tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle), index)
+        tags = moved
+    m = np.zeros((index.size, index.size))
+    m[index, abs(tags).astype(int) - 1] = np.sign(tags)
+    return _Block(gates, qubits, _table(m))
 
 
 def _product(gates: list[GateInstance]) -> GateInstance | _Block:
@@ -502,11 +497,11 @@ def _fused(instructions: Iterable[GateInstance]):
                 yield _product(held.pop(q))
 
     for g in instructions:
-        if g.kind.is_unitary and g.kind not in _PERMUTATIONS:  # Y, H, RX, RY, RZ
+        if g.kind.is_unitary and g.kind not in _SIGNED:  # Y, H, RX, RY, RZ
             held.setdefault(g.qubits[0], []).append(g)
             continue
         yield from release(g.qubits)
-        permutes = g.kind in _PERMUTATIONS
+        permutes = g.kind in _SIGNED
         if run and not (permutes and len(span.union(g.qubits)) <= FUSE_MAX_QUBITS):
             yield close()
         if permutes:
@@ -628,7 +623,7 @@ def run_circuit(
     transcript: list[tuple[int, int]] = []
     for g in instructions:
         if isinstance(g, _Block):
-            _apply_block(state, g, zero_skip)
+            apply_gate(state, g, zero_skip=zero_skip)
         elif g.kind is GateKind.MEASURE:
             bit, _ = measure(state, g.qubits[0], rng)
             transcript.append((g.qubits[0], bit))

@@ -10,6 +10,7 @@ comparison.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -95,43 +96,38 @@ def linear_fit(x, y) -> FitResult:
     return FitResult("linear", slope, intercept, r_squared, stderr)
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _time_ns(fn) -> float:
     start = time.perf_counter_ns()
     fn()
     return float(time.perf_counter_ns() - start)
 
 
-def _median_time_ns(fn) -> float:
-    """Median over ``MEASUREMENTS_PER_POINT`` timed blocks of one warmed-up
-    callable, each block looped to at least ``MIN_BLOCK_NS``."""
-    first = _time_ns(fn)  # warm-up, also calibrates the inner loop
-    inner = max(1, int(MIN_BLOCK_NS // max(first, 1.0)))
-    samples = []
+def _median_times_ns(fns) -> list[float]:
+    """Each warmed-up callable's median time per call over
+    ``MEASUREMENTS_PER_POINT`` timed blocks, each block looped to at least
+    ``MIN_BLOCK_NS``.  The callables' blocks are interleaved so that
+    clock-speed drift cannot bias their ratio."""
+    # the warm-up call also calibrates each inner loop
+    inner = [max(1, int(MIN_BLOCK_NS // max(_time_ns(fn), 1.0))) for fn in fns]
+    samples: list[list[float]] = [[] for _ in fns]
     for _ in range(MEASUREMENTS_PER_POINT):
-        start = time.perf_counter_ns()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter_ns() - start) / inner)
-    return _median(samples)
+        for fn, loops, times in zip(fns, inner, samples):
+            start = time.perf_counter_ns()
+            for _ in range(loops):
+                fn()
+            times.append((time.perf_counter_ns() - start) / loops)
+    return [statistics.median(times) for times in samples]
 
 
 def bench_gates() -> BenchResult:
     """Wall time per gate application, applied back-to-back to one state of
-    the gate's natural register size and timed by ``_median_time_ns``."""
+    the gate's natural register size and timed by ``_median_times_ns``."""
     names: list[str] = []
     times: list[float] = []
     for instance, n_qubits in BENCH_GATES:
         state = StateVector(n_qubits)
         names.append(instance.kind.mnemonic)
-        times.append(_median_time_ns(lambda: apply_gate(state, instance)))
+        times += _median_times_ns([lambda: apply_gate(state, instance)])
     return BenchResult(suite="gates", variable="gate", values=names, series={"time_ns": times})
 
 
@@ -164,22 +160,9 @@ def bench_qubit_scaling(n_min: int, n_max: int) -> BenchResult:
 
             return run_once
 
-        runners = {name: make_runner(skip) for name, skip in modes.items()}
-        # warm up and calibrate inner loops, then interleave the modes'
-        # measurement blocks so clock-speed drift cannot bias their ratio
-        inner = {
-            name: max(1, int(MIN_BLOCK_NS // max(_time_ns(fn), 1.0)))
-            for name, fn in runners.items()
-        }
-        samples: dict[str, list[float]] = {name: [] for name in runners}
-        for _ in range(MEASUREMENTS_PER_POINT):
-            for name, fn in runners.items():
-                start = time.perf_counter_ns()
-                for _ in range(inner[name]):
-                    fn()
-                samples[name].append((time.perf_counter_ns() - start) / inner[name])
-        for name in runners:
-            series[name].append(_median(samples[name]))
+        times = _median_times_ns([make_runner(skip) for skip in modes.values()])
+        for name, time_ns in zip(modes, times):
+            series[name].append(time_ns)
     fits = {
         name: linear_fit(values, np.log2(times)) for name, times in series.items()
     }
@@ -216,7 +199,7 @@ def bench_depth_scaling(gate_counts=(100, 300, 1000, 3000, 10000)) -> BenchResul
                 for g in circuit:
                     apply_gate(state, g)
 
-            times.append(_median_time_ns(run_once))
+            times += _median_times_ns([run_once])
         series[kind.mnemonic] = times
         fits[kind.mnemonic] = linear_fit(values, times)
     return BenchResult("depth", "gates", values, series, fits, {"qubits": 2})

@@ -1,5 +1,6 @@
 """Mapping-function gate semantics, measurement, sampling, and noise."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from qaccel.gates import (
 )
 from qaccel.metrics import fidelity
 from qaccel.statecore import StateVector, alloc_state
-from qaccel.tensor_oracle import simulate_instructions
+from qaccel.tensor_oracle import base_unitary, simulate_instructions
 
 S = 1 / math.sqrt(2)
 
@@ -203,14 +204,19 @@ class TestKernels:
     KERNELS = ("scatter", "strided")
 
     @classmethod
-    def force(cls, monkeypatch, kernel):
-        """Make zero-skip choose ``kernel``; returns live call counts per kernel."""
+    def force(cls, monkeypatch, kernel, log=None):
+        """Make zero-skip choose ``kernel``; returns live call counts per
+        kernel, counting the lookup scatter ``_move`` as the scatter.
+        ``log``, when given, gets each kernel call's function name."""
         calls = dict.fromkeys(cls.KERNELS, 0)
-        for name in cls.KERNELS:
+        for name, counted_as in (("scatter", "scatter"), ("move", "scatter"),
+                                 ("strided", "strided")):
             original = getattr(gates, f"_{name}")
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
+            def counted(*args, _name=name, _as=counted_as, _original=original):
+                calls[_as] += 1
+                if log is not None:
+                    log.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(gates, f"_{name}", counted)
@@ -227,6 +233,12 @@ class TestKernels:
             assert not state.dead.view(np.uint64).any()
         return state.live.copy()
 
+    @staticmethod
+    def sparse_kernels(ops):
+        """The sparse kernel each gate should get: the lookup scatter for the
+        signed permutation kinds, the term scatter for every other kind."""
+        return ["move" if g.kind.mnemonic in TestFusion.SIGNED_KINDS else "scatter" for g in ops]
+
     def test_kernels_agree_bit_for_bit_and_with_oracle(self, monkeypatch):
         rng = np.random.default_rng(8)
         for _ in range(120):
@@ -234,12 +246,49 @@ class TestKernels:
             ops = random_circuit(rng, n, max_gates=20)
             runs = []
             for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
+                log = []
                 with monkeypatch.context() as patch:
-                    calls = self.force(patch, kernel)
+                    calls = self.force(patch, kernel, log)
                     runs.append(self.stepwise(n, ops, zero_skip))
                     assert calls[kernel] == len(ops) and sum(calls.values()) == len(ops)
+                assert log == (self.sparse_kernels(ops) if kernel == "scatter"
+                               else ["strided"] * len(ops))
             assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
             assert np.abs(simulate_instructions(n, ops) - runs[2]).max() <= 1e-9
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_sparse_kinds_match_strided_on_signed_zero_inputs(self, monkeypatch, batch):
+        # the six signed permutation kinds go to the lookup scatter and every
+        # other gate to the term scatter, byte for byte against the strided
+        # kernel and the no-skip reference on states built with -0.0 entries
+        rng = np.random.default_rng(1010 + (batch or 0))
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            columns = []
+            for _ in range(batch or 1):
+                amps = np.full(1 << n, complex(-0.0, -0.0))
+                rows = rng.choice(1 << n, size=max(1, (1 << n) // 4), replace=False)
+                amps[rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+                amps[rows[::3]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries
+                amps[rows[1::3]] = complex(-0.5, -0.0)
+                columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
+            ops = random_circuit(rng, n, max_gates=20, min_gates=10)
+            runs = []
+            for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
+                log = []
+                with monkeypatch.context() as patch:
+                    self.force(patch, kernel, log)
+                    state = StateVector(n, batch)
+                    state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
+                    for g in ops:
+                        apply_gate(state, g, zero_skip=zero_skip)
+                        assert not state.dead.view(np.uint64).any()
+                assert log == (self.sparse_kernels(ops) if kernel == "scatter"
+                               else ["strided"] * len(ops))
+                parts = state.live.view(np.float64)
+                assert not np.signbit(parts[parts == 0]).any()
+                runs.append(state.live.tobytes())
+            assert runs[0] == runs[1] == runs[2]
 
     def test_dense_state_stops_scanning_until_reset(self, monkeypatch):
         calls = self.force(monkeypatch, "scatter")
@@ -288,20 +337,25 @@ class TestFusion:
 
     @staticmethod
     def count_blocks(monkeypatch):
+        """Record each block that ``apply_gate`` applies: its width, and
+        whether the state was dense after it."""
         applied = []
-        original = gates._apply_block
+        original = gates.apply_gate
 
-        def counted(state, block, zero_skip):
-            original(state, block, zero_skip)
-            applied.append((len(block.qubits), state.dense))
+        def counted(state, g, **kwargs):
+            original(state, g, **kwargs)
+            if isinstance(g, gates._Block):
+                applied.append((len(g.qubits), state.dense))
+            return state
 
-        monkeypatch.setattr(gates, "_apply_block", counted)
+        monkeypatch.setattr(gates, "apply_gate", counted)
         return applied
 
     @staticmethod
     def products(items):
-        """The fused one-qubit products among ``_fused`` items."""
-        return [i for i in items if isinstance(i, gates._Block) and i.flips is None]
+        """The fused one-qubit products among ``_fused`` items (those whose
+        matrix is not a signed permutation)."""
+        return [i for i in items if isinstance(i, gates._Block) and i.table.moves is None]
 
     @staticmethod
     def expand(items):
@@ -416,9 +470,36 @@ class TestFusion:
             for item in items:
                 if isinstance(item, gates._Block):
                     assert len(item.gates) > 1 and len(item.qubits) <= gates.FUSE_MAX_QUBITS
-                    signed = {g.kind in gates._PERMUTATIONS for g in item.gates}
-                    assert signed == {item.flips is not None}
-                    assert item.flips is not None or len(item.qubits) == 1
+                    signed = {g.kind.mnemonic in self.SIGNED_KINDS for g in item.gates}
+                    if signed == {True}:  # a block of signed kinds has a lookup
+                        assert item.table.moves is not None
+                    else:  # a product has one exactly when its matrix is a signed permutation
+                        assert signed == {False} and len(item.qubits) == 1
+                        assert (item.table.moves is not None) == self.is_signed_permutation(
+                            functools.reduce(lambda m, g: base_unitary(g) @ m, item.gates,
+                                             np.eye(2)))
+
+    @staticmethod
+    def is_signed_permutation(m):
+        nonzero = m != 0
+        return bool(not m.imag.any() and (nonzero.sum(axis=0) == 1).all()
+                    and (np.abs(m[nonzero]) == 1).all())
+
+    def test_a_product_that_is_a_signed_permutation_has_a_lookup(self, monkeypatch):
+        y, h = gate("y", 0), gate("h", 0)
+        identity, = gates._fused([y, y])  # Y.Y = I exactly
+        assert identity.gates == (y, y) and identity.table.moves is not None
+        rotation, = gates._fused([h, y])
+        assert rotation.gates == (h, y) and rotation.table.moves is None
+        # so a sparse pass moves it through its lookup, with the bytes of Y then Y
+        log = []
+        TestKernels.force(monkeypatch, "scatter", log)
+        ops = [gate("ry", 0, angle=0.3), gate("x", 0), y, y]
+        items = list(gates._fused(ops))
+        assert items[:2] == ops[:2] and items[2].gates == (y, y)
+        fused, _ = run_circuit(3, ops)
+        assert log == ["scatter", "move", "move"]
+        assert fused.live.tobytes() == self.stepwise(3, ops, True).live.tobytes()
 
     @pytest.mark.parametrize("batch", [None, 2])
     def test_signed_blocks_match_stepwise_byte_for_byte(self, batch):
@@ -442,17 +523,15 @@ class TestFusion:
                     ops.append(gate(kind, *(int(q) for q in qubits)))
                 items = list(gates._fused(ops))
                 assert self.expand(items) == ops
-                negated += sum(isinstance(i, gates._Block) and i.negate is not None for i in items)
+                negated += sum(isinstance(i, gates._Block) and i.table.moves[1] is not None
+                               for i in items)
                 finals = []
                 for zero_skip in (True, False):
                     fused, stepwise = StateVector(n, batch), StateVector(n, batch)
                     for state in (fused, stepwise):
                         state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                     for item in items:
-                        if isinstance(item, gates._Block):
-                            gates._apply_block(fused, item, zero_skip)
-                        else:
-                            apply_gate(fused, item, zero_skip=zero_skip)
+                        apply_gate(fused, item, zero_skip=zero_skip)
                         assert not fused.dead.view(np.uint64).any()
                     for g in ops:
                         apply_gate(stepwise, g, zero_skip=zero_skip)
@@ -507,13 +586,26 @@ class TestFusion:
                 state = StateVector(n, batch)
                 state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                 for item in items:
-                    if isinstance(item, gates._Block):
-                        gates._apply_block(state, item, zero_skip)
-                    else:
-                        apply_gate(state, item, zero_skip=zero_skip)
+                    apply_gate(state, item, zero_skip=zero_skip)
                     assert not state.dead.view(np.uint64).any()
                 finals.append(state.live.tobytes())
             assert finals[0] == finals[1]
+
+    def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
+        # every fused application runs through the public entry point
+        applied = []
+        original = gates.apply_gate
+        monkeypatch.setattr(gates, "apply_gate", lambda state, g, **kwargs: (
+            applied.append(g) or original(state, g, **kwargs)))
+        rng = np.random.default_rng(1313)
+        for _ in range(6):
+            ops = random_circuit(rng, 13, max_gates=60, min_gates=40)
+            ops.insert(int(rng.integers(len(ops))), gate("measure", int(rng.integers(13))))
+            del applied[:]
+            run_circuit(13, ops, rng=np.random.default_rng(0))
+            items = [i for i in gates._fused(ops) if isinstance(i, gates._Block) or i.kind.is_unitary]
+            assert any(isinstance(i, gates._Block) for i in items)
+            assert [self.expand([i]) for i in applied] == [self.expand([i]) for i in items]
 
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.count_blocks(monkeypatch)

@@ -203,9 +203,9 @@ class TestRunPipeline:
 
     def test_fused_run_records_the_executed_gate_counts(self, monkeypatch):
         fused = []
-        original = gates._apply_block
-        monkeypatch.setattr(gates, "_apply_block",
-                            lambda *args: fused.append(args[1]) or original(*args))
+        original = gates.apply_gate
+        monkeypatch.setattr(gates, "apply_gate", lambda state, g, **kwargs: (
+            isinstance(g, gates._Block) and fused.append(g)) or original(state, g, **kwargs))
         ops = [gate("h", 0), gate("x", 1), gate("cnot", 0, 2), gate("toffoli", 0, 2, 3),
                gate("swap", 3, 12), gate("x", 12), gate("measure", 12)]
         record = run_program(make_program(13, ops), shots=10, seed=1, persist=False).record
