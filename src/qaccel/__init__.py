@@ -7,7 +7,7 @@ depth, gate-count, fidelity, success-probability, Quantum-Volume and
 speedup metrics into a persistent run store.
 """
 
-from .cqasm import DependencyDAG, Kernel, Program, SymbolTable, dependency_graph, emit, parse
+from .cqasm import DependencyDAG, Kernel, Program, dependency_graph, emit, parse
 from .errors import CapacityError, MappingError, ParseError
 from .gates import (
     GateInstance,

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError
 from .gates import MNEMONICS, GateInstance
-from .statecore import StateVector
 
 _KERNEL_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPERAND_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
@@ -64,8 +64,9 @@ class Program:
                     f"operand {max(g.qubits)} out of range for {self.n} qubits"
                 )
 
-    @property
+    @cached_property
     def instructions(self) -> tuple[GateInstance, ...]:
+        """Every kernel's instructions in order, flattened once per program."""
         return tuple(g for k in self.kernels for g in k.instructions)
 
 
@@ -218,42 +219,3 @@ def dependency_graph(program: Program) -> DependencyDAG:
                 edges.add((i, j))
             last_on_qubit[q] = j
     return DependencyDAG(len(instructions), frozenset(edges))
-
-
-@dataclass
-class QubitSymbol:
-    """One symbol-table row: where a circuit qubit lives and its latest readout."""
-
-    index: int
-    physical: int | None = None
-    marginal: tuple[float, float] | None = None  # (P(0), P(1))
-
-
-class SymbolTable:
-    """Links circuit qubits to physical locations and amplitude snapshots."""
-
-    def __init__(self, n: int):
-        self.entries = [QubitSymbol(i) for i in range(n)]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> QubitSymbol:
-        return self.entries[i]
-
-    def attach_layout(self, virtual_to_physical) -> None:
-        """Record a virtual -> physical assignment; must be a bijection."""
-        placement = list(virtual_to_physical)[: len(self.entries)]
-        if len(placement) < len(self.entries) or len(set(placement)) != len(placement):
-            raise ValueError("layout must assign a distinct physical qubit to every entry")
-        for entry, phys in zip(self.entries, placement):
-            entry.physical = int(phys)
-
-    def record_state(self, state: StateVector) -> None:
-        """Snapshot per-qubit marginals from the live buffer."""
-        if state.n != len(self.entries):
-            raise ValueError(f"state has {state.n} qubits, table has {len(self.entries)}")
-        probs = state.probabilities()
-        for q, entry in enumerate(self.entries):
-            ones = float(probs.reshape(-1, 2, 1 << q)[:, 1, :].sum())
-            entry.marginal = (1.0 - ones, ones)

@@ -21,6 +21,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,18 @@ SUPPORT_THRESHOLD = 1e-9
 #: engine pass per shot; 2^16 sits on that plateau with 1 MiB buffers.
 TRAJECTORY_AMPLITUDES = 1 << 16
 
+#: Topologies kept for reuse; the least recently used one goes first.
+TOPOLOGIES_KEPT = 8
+
+_shared_topology = lru_cache(maxsize=TOPOLOGIES_KEPT)(build_topology)
+
 
 def parse_topology_spec(spec: str) -> Topology:
-    """Build a topology from a CLI spec: line:N, ring:N, grid:RxC, full:N."""
+    """The topology of a CLI spec: line:N, ring:N, grid:RxC, full:N.
+
+    Specs with the same kind and dimensions share one Topology, so its path
+    cache serves every run in the process that routes onto it.
+    """
     kind, _, dims = spec.partition(":")
     kind = kind.strip().lower()
     if not dims:
@@ -53,8 +63,8 @@ def parse_topology_spec(spec: str) -> Topology:
         parts = dims.lower().split("x")
         if len(parts) != 2:
             raise ValueError(f"grid spec must be grid:RxC, got {spec!r}")
-        return build_topology("grid", int(parts[0]), int(parts[1]))
-    return build_topology(kind, int(dims))
+        return _shared_topology("grid", int(parts[0]), int(parts[1]))
+    return _shared_topology(kind, int(dims))
 
 
 @dataclass
@@ -145,7 +155,7 @@ def run_program(
 
     support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
     counts = gate_count(executed)
-    depth = schedule_asap(executed).depth
+    depth = report.depth_after if report is not None else schedule_asap(executed).depth
     metric_set = MetricSet(
         total_gates=counts.total,
         by_kind=counts.by_kind,

@@ -6,9 +6,11 @@ scheduling with unit gate durations.  Routing walks the program in order,
 moving the first-listed operand toward the second along BFS shortest paths
 (lexicographically smallest path on ties); every inserted SWAP updates the
 running virtual-to-physical layout.  Three-qubit gates require both
-controls adjacent to the target, found by an exhaustive search over
-(target node, control neighbor) assignments; each topology caches its
-shortest paths, since that search asks for the same ones many times.
+controls adjacent to the target, found by a search over (target node,
+control neighbor) assignments that skips any whose cost lower bound
+already reaches the best plan's; each topology caches a bounded number of
+shortest paths, since that search asks for the same ones many times, and
+the runner shares one topology per spec so the cache outlives a run.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from itertools import combinations
 from .cqasm import Kernel, Program
 from .errors import MappingError
 from .gates import GateInstance, GateKind
+
+#: Paths one topology caches.  Every (start, goal, banned) query that routing
+#: can make on a 3x3 grid fits: 81 node pairs x 22 banned sets.
+PATH_CACHE_ENTRIES = 4096
 
 
 class Topology:
@@ -214,9 +220,11 @@ def _shortest_path(
     topo: Topology, start: int, goal: int, banned=frozenset()
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest shortest path, avoiding banned nodes;
-    computed once per topology and query."""
+    cached per topology, up to PATH_CACHE_ENTRIES queries."""
     key = (start, goal, banned)
     if key not in topo.paths:
+        if len(topo.paths) >= PATH_CACHE_ENTRIES:  # the oldest entry goes first
+            del topo.paths[next(iter(topo.paths))]
         topo.paths[key] = _bfs_path(topo, start, goal, banned)
     return topo.paths[key]
 
@@ -315,23 +323,34 @@ class _Router:
         """Cheapest (target node, control neighbors) assignment, by simulation.
 
         Legs run target, first control, second control; each later leg must
-        avoid the nodes already finalized so it cannot displace them.
+        avoid the nodes already finalized so it cannot displace them.  A
+        candidate is not simulated when a lower bound on its cost already
+        reaches the best cost: leg 1 costs the unbanned distance, and it moves
+        any other qubit by at most one node (legs 1 and 2 by at most two), and
+        banned nodes only lengthen paths, so the same plan wins as in a full
+        search.
         """
-        best_cost = None
+        def dist(virt: int, node: int) -> int:
+            return len(_shortest_path(self.topo, self.pos[virt], node)) - 1
+
+        best_cost = float("inf")
         best_paths = None
         for pt in range(self.topo.node_count):
             neighbors = self.topo.adjacency[pt]
-            if len(neighbors) < 2:
+            lead = dist(t, pt)
+            if len(neighbors) < 2 or lead >= best_cost:
                 continue
             for a in neighbors:
+                bound = lead + max(0, dist(c1, a) - 1)
                 for b in neighbors:
-                    if b == a:
+                    # lower bound on the plan's cost; plans must be strictly cheaper
+                    if b == a or bound + max(0, dist(c2, b) - 2) >= best_cost:
                         continue
                     paths = self._simulate_legs(((t, pt, ()), (c1, a, (pt,)), (c2, b, (pt, a))))
                     if paths is None:
                         continue
                     cost = sum(len(p) - 1 for p in paths)
-                    if best_cost is None or cost < best_cost:
+                    if cost < best_cost:
                         best_cost = cost
                         best_paths = paths
         return best_paths

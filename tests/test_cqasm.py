@@ -1,4 +1,4 @@
-"""Grammar, canonical emission, dependency graph, and symbol table."""
+"""Grammar, canonical emission and dependency graph."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,12 @@ from helpers import make_program, random_circuit
 from qaccel.cqasm import (
     Kernel,
     Program,
-    SymbolTable,
     dependency_graph,
     emit,
     parse,
 )
 from qaccel.errors import ParseError
-from qaccel.gates import GateKind, apply_gate, gate
-from qaccel.statecore import alloc_state
+from qaccel.gates import GateKind, gate
 from qaccel.tensor_oracle import simulate_instructions
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
@@ -205,33 +203,6 @@ class TestDependencyGraph:
                     ready.append(succ)
             ready.sort()
         return order
-
-
-class TestSymbolTable:
-    def test_layout_attachment(self):
-        table = SymbolTable(3)
-        table.attach_layout([2, 0, 1])
-        assert [table[i].physical for i in range(3)] == [2, 0, 1]
-
-    def test_layout_must_be_bijective(self):
-        table = SymbolTable(2)
-        with pytest.raises(ValueError):
-            table.attach_layout([1, 1])
-        with pytest.raises(ValueError):
-            table.attach_layout([0])
-
-    def test_marginal_snapshot(self):
-        table = SymbolTable(2)
-        state = alloc_state(2)
-        apply_gate(state, gate("h", 0))
-        table.record_state(state)
-        p0, p1 = table[0].marginal
-        assert abs(p0 - 0.5) <= 1e-12 and abs(p1 - 0.5) <= 1e-12
-        assert table[1].marginal == (1.0, 0.0)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            SymbolTable(3).record_state(alloc_state(2))
 
 
 class TestProgramValidation:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import make_program, random_circuit
-from qaccel import gates, statecore, tensor_oracle
+from qaccel import gates, mapper, statecore, tensor_oracle
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
 from qaccel.genomics import AlignmentInstance, build_alignment_circuit
@@ -21,6 +21,7 @@ from qaccel.harness.bench import (
     bench_qubit_scaling,
     linear_fit,
 )
+from qaccel.harness import cli
 from qaccel.harness.cli import main
 from qaccel.harness.records import (
     FinalState,
@@ -30,6 +31,7 @@ from qaccel.harness.records import (
 )
 from qaccel.harness import runner
 from qaccel.harness.runner import parse_topology_spec, run_file, run_program
+from qaccel.mapper import build_topology, initial_placement, route
 from qaccel.metrics import MetricSet
 from qaccel.statecore import MemoryParams, estimate_peak_memory, estimate_total_memory
 
@@ -269,6 +271,46 @@ class TestRunPipeline:
             parse_topology_spec("line")
         with pytest.raises(ValueError):
             parse_topology_spec("grid:23")
+
+    def test_topology_shared_per_kind_and_dimensions(self):
+        grid = parse_topology_spec("grid:3x3")
+        assert parse_topology_spec("GRID:3X3") is grid
+        assert parse_topology_spec(" grid:3x3") is grid
+        assert parse_topology_spec("grid:3x4") is not grid
+
+    def test_topology_cache_is_bounded(self):
+        first = parse_topology_spec("line:2")
+        for n in range(3, runner.TOPOLOGIES_KEPT + 6):
+            last = parse_topology_spec(f"line:{n}")
+            assert runner._shared_topology.cache_info().currsize <= runner.TOPOLOGIES_KEPT
+        assert parse_topology_spec(f"line:{runner.TOPOLOGIES_KEPT + 5}") is last
+        assert parse_topology_spec("line:2") is not first  # evicted, then built again
+
+    def test_path_cache_is_bounded(self):
+        topo = build_topology("grid", 9, 9)  # 6561 node pairs
+        fresh = build_topology("grid", 9, 9)
+        for start in range(topo.node_count):
+            for goal in range(topo.node_count):
+                path = mapper._shortest_path(topo, start, goal)
+                assert len(topo.paths) <= mapper.PATH_CACHE_ENTRIES
+                assert path == mapper._bfs_path(fresh, start, goal)
+        assert len(topo.paths) == mapper.PATH_CACHE_ENTRIES
+        # the newest entries stay; an evicted query is searched again
+        assert (80, 80, frozenset()) in topo.paths
+        assert (0, 0, frozenset()) not in topo.paths
+        assert mapper._shortest_path(topo, 0, 80) == mapper._bfs_path(fresh, 0, 80)
+
+    def test_routing_through_a_full_path_cache_is_unchanged(self, monkeypatch):
+        monkeypatch.setattr(mapper, "PATH_CACHE_ENTRIES", 8)
+        rng = np.random.default_rng(17)
+        program = make_program(8, random_circuit(rng, 8, max_gates=40))
+        topo = build_topology("grid", 3, 3)
+        bounded = route(program, topo, initial_placement(program, topo))
+        assert len(topo.paths) == 8
+        monkeypatch.setattr(mapper, "PATH_CACHE_ENTRIES", 1 << 20)
+        fresh = build_topology("grid", 3, 3)
+        assert bounded == route(program, fresh, initial_placement(program, fresh))
+        assert len(fresh.paths) > 8
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -547,6 +589,39 @@ class TestCliSubcommands:
         assert code == 0
         assert json.loads(captured.out.splitlines()[0])["run_id"] == "zzz"
         assert "skipped 1" in captured.err
+
+
+class TestCliParserReuse:
+    def _session(self, tmp_path, capsys):
+        """Run, map, metrics query and a usage error, twice over: (exit code,
+        stdout) per call, without the line that prints the random run id."""
+        qasm = tmp_path / "ghz.qasm"
+        qasm.write_text("version 1.0\nqubits 3\nh q[0]\ncnot q[0],q[2]\ntoffoli q[0],q[1],q[2]\n")
+        queried = tmp_path / "queried.jsonl"
+        if not queried.exists():
+            store_append(_sample_record("q-1"), queried)
+        argvs = [
+            ["run", str(qasm), "--seed", "5", "--topology", "line:3", "--store",
+             str(tmp_path / "runs.jsonl")],
+            ["map", str(qasm), "--topology", "grid:2x2"],
+            ["metrics", "query", "--store", str(queried)],
+            ["run", str(qasm), "--shots", "many"],
+        ]
+        calls = []
+        for argv in argvs + argvs:
+            code = main(list(argv))
+            out = capsys.readouterr().out.splitlines()
+            calls.append((code, [line for line in out if not line.startswith("run ")]))
+        return calls
+
+    def test_one_parser_gives_the_fresh_parsers_output(self, tmp_path, capsys, monkeypatch):
+        shared = self._session(tmp_path, capsys)
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self._session(tmp_path, capsys)
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 0, 1] * 2
+        assert shared[:4] == shared[4:]
 
 
 class TestBenches:

@@ -249,6 +249,62 @@ class TestPathCache:
             assert cached == uncached
 
 
+def _unpruned_search(self, c1, c2, t):
+    """The Toffoli plan search without its lower bound: every candidate runs."""
+    best_cost, best_paths = None, None
+    for pt in range(self.topo.node_count):
+        neighbors = self.topo.adjacency[pt]
+        if len(neighbors) < 2:
+            continue
+        for a in neighbors:
+            for b in neighbors:
+                if b == a:
+                    continue
+                paths = self._simulate_legs(((t, pt, ()), (c1, a, (pt,)), (c2, b, (pt, a))))
+                if paths is None:
+                    continue
+                cost = sum(len(p) - 1 for p in paths)
+                if best_cost is None or cost < best_cost:
+                    best_cost, best_paths = cost, paths
+    return best_paths
+
+
+class TestToffoliPlanPruning:
+    @pytest.mark.parametrize("spec", [("line", 6), ("ring", 7), ("grid", 3, 3), ("grid", 3, 4),
+                                      ("full", 5)])
+    @pytest.mark.parametrize("strategy", ["identity", "greedy"])
+    def test_pruned_routing_equals_unpruned(self, monkeypatch, spec, strategy):
+        simulated = {"pruned": 0, "unpruned": 0}
+        legs = mapper._Router._simulate_legs
+        mode = "pruned"
+
+        def counted(self, *args):
+            simulated[mode] += 1
+            return legs(self, *args)
+
+        monkeypatch.setattr(mapper._Router, "_simulate_legs", counted)
+        rng = np.random.default_rng([len(spec), spec[-1], len(strategy)])
+        for _ in range(12):
+            n = int(rng.integers(3, build_topology(*spec).node_count + 1))
+            ops = [
+                gate("toffoli", *(int(q) for q in rng.choice(n, size=3, replace=False)))
+                if rng.random() < 0.5 else op
+                for op in random_circuit(rng, n, max_gates=16)
+            ]
+            program = make_program(n, ops)
+            topo = build_topology(*spec)
+            layout = initial_placement(program, topo, strategy)
+            mode = "pruned"
+            pruned = route(program, topo, layout)
+            mode = "unpruned"
+            with monkeypatch.context() as patch:
+                patch.setattr(mapper._Router, "_search_toffoli_plan", _unpruned_search)
+                unpruned = route(program, build_topology(*spec), layout)
+            assert pruned == unpruned  # program, final layout and report
+        if spec[0] != "full":  # full routes every Toffoli without a search
+            assert 0 < simulated["pruned"] < simulated["unpruned"]
+
+
 class TestMapCircuit:
     def test_bell_on_line_two(self):
         program = parse("version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\n")
