@@ -76,54 +76,32 @@ from .statecore import StateVector, probabilities
 
 
 class GateKind(enum.Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-    H = "h"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    CNOT = "cnot"
-    CPHASE = "cz"
-    TOFFOLI = "toffoli"
-    SWAP = "swap"
-    PREP_Z = "prep_z"
-    MEASURE = "measure"
+    """A gate kind and its facts: mnemonic (also the enum value, so
+    ``GateKind("cz")`` is CPHASE), operand count, whether it takes an angle,
+    and whether it is a unitary gate application (``measure`` and ``prep_z``
+    are not)."""
 
-    @property
-    def mnemonic(self) -> str:
-        return self.value
+    X = "x", 1
+    Y = "y", 1
+    Z = "z", 1
+    H = "h", 1
+    RX = "rx", 1, True
+    RY = "ry", 1, True
+    RZ = "rz", 1, True
+    CNOT = "cnot", 2
+    CPHASE = "cz", 2
+    TOFFOLI = "toffoli", 3
+    SWAP = "swap", 2
+    PREP_Z = "prep_z", 1, False, False
+    MEASURE = "measure", 1, False, False
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
+    def __new__(cls, mnemonic: str, arity: int, takes_angle: bool = False,
+                is_unitary: bool = True):
+        kind = object.__new__(cls)
+        kind._value_ = kind.mnemonic = mnemonic
+        kind.arity, kind.takes_angle, kind.is_unitary = arity, takes_angle, is_unitary
+        return kind
 
-    @property
-    def takes_angle(self) -> bool:
-        return self in _ROTATIONS
-
-    @property
-    def is_unitary(self) -> bool:
-        return self not in (GateKind.PREP_Z, GateKind.MEASURE)
-
-
-_ARITY = {
-    GateKind.X: 1,
-    GateKind.Y: 1,
-    GateKind.Z: 1,
-    GateKind.H: 1,
-    GateKind.RX: 1,
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.CNOT: 2,
-    GateKind.CPHASE: 2,
-    GateKind.TOFFOLI: 3,
-    GateKind.SWAP: 2,
-    GateKind.PREP_Z: 1,
-    GateKind.MEASURE: 1,
-}
-
-_ROTATIONS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
 
 MNEMONICS: Mapping[str, GateKind] = {kind.mnemonic: kind for kind in GateKind}
 
@@ -363,8 +341,8 @@ def apply_gate(
     zero_skip: bool = True,
     columns: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply one unitary gate, or a block of fused gates, through its table;
-    toggles the buffer parity.
+    """Apply one unitary gate, or a block of fused gates, through its table
+    and the kernel :func:`_scatter_rows` picks; toggles the buffer parity.
 
     MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
@@ -379,31 +357,24 @@ def apply_gate(
         table = _gate_table(g.kind, g.angle)
     else:
         raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
-    if columns is not None and len(columns) < (state.batch or 1):
+    whole = columns is None or len(columns) >= (state.batch or 1)
+    if whole:
+        src, dst = state.live, state.dead
+    else:
         src = state.live[:, columns]
         dst = np.zeros_like(src)
-        _apply_terms(state, src, dst, g.qubits, table, zero_skip)
-        state.live[:, columns] = dst
-    else:
-        state.toggle_after_gate(
-            _apply_terms(state, state.live, state.dead, g.qubits, table, zero_skip))
-    return state
-
-
-def _apply_terms(state: StateVector, src, dst, qubits: tuple[int, ...], table: _Table,
-                 zero_skip: bool) -> np.ndarray | None:
-    """Add the terms of a table on ``qubits`` from ``src`` into the zeroed
-    ``dst`` through the kernel that zero-skipping picks (a signed
-    permutation scatters through its lookup); returns the rows scattered,
-    or None after the strided kernel."""
-    rows = _scatter_rows(state, src, zero_skip)
+    rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
     if rows is None:
-        _strided(src, dst, qubits, table)
+        _strided(src, dst, g.qubits, table)
     elif table.moves is None:
-        _scatter(src, dst, qubits, table, rows)
+        _scatter(src, dst, g.qubits, table, rows)
+    else:  # a signed permutation scatters through its lookup
+        _move(src, dst, g.qubits, table, rows)
+    if whole:
+        state.toggle_after_gate(rows)
     else:
-        _move(src, dst, qubits, table, rows)
-    return rows
+        state.live[:, columns] = dst
+    return state
 
 
 def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:

@@ -40,6 +40,11 @@ NUCLEOTIDE_BITS = {"A": "00", "C": "01", "G": "10", "T": "11"}
 DIFFUSION_JOINT = "joint"
 DIFFUSION_INDEX = "index"
 
+#: X and Z gates by their number of controls; X with more controls goes
+#: through a Toffoli ladder, and Z with more through H conjugation of X.
+_CONTROLLED_X = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI)
+_CONTROLLED_Z = (GateKind.Z, GateKind.CPHASE)
+
 
 def _is_binary(s: str) -> bool:
     return len(s) > 0 and set(s) <= {"0", "1"}
@@ -180,6 +185,11 @@ class _CircuitWriter:
     def add(self, kind: GateKind, *qubits: int) -> None:
         self.ops.append(GateInstance(kind, qubits))
 
+    def layer(self, kind: GateKind, qubits: list[int]) -> None:
+        """One ``kind`` gate on each of the given qubits."""
+        for q in qubits:
+            self.add(kind, q)
+
     def take(self) -> tuple[GateInstance, ...]:
         ops = tuple(self.ops)
         self.ops = []
@@ -206,15 +216,9 @@ class _CircuitWriter:
         """X on every target conditioned on all controls being 1."""
         if not targets:
             return
-        if len(controls) == 0:
+        if len(controls) < len(_CONTROLLED_X):
             for t in targets:
-                self.add(GateKind.X, t)
-        elif len(controls) == 1:
-            for t in targets:
-                self.add(GateKind.CNOT, controls[0], t)
-        elif len(controls) == 2:
-            for t in targets:
-                self.add(GateKind.TOFFOLI, controls[0], controls[1], t)
+                self.add(_CONTROLLED_X[len(controls)], *controls, t)
         else:
             top, applied = self._and_ladder(controls[:-1])
             for t in targets:
@@ -224,10 +228,8 @@ class _CircuitWriter:
 
     def multi_controlled_z(self, qubits: list[int]) -> None:
         """Phase flip of the all-ones pattern over the given qubits."""
-        if len(qubits) == 1:
-            self.add(GateKind.Z, qubits[0])
-        elif len(qubits) == 2:
-            self.add(GateKind.CPHASE, qubits[0], qubits[1])
+        if len(qubits) <= len(_CONTROLLED_Z):
+            self.add(_CONTROLLED_Z[len(qubits) - 1], *qubits)
         else:
             self.add(GateKind.H, qubits[-1])
             self.multi_controlled_x(qubits[:-1], qubits[-1:])
@@ -245,8 +247,7 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
     w = _CircuitWriter(inst)
     read = inst.read
 
-    for q in w.index:
-        w.add(GateKind.H, q)
+    w.layer(GateKind.H, w.index)
     superpose = w.take()
 
     sentinel = "".join("1" if ch == "0" else "0" for ch in read)
@@ -255,16 +256,12 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
             bits = sentinel
         conjugate = [w.index[b] for b in range(inst.index_qubits) if not (position >> b) & 1]
         targets = [w.data[j] for j, ch in enumerate(bits) if ch == "1"]
-        for q in conjugate:
-            w.add(GateKind.X, q)
+        w.layer(GateKind.X, conjugate)
         w.multi_controlled_x(w.index, targets)
-        for q in conjugate:
-            w.add(GateKind.X, q)
+        w.layer(GateKind.X, conjugate)
     encode = w.take()
 
-    for j, ch in enumerate(read):
-        if ch == "1":
-            w.add(GateKind.X, w.data[j])
+    w.layer(GateKind.X, [w.data[j] for j, ch in enumerate(read) if ch == "1"])
     distance = w.take()
 
     diffusion_regs = (
@@ -272,23 +269,17 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
     )
     for _ in range(inst.iterations):
         # oracle: -1 on branches whose data register is all zero
-        for q in w.data:
-            w.add(GateKind.X, q)
+        w.layer(GateKind.X, w.data)
         w.multi_controlled_z(w.data)
-        for q in w.data:
-            w.add(GateKind.X, q)
+        w.layer(GateKind.X, w.data)
         # inversion about the mean over the diffusion register; the
         # trailing global flip makes the operator exactly 2|s><s| - I
         if diffusion_regs:
-            for q in diffusion_regs:
-                w.add(GateKind.H, q)
-            for q in diffusion_regs:
-                w.add(GateKind.X, q)
+            w.layer(GateKind.H, diffusion_regs)
+            w.layer(GateKind.X, diffusion_regs)
             w.multi_controlled_z(diffusion_regs)
-            for q in diffusion_regs:
-                w.add(GateKind.X, q)
-            for q in diffusion_regs:
-                w.add(GateKind.H, q)
+            w.layer(GateKind.X, diffusion_regs)
+            w.layer(GateKind.H, diffusion_regs)
             w.global_phase_flip()
     amplify = w.take()
 

@@ -29,9 +29,8 @@ import numpy as np
 from ..cqasm import Program, emit, parse
 from ..gates import GateKind, NoiseConfig, run_circuit, sample
 from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
-from ..metrics import (MetricSet, check_normalized, fidelity, gate_count, quantum_volume,
-                       success_probability)
-from ..statecore import MemoryParams, estimate_total_memory, probabilities
+from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
+from ..statecore import MemoryParams, check_normalized, estimate_total_memory, probabilities
 from .records import FinalState, RunRecord, store_append
 
 #: Ideal-state probabilities above this threshold define the correct-answer set.

@@ -2,8 +2,10 @@
 
 Pipeline: initial placement (identity or interaction-greedy), SWAP routing
 under the nearest-neighbour constraint, and dependency-aware ASAP
-scheduling with unit gate durations.  Routing walks the program in order,
-moving the first-listed operand toward the second along BFS shortest paths
+scheduling with unit gate durations.  Routing walks the program in order
+and handles each gate in one step: SWAPs first move its operands into
+place, then the gate is renamed onto their nodes.  A two-qubit gate moves
+its first-listed operand toward the second along BFS shortest paths
 (lexicographically smallest path on ties); every inserted SWAP updates the
 running virtual-to-physical layout.  Three-qubit gates require both
 controls adjacent to the target, found by a search over (target node,
@@ -19,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cqasm import Kernel, Program
+from .cqasm import Kernel, Program, emit
 from .errors import MappingError
 from .gates import GateInstance, GateKind
 
@@ -43,23 +45,11 @@ class Topology:
             adj[v].add(u)
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self.paths: dict[tuple, tuple[int, ...] | None] = {}  # see _shortest_path
-        if not self._connected():
+        if node_count == 0 or len(_distances(self, 0)) < node_count:
             raise MappingError(f"{kind} topology with {node_count} nodes is disconnected")
 
-    def _connected(self) -> bool:
-        if self.node_count == 0:
-            return False
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            for nb in self.adjacency[frontier.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return len(seen) == self.node_count
-
     def is_adjacent(self, u: int, v: int) -> bool:
-        return tuple(sorted((u, v))) in self.edges
+        return v in self.adjacency[u]
 
     def __repr__(self) -> str:
         return f"Topology({self.kind!r}, nodes={self.node_count}, edges={len(self.edges)})"
@@ -229,10 +219,8 @@ def _shortest_path(
     return topo.paths[key]
 
 
-def _bfs_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> tuple[int, ...] | None:
-    """The search behind :func:`_shortest_path`: BFS distances from the goal."""
-    if start == goal:
-        return (start,)
+def _distances(topo: Topology, goal: int, banned=frozenset()) -> dict[int, int]:
+    """BFS hop counts to ``goal`` from every node it reaches avoiding banned nodes."""
     dist = {goal: 0}
     frontier = deque([goal])
     while frontier:
@@ -241,6 +229,14 @@ def _bfs_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> tupl
             if nb not in dist and nb not in banned:
                 dist[nb] = dist[node] + 1
                 frontier.append(nb)
+    return dist
+
+
+def _bfs_path(topo: Topology, start: int, goal: int, banned=frozenset()) -> tuple[int, ...] | None:
+    """The search behind :func:`_shortest_path`: BFS distances from the goal."""
+    if start == goal:
+        return (start,)
+    dist = _distances(topo, goal, banned)
     if start not in dist:
         return None
     # dist drops by exactly 1 per hop on any shortest path; taking the
@@ -269,7 +265,7 @@ def _exchange(pos: list[int], occ: list[int | None], u: int, v: int) -> None:
 
 
 class _Router:
-    """Mutable routing state: tracks node occupancy while emitting gates."""
+    """Mutable routing state: tracks node occupancy while gates are routed."""
 
     def __init__(self, topo: Topology, layout: LayoutMap):
         self.topo = topo
@@ -279,9 +275,6 @@ class _Router:
             self.occ[p] = v
         self.added_swaps = 0
         self.out: list[GateInstance] = []
-
-    def emit(self, g: GateInstance) -> None:
-        self.out.append(g)
 
     def emit_swap(self, u: int, v: int) -> None:
         self.out.append(GateInstance(GateKind.SWAP, (u, v)))
@@ -303,12 +296,10 @@ class _Router:
             raise MappingError(f"no path between nodes {a} and {b}")
         self.walk(path[:-1])
 
-    def route_toffoli(self, g: GateInstance) -> None:
-        c1, c2, t = g.qubits
-        if self.topo.is_adjacent(self.pos[c1], self.pos[t]) and self.topo.is_adjacent(
-            self.pos[c2], self.pos[t]
-        ):
-            self.emit(GateInstance(GateKind.TOFFOLI, (self.pos[c1], self.pos[c2], self.pos[t])))
+    def bring_toffoli(self, c1: int, c2: int, t: int) -> None:
+        """Move c1's and c2's states until both sit on nodes adjacent to t's."""
+        around = self.topo.adjacency[self.pos[t]]
+        if self.pos[c1] in around and self.pos[c2] in around:
             return
         plan = self._search_toffoli_plan(c1, c2, t)
         if plan is None:
@@ -317,7 +308,6 @@ class _Router:
             )
         for path in plan:
             self.walk(path)
-        self.emit(GateInstance(GateKind.TOFFOLI, (self.pos[c1], self.pos[c2], self.pos[t])))
 
     def _search_toffoli_plan(self, c1: int, c2: int, t: int):
         """Cheapest (target node, control neighbors) assignment, by simulation.
@@ -387,15 +377,11 @@ def route(
     for kernel in program.kernels:
         start = len(router.out)
         for g in kernel.instructions:
-            if len(g.qubits) == 1:
-                router.emit(GateInstance(g.kind, (router.pos[g.qubits[0]],), g.angle))
-            elif len(g.qubits) == 2:
-                router.bring_adjacent(g.qubits[0], g.qubits[1])
-                router.emit(
-                    GateInstance(g.kind, (router.pos[g.qubits[0]], router.pos[g.qubits[1]]), g.angle)
-                )
-            else:
-                router.route_toffoli(g)
+            if len(g.qubits) == 2:
+                router.bring_adjacent(*g.qubits)
+            elif len(g.qubits) == 3:
+                router.bring_toffoli(*g.qubits)
+            router.out.append(GateInstance(g.kind, tuple(router.pos[q] for q in g.qubits), g.angle))
         out_kernels.append(Kernel(kernel.name, tuple(router.out[start:])))
 
     routed = Program(program.version, topo.node_count, tuple(out_kernels))
@@ -414,8 +400,6 @@ def map_circuit(
     program: Program, topo: Topology, strategy: str = "greedy"
 ) -> tuple[str, MappingReport]:
     """Place and route; returns the mapped cQASM text and the report."""
-    from .cqasm import emit
-
     layout = initial_placement(program, topo, strategy)
     routed, _final, report = route(program, topo, layout)
     return emit(routed), report

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cqasm import Program
-from .statecore import NORM_TOL, probabilities
+from .statecore import check_normalized, probabilities
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,6 @@ def gate_count(program: Program) -> GateCounts:
         if g.kind.is_unitary:
             unitary += 1
     return GateCounts(by_kind, unitary, len(program.instructions))
-
-
-def check_normalized(probs: np.ndarray, name: str) -> None:
-    """Raise ValueError unless a state's probability array sums to 1 within
-    NORM_TOL."""
-    norm = float(probs.sum())
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
 
 
 def fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:

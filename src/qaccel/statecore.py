@@ -45,6 +45,14 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
     return amps.real**2 + amps.imag**2
 
 
+def check_normalized(probs: np.ndarray, name: str) -> None:
+    """Raise ValueError unless a state's probability array sums to 1 within
+    NORM_TOL."""
+    norm = float(probs.sum())
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"{name} state not normalized: sum of squares is {norm!r}")
+
+
 @dataclass(frozen=True)
 class MemoryParams:
     """Inputs to the memory-cost model.
@@ -208,9 +216,7 @@ class StateVector:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(probabilities(amps).sum())
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum of squares is {norm!r}")
+        check_normalized(probabilities(amps), "input")
         state = cls(n)
         state.buf_even[:] = amps + 0.0  # exact, and -0.0 + 0.0 is +0.0
         return state

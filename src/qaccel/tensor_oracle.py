@@ -81,6 +81,12 @@ def base_unitary(g: GateInstance) -> np.ndarray:
     raise ValueError(f"{kind.mnemonic} has no unitary matrix")
 
 
+def _check_size(n: int) -> None:
+    """Refuse registers beyond the oracle's cap."""
+    if n > MAX_ORACLE_QUBITS:
+        raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product [A_11 B ... ; ... ; A_n1 B ...] of two dense matrices."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -103,8 +109,7 @@ def gate_matrix(g: GateInstance, n: int) -> np.ndarray:
     matrix entry (i, j) is the operand-subspace entry for the operand bits
     of i and j whenever the remaining bits agree, else zero.
     """
-    if n > MAX_ORACLE_QUBITS:
-        raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
+    _check_size(n)
     if any(q >= n for q in g.qubits):
         raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
     u = base_unitary(g)
@@ -143,8 +148,7 @@ def dense_simulate(program: "Program") -> np.ndarray:
 
 def simulate_instructions(n: int, instructions: Iterable[GateInstance]) -> np.ndarray:
     """Ground state driven through a bare instruction sequence by full matrix products."""
-    if n > MAX_ORACLE_QUBITS:
-        raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
+    _check_size(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     for g in instructions:
@@ -160,8 +164,7 @@ def hadamard_tensor_check(n: int, a: int) -> np.ndarray:
     Amplitude of |b> is (-1)^(a.b) / sqrt(2^n) where a.b counts shared set
     bits modulo 2.
     """
-    if n > MAX_ORACLE_QUBITS:
-        raise CapacityError(f"oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
+    _check_size(n)
     if not 0 <= a < (1 << n):
         raise ValueError(f"basis index {a} out of range for {n} qubits")
     b = np.arange(1 << n)

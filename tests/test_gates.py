@@ -84,6 +84,36 @@ class TestMappingExamples:
         assert state.amplitude(0b111) == 1.0 + 0j
 
 
+#: Every kind's mnemonic, operand count, angle and whether it is unitary.
+KIND_FACTS = [
+    (GateKind.X, "x", 1, False, True),
+    (GateKind.Y, "y", 1, False, True),
+    (GateKind.Z, "z", 1, False, True),
+    (GateKind.H, "h", 1, False, True),
+    (GateKind.RX, "rx", 1, True, True),
+    (GateKind.RY, "ry", 1, True, True),
+    (GateKind.RZ, "rz", 1, True, True),
+    (GateKind.CNOT, "cnot", 2, False, True),
+    (GateKind.CPHASE, "cz", 2, False, True),
+    (GateKind.TOFFOLI, "toffoli", 3, False, True),
+    (GateKind.SWAP, "swap", 2, False, True),
+    (GateKind.PREP_Z, "prep_z", 1, False, False),
+    (GateKind.MEASURE, "measure", 1, False, False),
+]
+
+
+class TestGateKindFacts:
+    @pytest.mark.parametrize("kind,mnemonic,arity,takes_angle,is_unitary", KIND_FACTS,
+                             ids=[row[1] for row in KIND_FACTS])
+    def test_facts_and_mnemonic_lookup(self, kind, mnemonic, arity, takes_angle, is_unitary):
+        assert kind.value == kind.mnemonic == mnemonic
+        assert (kind.arity, kind.takes_angle, kind.is_unitary) == (arity, takes_angle, is_unitary)
+        assert GateKind(mnemonic) is kind
+
+    def test_every_kind_is_listed(self):
+        assert [row[0] for row in KIND_FACTS] == list(GateKind)
+
+
 class TestGateInstanceValidation:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):

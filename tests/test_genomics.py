@@ -1,11 +1,15 @@
 """Read-alignment circuit generation and end-to-end ranking."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from qaccel.cqasm import emit
 from qaccel.genomics import (
     AlignmentInstance,
     AlignmentResult,
+    _CircuitWriter,
     align,
     build_alignment_circuit,
     encode_reference,
@@ -13,7 +17,7 @@ from qaccel.genomics import (
     nucleotides_to_bits,
     sequence_bits,
 )
-from qaccel.gates import run_circuit
+from qaccel.gates import GateInstance, GateKind, run_circuit
 from qaccel.tensor_oracle import dense_simulate, simulate_instructions
 
 TOY = AlignmentInstance("0110", "01", iterations=1)
@@ -105,6 +109,43 @@ class TestInstance:
             AlignmentInstance("110000110", "0000", stride=2)
         with pytest.raises(ValueError):
             AlignmentInstance("11000011", "000", stride=2)
+
+
+class TestControlledX:
+    @pytest.mark.parametrize("controls,kind", [([], GateKind.X), ([0], GateKind.CNOT),
+                                               ([0, 1], GateKind.TOFFOLI)])
+    def test_few_controls_give_one_gate_per_target(self, controls, kind):
+        w = _CircuitWriter(AlignmentInstance("10110010", "011"))
+        w.multi_controlled_x(controls, [4, 5])
+        assert w.take() == (GateInstance(kind, (*controls, 4)), GateInstance(kind, (*controls, 5)))
+
+    @pytest.mark.parametrize("controls", [[], [0], [0, 1], [0, 1, 2]])
+    def test_no_targets_emit_nothing(self, controls):
+        w = _CircuitWriter(AlignmentInstance("10110010", "011"))
+        w.multi_controlled_x(controls, [])
+        assert w.take() == ()
+
+
+#: The emitted cQASM of small instances (both diffusions, 0 to 2 Grover
+#: rounds, Toffoli ladders and one nucleotide read), by sha256 digest.
+EMITTED = [
+    (("0110", "01", 0, "joint", 1),
+     "1191ef6de48c290a0e10c49d184dd9834a731de6bf11dd1f2ac45a4a54027057"),
+    (("0110", "01", 1, "index", 1),
+     "bb9795d4a96e3cb8bc6ed0c9a9b2a78283bdbd65ad75234eaba589af12496c40"),
+    (("10110010", "011", 2, "joint", 1),
+     "bd0064c1163197b21c30e3f084b5a8cf142364b4b69adf98b74a6e70d2664adc"),
+    ((*sequence_bits("ACGTTGCA", "GT")[:2], 1, "index", 2),
+     "e58406a30b59352b22cb78d1bd661eb9a5d096f836e2afb6970bd2c9dc12a428"),
+]
+
+
+class TestEmittedCircuits:
+    @pytest.mark.parametrize("args,digest", EMITTED, ids=["toy-0", "toy-1-index", "ladder-2",
+                                                          "acgt-1-index"])
+    def test_emitted_cqasm_is_unchanged(self, args, digest):
+        text = emit(build_alignment_circuit(AlignmentInstance(*args)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStageInvariants:

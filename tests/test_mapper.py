@@ -53,6 +53,10 @@ class TestTopologies:
         with pytest.raises(MappingError):
             Topology("custom", 3, [(0, 1)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(MappingError):
+            Topology("custom", 0, [])
+
     def test_adjacency_is_sorted(self):
         topo = build_topology("ring", 5)
         assert topo.adjacency[0] == (1, 4)
