@@ -4,8 +4,19 @@ Each unitary kind has a matrix on its operand qubits (a 2x2; a 4x4 or 8x8
 permutation or diagonal), kept as nonzero (row, column, coefficient) terms
 built once per (kind, angle).  A gate writes into the dead buffer (see
 statecore).  The strided kernel adds ``coefficient * input[column]`` into
-``output[row]`` over whole strided views, one axis per operand; the scatter
+``output[row]`` over strided views, one axis per operand; the scatter
 takes only the nonzero inputs and adds each term's share by index arrays.
+
+The strided kernel walks a register of more than
+``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, slices of its
+outermost free axes, and applies every term to one chunk before the next,
+writing each product into scratch the state owns, so no pass over such a
+register allocates a temporary of its size.  Where the lowest operand leaves
+contiguous runs of 2 to ``COPY_MIN_RUN`` amplitudes, each chunk is copied
+into contiguous scratch, operand axes outermost, and its output is built in
+zeroed scratch and copied back.  A register of at most one chunk is
+applied in place, and so is a signed permutation: its coefficients are
++-1, so it needs no product (-1 subtracts) and reads each input once.
 
 Without zero-skipping every basis state goes through a sparse pass.  With it,
 registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
@@ -15,11 +26,12 @@ dense, which skips the scan until ``reset_ground``.  Both constants are
 measured crossovers of the kernels.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
-and gets its terms in the same order, so a skipped zero input only drops the
-addition of a signed zero.  After a scatter the old input buffer is cleared
-only at the rows the scan listed (all rows, as a slice, for the no-skip
-reference); its other rows hold +0 already, since no kernel output, and so
-no live buffer, is ever -0.0 (see statecore).  The strided kernel's input
+and gets its terms in the same order, whether in place or in a chunk of
+scratch, so a skipped zero input only drops the addition of a signed zero.
+After a scatter the old input buffer is cleared only at the rows the scan
+listed (all rows, as a slice, for the no-skip reference); its other rows
+hold +0 already, since no kernel output, and so no live buffer, is ever
+-0.0 (see statecore).  The strided kernel's input
 is cleared whole.  Complex coefficients are split into a real and an
 imaginary term, each product one rounding, because numpy's complex-by-complex
 multiply rounds differently with array layout and length.
@@ -66,6 +78,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -184,6 +197,20 @@ SCATTER_MAX_FRACTION = 1 / 16
 #: process, which make glibc map large blocks on their own or trim its heap.
 FUSE_MAX_QUBITS = 6
 
+#: The strided kernel copies each chunk of a larger register than one chunk
+#: into contiguous scratch when the lowest operand leaves contiguous runs of
+#: more than one and fewer than this many amplitudes (a batch's trajectory
+#: axis lengthens them).  H, RY, RZ and a 3-gate 2x2 product together, on
+#: a dense random state (median of 9 ``apply_gate`` calls each, 2-core VM),
+#: with and without the copy: at n = 18 on q1 18.5 against 40.7 ms, q11 9.5
+#: against 12.5, q12 9.5 against 8.8, q13 9.5 against 6.7; at n = 20 on q11
+#: 40.8 against 61.8, q12 39.2 against 40.1, q13 40.4 against 32.9.  On q0
+#: each view is one long strided loop, and the copy lost, 18.1 against 9.0
+#: ms at n = 18.  On a (2^9, 128) noisy batch, with runs of 128 << q, H, RY
+#: and RZ took 1.47-1.75 ms with the copy and 1.86-2.26 without on q0-q4,
+#: and 1.48-1.72 against 1.03-1.41 on q5-q8.
+COPY_MIN_RUN = 1 << 12
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 #: Each unitary kind's matrix on its operand subspace (a rotation's as a
@@ -229,8 +256,7 @@ class _Table(NamedTuple):
     views: tuple[tuple[tuple, tuple, complex], ...]  # (output key, input key, coefficient)
     cares: np.ndarray  # per term: the operand bits it fixes,
     cols: np.ndarray  # their input values,
-    flips: np.ndarray  # the operand bits it flips,
-    coefs: np.ndarray  # and its coefficient
+    flips: np.ndarray  # and the operand bits it flips
     # a signed permutation's lookup: per subspace index, the operand bits
     # moving it flips and where it is negated (None: nowhere); else None
     moves: tuple[np.ndarray, np.ndarray | None] | None
@@ -255,12 +281,12 @@ def _table(m: np.ndarray) -> _Table:
                      for j in reversed(range(k)))
 
     views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
-    cares, rows, cols, coefs = (np.array(column) for column in zip(*terms))
+    cares, rows, cols = (np.array([term[i] for term in terms]) for i in range(3))
     moves, nonzero = None, m != 0
     if not m.imag.any() and (nonzero.sum(axis=0) == 1).all() and (abs(m[nonzero]) == 1).all():
         negate = m.real.sum(axis=0) < 0
         moves = (np.arange(m.shape[1]) ^ nonzero.argmax(axis=0), negate if negate.any() else None)
-    return _Table(views, cares, cols, rows ^ cols, coefs.astype(complex), moves)
+    return _Table(views, cares, cols, rows ^ cols, moves)
 
 
 def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
@@ -271,10 +297,51 @@ def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
     return np.asarray(m, complex)
 
 
-@functools.lru_cache(maxsize=4096)
+#: Gate tables kept for reuse, the least recently used dropped first.  One
+#: program of the perfbench pools (seed 1) applies 29-31 distinct (kind,
+#: angle) tables in ``run_dense``, 41 in ``run_small`` and 44 in
+#: ``run_noisy``, whose runs apply their program once per batch.  Kept
+#: without this bound (at most 4096), the 16 ``run_dense`` programs left 441
+#: tables cached, and the module's caches held 1.77 MiB afterwards.
+GATE_TABLES_KEPT = 64
+
+
+@functools.lru_cache(maxsize=GATE_TABLES_KEPT)
 def _gate_table(kind: GateKind, angle: float | None) -> _Table:
-    """:func:`_table` of a gate's matrix, built once per (kind, angle)."""
-    return _table(_matrix(kind, angle))
+    """:func:`_table` of a gate's matrix, built once per (kind, angle) while
+    it is among the ``GATE_TABLES_KEPT`` most recently used.
+
+    A rotation whose half angle has a nonzero cosine and sine has the terms
+    of its kind's probe table, in the same order, each the same real or
+    imaginary part, plus or minus the cosine or the sine.  So its table is
+    the probe's with each coefficient evaluated at its own angle: 3.4-3.9
+    us, against 36-45 us to build it (timeit, 2-core VM).
+    """
+    half = (math.cos(angle / 2.0), math.sin(angle / 2.0)) if kind.takes_angle else (0.0,)
+    if not all(half):
+        return _table(_matrix(kind, angle))
+    probe, recipe = _probe(kind)
+    views = tuple((out_key, in_key, complex(0.0, sign * half[i]) if imag else sign * half[i])
+                  for (out_key, in_key, _), (i, sign, imag) in zip(probe.views, recipe))
+    return _Table(views, probe.cares, probe.cols, probe.flips, None)
+
+
+#: The half-angle cosine and sine of a rotation's probe table: no part of
+#: a rotation matrix built from them equals another's negation by chance.
+_PROBE = (0.6, 0.8)
+
+
+@functools.cache
+def _probe(kind: GateKind) -> tuple[_Table, tuple[tuple[int, float, bool], ...]]:
+    """A rotation kind's table at the ``_PROBE`` cosine and sine, and per
+    term its coefficient's recipe: cosine (0) or sine (1), sign, and whether
+    it is an imaginary part."""
+    table = _table(np.asarray(_MATRICES[kind](*_PROBE), complex))
+    recipe = []
+    for *_, coef in table.views:
+        x = coef.imag if isinstance(coef, complex) else coef
+        recipe.append((_PROBE.index(abs(x)), 1.0 if x > 0 else -1.0, isinstance(coef, complex)))
+    return table, tuple(recipe)
 
 
 #: The kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP and
@@ -298,16 +365,68 @@ def _layout(qubits: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
     return shape, order, spread
 
 
-def _strided(src, dst, qubits: tuple[int, ...], table: _Table) -> None:
+def _strided(src, dst, qubits: tuple[int, ...], table: _Table,
+             scratch: np.ndarray | None) -> None:
     """Dense kernel: each term adds a scaled input view into an output view;
-    a batch's trajectory axis rides along as the last axis."""
+    a batch's trajectory axis rides along as the last axis.
+
+    ``scratch`` is the state's three chunk rows (see statecore), or None for
+    a register of at most one chunk.  Such a register, and a signed
+    permutation, which needs no product and reads each input once, is
+    applied whole, in place.  A larger register is walked in chunks, every
+    term applied to one chunk before the next, with products written into
+    the third row; where the lowest operand leaves contiguous runs of 2 to
+    ``COPY_MIN_RUN`` amplitudes, each chunk is copied into the first row,
+    operand axes first, and built in the zeroed second row.
+    """
     shape, order, _ = _layout(qubits)
     if src.ndim > 1:
         shape, order = shape + src.shape[1:], order + (len(shape),)
     s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
+    if scratch is None or src.size <= scratch.shape[1] or table.moves is not None:
+        _add_terms(s, d, table)
+        return
+    copy_in, out, product = scratch
+    # a chunk: fixed indices on the free axes outside ``axis``, the first
+    # axis one of whose indices fits in a chunk, and ``step`` indices of it
+    k, per = len(qubits), src.size
+    for axis in range(k, s.ndim):
+        per //= s.shape[axis]
+        if per <= out.size:
+            break
+    step = out.size // per
+    run = (src.size // src.shape[0]) << min(qubits)  # contiguous amplitudes
+    copy = 1 < run < COPY_MIN_RUN
+    for index in itertools.product(*map(range, s.shape[k:axis])):
+        for start in range(0, s.shape[axis], step):
+            key = (np.s_[:],) * k + index + (np.s_[start:start + step],)
+            if not copy:
+                _add_terms(s[key], d[key], table, product)
+                continue
+            chunk = s[key]
+            a, o = (row[:chunk.size].reshape(chunk.shape) for row in (copy_in, out))
+            np.copyto(a, chunk)
+            o.fill(0)
+            _add_terms(a, o, table, product)
+            d[key] = o
+
+
+def _add_terms(s, d, table: _Table, product: np.ndarray | None = None) -> None:
+    """Add each term's input view, times its coefficient, into its output
+    view, in table order.  A product is written into ``product`` when given,
+    else into a new array.  A coefficient of -1 subtracts instead, which
+    gives the same bytes: x - y is x + (-y), and -y differs from -1 * y only
+    in the sign of a zero, which adding to an output (never -0.0) cannot
+    show."""
     for out_key, in_key, coef in table.views:
-        view = d[out_key]
-        view += s[in_key] if coef == 1 else coef * s[in_key]
+        view = s[in_key]
+        if coef == -1:
+            d[out_key] -= view
+            continue
+        if coef != 1:
+            view = (coef * view if product is None else
+                    np.multiply(coef, view, out=product[:view.size].reshape(view.shape)))
+        d[out_key] += view
 
 
 def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
@@ -315,7 +434,8 @@ def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarr
     to their targets (distinct within a term), as the strided kernel does;
     the index arrays select whole rows, so a batch moves every trajectory."""
     spread = _layout(qubits)[2]
-    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
+    coefs = (coef for *_, coef in table.views)
+    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], coefs):
         sources = nonzero[(nonzero & care) == col]
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
@@ -365,7 +485,7 @@ def apply_gate(
         dst = np.zeros_like(src)
     rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
     if rows is None:
-        _strided(src, dst, g.qubits, table)
+        _strided(src, dst, g.qubits, table, state.scratch)
     elif table.moves is None:
         _scatter(src, dst, g.qubits, table, rows)
     else:  # a signed permutation scatters through its lookup

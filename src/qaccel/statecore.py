@@ -11,7 +11,8 @@ writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
-``(2^n,)``.  :func:`probabilities` is the one place that turns amplitudes
+``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also
+owns the strided kernel's scratch (see gates): three chunks of that size.  :func:`probabilities` is the one place that turns amplitudes
 of either shape into probabilities.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
@@ -36,6 +37,15 @@ MAX_QUBITS = 30
 
 #: Normalization / equivalence tolerance for double-precision states.
 NORM_TOL = 1e-9
+
+#: Amplitudes in one chunk of the strided kernel (see gates), which applies
+#: every term of a gate to one chunk before it moves to the next; 256 KiB.
+#: H, RY, RZ and a 3-gate 2x2 product on 14 operand qubits of a dense random
+#: state (summed medians of 9 ``apply_gate`` calls, 2-core VM) took, for
+#: chunks of 2^12 to 2^16 amplitudes, 197-205, 170-179, 134-149, 140-152
+#: and 151-165 ms at n = 18 (two rounds), and 914, 825, 649, 704 and 844 ms
+#: at n = 20.
+CHUNK_AMPLITUDES = 1 << 14
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
@@ -105,11 +115,17 @@ def physical_memory_bytes() -> int | None:
 
 
 def estimate_peak_memory(params: MemoryParams) -> int:
-    """Bytes the zero-skip engine holds at its peak: the double buffer plus
-    the kernels' temporaries, at most one more buffer (a scaled copy of the
-    whole input).  The no-skip reference, which scatters every basis state,
-    needs up to about 4.5 buffers of index arrays on top."""
-    return estimate_total_memory(params) + estimate_vector_memory(params)
+    """Bytes the zero-skip engine holds at its peak: the double buffer, the
+    strided kernel's scratch of three chunks (for a register of at most
+    ``CHUNK_AMPLITUDES`` amplitudes, its products: one more buffer), and
+    what a zero-skip scan holds: a flag per amplitude, and a flag and an 8-byte index per
+    basis state.  A noiseless run's readout holds less.  The no-skip reference, which
+    scatters every basis state, needs up to about 4.5 buffers of index
+    arrays on top."""
+    size = params.batch << params.n
+    scratch = size if size <= CHUNK_AMPLITUDES else 3 * CHUNK_AMPLITUDES
+    scan = size + (9 << params.n)
+    return estimate_total_memory(params) + 2 * params.scalar_bytes * scratch + scan
 
 
 class StateVector:
@@ -124,7 +140,7 @@ class StateVector:
     ``(2^n,)`` state, which acts as a single trajectory.
     """
 
-    __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense")
+    __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense", "scratch")
 
     def __init__(self, n: int, batch: int | None = None):
         if not 1 <= n <= MAX_QUBITS:
@@ -138,8 +154,8 @@ class StateVector:
         if physical is not None and peak > physical:
             width = f" x {batch} trajectories" if batch else ""
             raise CapacityError(
-                f"{n} qubits{width} need {peak} bytes (double buffer plus kernel "
-                f"temporaries), more than the {physical} bytes of physical memory"
+                f"{n} qubits{width} need {peak} bytes (double buffer, kernel scratch "
+                f"and zero-skip scan), more than the {physical} bytes of physical memory"
             )
         self.n = n
         self.dim = 1 << n
@@ -150,6 +166,7 @@ class StateVector:
         self.parity = 0
         self.dense = False
         self.buf_even[0] = 1.0
+        self.scratch = _scratch(self.buf_even.size)
 
     @property
     def live(self) -> np.ndarray:
@@ -204,6 +221,7 @@ class StateVector:
         dup.buf_odd = self.buf_odd.copy()
         dup.parity = self.parity
         dup.dense = self.dense
+        dup.scratch = _scratch(dup.buf_even.size)
         return dup
 
     @classmethod
@@ -223,6 +241,13 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, parity={self.parity})"
+
+
+def _scratch(size: int) -> np.ndarray | None:
+    """The strided kernel's scratch for ``size`` amplitudes (see gates):
+    three chunk rows, a chunk's input copy, its output and its products;
+    None for a register of at most one chunk, which needs none."""
+    return None if size <= CHUNK_AMPLITUDES else np.empty((3, CHUNK_AMPLITUDES), np.complex128)
 
 
 def alloc_state(n: int) -> StateVector:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import engine_state, random_circuit
-from qaccel import gates
+from qaccel import gates, statecore
 from qaccel.gates import (
     GateInstance,
     GateKind,
@@ -655,6 +655,114 @@ class TestFusion:
         assert len(self.products(gates._fused(ops))) == 1
         with pytest.raises(IndexError):
             run_circuit(13, ops)
+
+
+class TestGateTables:
+    """Gate tables: a rotation's from its kind's probe, and the bounded cache."""
+
+    @staticmethod
+    def same(a, b):
+        assert [(o, i, type(c), repr(c)) for o, i, c in a.views] == [
+            (o, i, type(c), repr(c)) for o, i, c in b.views]
+        for x, y in zip((a.cares, a.cols, a.flips), (b.cares, b.cols, b.flips)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert (a.moves is None) == (b.moves is None)
+
+    def test_rotation_tables_match_a_full_build(self):
+        rng = np.random.default_rng(77)
+        special = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi, 4 * np.pi, 1e-300, 5e-324, 1e15]
+        for kind in (GateKind.RX, GateKind.RY, GateKind.RZ):
+            for angle in special + list(rng.uniform(-20, 20, 300)):
+                gates._gate_table.cache_clear()
+                self.same(gates._gate_table(kind, float(angle)),
+                          gates._table(gates._matrix(kind, float(angle))))
+
+    def test_the_cache_keeps_at_most_its_bound(self):
+        for angle in np.linspace(-3, 3, 3 * gates.GATE_TABLES_KEPT):
+            gates._gate_table(GateKind.RY, float(angle))
+        assert gates._gate_table.cache_info().currsize == gates.GATE_TABLES_KEPT
+
+
+def whole_register_strided(src, dst, qubits, table, scratch):
+    """The strided kernel as one pass over the whole register per term, each
+    product a fresh array: the reference the chunked kernel must match."""
+    shape, order, _ = gates._layout(qubits)
+    if src.ndim > 1:
+        shape, order = shape + src.shape[1:], order + (len(shape),)
+    s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
+    for out_key, in_key, coef in table.views:
+        view = d[out_key]
+        view += s[in_key] if coef == 1 else coef * s[in_key]
+
+
+class TestChunkedKernel:
+    """The strided kernel on registers of more than one chunk, which it
+    walks a chunk at a time, copying the chunks whose lowest operand leaves
+    short contiguous runs, against a whole-register pass per term, the
+    scatter and the no-skip reference."""
+
+    @staticmethod
+    def fused_circuit(rng, n, count):
+        """An H layer, then gates of every kind on operands drawn from the
+        low, middle and top qubits, fused as a noiseless pass fuses them."""
+        pool = [0, 1, 2, 3, n // 2 - 1, n // 2, n - 3, n - 2, n - 1]
+        kinds = [kind for kind in GateKind if kind.is_unitary]
+        ops = [gate("h", q) for q in range(n)]
+        for _ in range(count):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            qubits = tuple(int(q) for q in rng.choice(pool, size=kind.arity, replace=False))
+            angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if kind.takes_angle else None
+            ops.append(GateInstance(kind, qubits, angle))
+        return list(gates._fused(ops))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_chunks_match_a_whole_register_pass_the_scatter_and_the_reference(
+            self, monkeypatch, batch):
+        rng = np.random.default_rng(1517 + (batch or 0))
+        chunks = set()  # per chunk of terms: whether it was copied
+        original = gates._add_terms
+
+        def spied(s, d, table, product=None):
+            if product is not None:
+                chunks.add(s.flags.c_contiguous)
+            original(s, d, table, product)
+
+        widths = set()
+        for n in (15, 16, 17):
+            items = self.fused_circuit(rng, n, 40)
+            widths.update(len(i.qubits) for i in items if isinstance(i, gates._Block))
+            finals = []
+            for kernel, zero_skip, whole in (("strided", True, False), ("strided", True, True),
+                                             ("scatter", True, False), ("scatter", False, False)):
+                with monkeypatch.context() as patch:
+                    TestKernels.force(patch, kernel)
+                    patch.setattr(gates, "_add_terms", spied)
+                    if whole:
+                        patch.setattr(gates, "_strided", whole_register_strided)
+                    state = StateVector(n, batch)
+                    for item in items:
+                        apply_gate(state, item, zero_skip=zero_skip)
+                        assert not state.dead.view(np.uint64).any()
+                finals.append(state.live.tobytes())
+            assert finals.count(finals[0]) == len(finals)
+        assert max(widths) == gates.FUSE_MAX_QUBITS
+        assert chunks == {False, True}
+
+    def test_small_chunks_cross_chunk_edges_in_the_kernel_corpora(self, monkeypatch):
+        # the n <= 10 corpora, each against the oracle or the no-skip
+        # reference, with chunks of 8 amplitudes (a TOFFOLI's subspace) and
+        # of 64 for fused blocks of six qubits
+        kernels, batches, fusion = TestKernels(), TestTrajectoryBatch(), TestFusion()
+        corpora = [
+            (8, kernels.test_kernels_agree_bit_for_bit_and_with_oracle, ()),
+            (8, kernels.test_sparse_kinds_match_strided_on_signed_zero_inputs, (2,)),
+            (8, batches.test_batch_matches_single_runs_byte_for_byte, ("strided", True, 9)),
+            (64, fusion.test_fused_runs_match_the_oracle_on_small_registers, ()),
+        ]
+        for chunk, test, args in corpora:
+            with monkeypatch.context() as patch:
+                patch.setattr(statecore, "CHUNK_AMPLITUDES", chunk)
+                test(patch, *args)
 
 
 class TestMeasurement:

@@ -183,6 +183,27 @@ class TestRunPipeline:
             tracemalloc.stop()
         assert peak <= estimate_peak_memory(MemoryParams(n))
 
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    @pytest.mark.parametrize("circuit", ["ghz", "dense"])
+    def test_traced_run_peak_is_within_the_memory_model(self, circuit, n):
+        # a GHZ chain's pass scatters a sparse state; a dense H/RY/CNOT
+        # circuit's pass scans once, then holds the strided kernel's scratch
+        if circuit == "ghz":
+            body = "h q[0]\n" + "".join(f"cnot q[{q}], q[{q + 1}]\n" for q in range(n - 1))
+        else:
+            layer = lambda base: "".join(f"ry q[{q}], {base + 0.05 * q}\n" for q in range(n))
+            body = ("".join(f"h q[{q}]\n" for q in range(n)) + layer(0.3)
+                    + "".join(f"cnot q[{q}], q[{q + 1}]\n" for q in range(n - 1)) + layer(0.2))
+        program = parse(f"version 1.0\nqubits {n}\n{body}")
+        run_program(parse(BELL), shots=10, seed=1, persist=False)  # one-off imports
+        tracemalloc.start()
+        try:
+            run_program(program, shots=1000, seed=1, persist=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_peak_memory(MemoryParams(n))
+
     def test_final_state_ties_in_index_order(self):
         program = parse("version 1.0\nqubits 3\nh q[0]\nh q[1]\nh q[2]\n")
         record = run_program(program, shots=10, seed=0, top_k=3, persist=False).record

@@ -41,17 +41,17 @@ class TestAllocState:
     def test_refuses_register_beyond_physical_memory(self, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
         with pytest.raises(CapacityError, match="physical memory"):
-            StateVector(15)  # 1 MiB of buffers plus the kernel temporaries
+            StateVector(15)  # 1 MiB of buffers plus the kernel scratch and scan
         assert StateVector(14).n == 14
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: None)
         assert StateVector(15).n == 15
 
     def test_capacity_check_counts_the_batch(self, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
-        assert StateVector(10).n == 10  # 48 KiB at its peak
-        assert StateVector(10, 21).live.shape == (1 << 10, 21)  # 1008 KiB
-        with pytest.raises(CapacityError, match="22 trajectories"):
-            StateVector(10, 22)
+        assert StateVector(10).n == 10  # 58 KiB at its peak
+        assert StateVector(10, 16).live.shape == (1 << 10, 16)  # 793 KiB, one chunk
+        with pytest.raises(CapacityError, match="17 trajectories"):
+            StateVector(10, 17)  # 1338 KiB, with three chunks of kernel scratch
         with pytest.raises(ValueError):
             StateVector(10, 0)
 
