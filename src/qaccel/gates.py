@@ -529,7 +529,14 @@ class _Block(NamedTuple):
     table: _Table  # the fused matrix's terms
 
 
-@functools.lru_cache(maxsize=4096)
+#: Fused blocks kept for reuse, the least recently used dropped first.  The
+#: perfbench pools compose 164, 167 and 168 distinct blocks in ``align``
+#: (seeds 1-3; two seed-1 rounds: 164 misses, 6,676 hits) and 176 in
+#: ``run_dense``; with 4096 kept, the module's caches then held 1.28 MiB.
+FUSED_BLOCKS_KEPT = 256
+
+
+@functools.lru_cache(maxsize=FUSED_BLOCKS_KEPT)
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
     """Compose signed permutation gates, in order, on the subspace of their
     qubits: each subspace index, tagged with itself plus one, moves through

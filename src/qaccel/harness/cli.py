@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 parse/input or usage error, 2 mapping error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from ..errors import CapacityError, MappingError, ParseError
 from ..genomics import AlignmentInstance, align, build_alignment_circuit, sequence_bits
 from ..mapper import map_circuit
 from .bench import bench_depth_scaling, bench_gates, bench_qubit_scaling
-from .records import store_query
+from .records import store_line, store_query
 from .runner import parse_topology_spec, run_file
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
     print(f"run {record.run_id}")
     print(f"circuit sha256 {record.circuit_hash}")
     if outcome.report is not None:
-        print(f"mapping: {outcome.report.to_dict()}")
+        print(f"mapping: {asdict(outcome.report)}")
     metrics = record.metrics
     print(
         f"gates {metrics.total_gates}  depth {metrics.depth}"
@@ -134,7 +134,7 @@ def _cmd_map(args) -> int:
         Path(args.output).write_text(mapped, encoding="utf-8")
     else:
         sys.stdout.write(mapped)
-    print(f"mapping: {report.to_dict()}", file=sys.stderr)
+    print(f"mapping: {asdict(report)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -180,7 +180,7 @@ def _cmd_metrics(args) -> int:
         until=args.until,
     )
     for record in result.records:
-        print(json.dumps(record.to_dict()))
+        print(store_line(record))
     if result.corrupt_lines:
         print(f"warning: skipped {result.corrupt_lines} corrupt line(s)", file=sys.stderr)
     return EXIT_OK

@@ -1,9 +1,10 @@
-"""Append-only JSON-lines run store.
+"""Append-only JSON-lines run store, and the one owner of its line format.
 
-One record per line, UTF-8.  Queries tolerate corrupt lines: they are
-skipped and counted instead of aborting the scan.  The store path comes
-from an explicit argument, the QACCEL_STORE environment variable, or the
-default file in the working directory, in that order.
+One record per line, UTF-8, written by :func:`store_line` and read back by
+:meth:`RunRecord.from_dict`.  Queries skip and count corrupt lines instead
+of aborting the scan.  The store path comes from an explicit argument, the
+QACCEL_STORE environment variable, or the default file in the working
+directory, in that order.
 """
 
 from __future__ import annotations
@@ -27,18 +28,6 @@ class FinalState:
     amplitude: tuple[float, float]  # (re, im)
     probability: float
 
-    def to_dict(self) -> dict:
-        return {
-            "bitstring": self.bitstring,
-            "amplitude": [self.amplitude[0], self.amplitude[1]],
-            "probability": self.probability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FinalState":
-        re, im = data["amplitude"]
-        return cls(data["bitstring"], (float(re), float(im)), float(data["probability"]))
-
 
 @dataclass
 class RunRecord:
@@ -53,30 +42,27 @@ class RunRecord:
     wall_time_ns: int = 0
     peak_state_bytes: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "timestamp": self.timestamp,
-            "circuit_hash": self.circuit_hash,
-            "config": self.config,
-            "metrics": self.metrics.to_dict(),
-            "final_states": [fs.to_dict() for fs in self.final_states],
-            "wall_time_ns": self.wall_time_ns,
-            "peak_state_bytes": self.peak_state_bytes,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(
-            run_id=data["run_id"],
-            timestamp=data["timestamp"],
-            circuit_hash=data["circuit_hash"],
-            config=dict(data["config"]),
-            metrics=MetricSet.from_dict(data["metrics"]),
-            final_states=[FinalState.from_dict(fs) for fs in data["final_states"]],
-            wall_time_ns=int(data["wall_time_ns"]),
-            peak_state_bytes=int(data["peak_state_bytes"]),
-        )
+        """The record of a decoded store line, which must hold every field;
+        other keys are ignored.  Raises KeyError, TypeError or ValueError."""
+        m = data["metrics"]
+        metrics = MetricSet(m["total_gates"], dict(m["by_kind"]), m["depth"], m["fidelity"],
+                            m["success_probability"], m["quantum_volume"])
+        states = []
+        for fs in data["final_states"]:
+            re, im = fs["amplitude"]
+            states.append(FinalState(fs["bitstring"], (float(re), float(im)),
+                                     float(fs["probability"])))
+        return cls(data["run_id"], data["timestamp"], data["circuit_hash"], dict(data["config"]),
+                   metrics, states, int(data["wall_time_ns"]), int(data["peak_state_bytes"]))
+
+
+def store_line(record: RunRecord) -> str:
+    """A record's line in the run store, without its newline: each dataclass
+    it nests is an object of its fields in declaration order (``vars``, the
+    instance dict, which the generated ``__init__`` fills in that order)."""
+    return json.dumps(record, default=vars)
 
 
 def default_store_path() -> Path:
@@ -87,10 +73,9 @@ def store_append(record: RunRecord, path: str | Path | None = None) -> Path:
     """Append one record as a JSON line; creates parent directories."""
     target = Path(path) if path is not None else default_store_path()
     try:
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         with target.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_dict()) + "\n")
+            handle.write(store_line(record) + "\n")
     except OSError as exc:
         raise OSError(f"cannot append to run store {target}: {exc}") from exc
     return target

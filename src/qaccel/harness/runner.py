@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -146,9 +146,11 @@ def run_program(
                                    batch=min(width, shots - start))
             if start == 0:  # a copy, so the batch buffers are not kept alive
                 recorded = batch.live[:, 0].copy()
-            for key, count in sample(batch.probabilities(), 1, shot_rng).items():
+            batch_probs = batch.probabilities()
+            del batch  # buffers and scratch freed before sampling
+            for key, count in sample(batch_probs, 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
-            del batch  # freed before the next batch is allocated
+            del batch_probs  # freed before the next batch runs
         ideal_probs, probs = probabilities(ideal), probabilities(recorded)
         run_fidelity = fidelity(ideal, recorded)
 
@@ -173,7 +175,7 @@ def run_program(
         "top_k": top_k,
     }
     if report is not None:
-        config["mapping"] = report.to_dict()
+        config["mapping"] = asdict(report)
 
     record = RunRecord(
         run_id=str(uuid.uuid4()),

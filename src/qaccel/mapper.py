@@ -134,15 +134,6 @@ class MappingReport:
     depth_before: int
     depth_after: int
 
-    def to_dict(self) -> dict:
-        return {
-            "gates_before": self.gates_before,
-            "gates_after": self.gates_after,
-            "added_swaps": self.added_swaps,
-            "depth_before": self.depth_before,
-            "depth_after": self.depth_after,
-        }
-
 
 def initial_placement(program: Program, topo: Topology, strategy: str = "greedy") -> LayoutMap:
     """identity: virtual i on node i.  greedy: most interacting virtual pairs

@@ -117,7 +117,7 @@ def gustafson(processors: int, serial: float) -> float:
 
 @dataclass
 class MetricSet:
-    """Everything one run reports; serializes into the run store."""
+    """Everything one run reports; the run store writes it into each record."""
 
     total_gates: int
     by_kind: dict[str, int] = field(default_factory=dict)
@@ -125,24 +125,3 @@ class MetricSet:
     fidelity: float | None = None
     success_probability: float | None = None
     quantum_volume: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "total_gates": self.total_gates,
-            "by_kind": dict(self.by_kind),
-            "depth": self.depth,
-            "fidelity": self.fidelity,
-            "success_probability": self.success_probability,
-            "quantum_volume": self.quantum_volume,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricSet":
-        return cls(
-            total_gates=data["total_gates"],
-            by_kind=dict(data["by_kind"]),
-            depth=data["depth"],
-            fidelity=data["fidelity"],
-            success_probability=data["success_probability"],
-            quantum_volume=data["quantum_volume"],
-        )

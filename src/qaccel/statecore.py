@@ -11,9 +11,9 @@ writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
-``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also
-owns the strided kernel's scratch (see gates): three chunks of that size.  :func:`probabilities` is the one place that turns amplitudes
-of either shape into probabilities.
+``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also owns
+the strided kernel's scratch (see gates), three chunks of that size.  Only
+:func:`probabilities` turns amplitudes of either shape into probabilities.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
 least significant bit.

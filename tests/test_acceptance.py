@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 import itertools
 
 import numpy as np
+import pytest
 
 from helpers import engine_state, make_program, random_circuit, undo_layout_permutation
 from qaccel.cqasm import parse, emit
@@ -197,6 +198,7 @@ def test_c08_genomics_ranking():
     _verdict(8, "unique exact match ranks first on all R<=8, r<=3; toy amp 0.625", failures)
 
 
+@pytest.mark.timing
 def test_c09_performance_shape():
     failures = []
     depth = bench_depth_scaling((100, 300, 1000, 3000, 10000))

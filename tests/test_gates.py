@@ -682,6 +682,13 @@ class TestGateTables:
             gates._gate_table(GateKind.RY, float(angle))
         assert gates._gate_table.cache_info().currsize == gates.GATE_TABLES_KEPT
 
+    def test_the_block_cache_keeps_at_most_its_bound(self):
+        pairs = [(a, b) for a in range(12) for b in range(12) if a != b]
+        for count in range(3 * gates.FUSED_BLOCKS_KEPT):
+            a, b = pairs[count % len(pairs)]
+            gates._block((gate("cnot", a, b), gate("x", count // len(pairs))))
+        assert gates._block.cache_info().currsize == gates.FUSED_BLOCKS_KEPT
+
 
 def whole_register_strided(src, dst, qubits, table, scratch):
     """The strided kernel as one pass over the whole register per term, each

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -59,6 +60,19 @@ def _sample_record(run_id="r-1", timestamp="2026-01-01T00:00:00+00:00"):
     )
 
 
+#: The store line of ``_sample_record()``: fields in declaration order, each
+#: nested record an object, each amplitude a [re, im] list.
+SAMPLE_LINE = (
+    '{"run_id": "r-1", "timestamp": "2026-01-01T00:00:00+00:00", "circuit_hash": "abc123", '
+    '"config": {"shots": 10, "seed": 3}, "metrics": {"total_gates": 2, "by_kind": '
+    '{"h": 1, "cnot": 1}, "depth": 2, "fidelity": 1.0, "success_probability": 1.0, '
+    '"quantum_volume": 4}, "final_states": [{"bitstring": "00", "amplitude": '
+    '[0.7071067811865475, 0.0], "probability": 0.5}, {"bitstring": "11", "amplitude": '
+    '[0.3333333333333333, 0.37377344785321426], "probability": 0.5}], '
+    '"wall_time_ns": 12345, "peak_state_bytes": 128}'
+)
+
+
 class TestStore:
     def test_append_then_query_round_trips(self, tmp_path):
         store = tmp_path / "runs.jsonl"
@@ -69,6 +83,11 @@ class TestStore:
         assert result.records == (record,)
         # full double precision survives the JSON round trip
         assert result.records[0].final_states[0].amplitude[0] == 1 / math.sqrt(2)
+
+    def test_store_line_is_pinned(self, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        store_append(_sample_record(), store)
+        assert store.read_text(encoding="utf-8") == SAMPLE_LINE + "\n"
 
     def test_query_missing_store_is_empty(self, tmp_path):
         result = store_query(tmp_path / "absent.jsonl")
@@ -416,6 +435,32 @@ class TestNoisyTrajectories:
         assert sum(outcome.histogram.values()) == 10
         assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=4))
 
+    def test_each_batch_is_freed_before_it_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
+        states, arrays = [], []  # weak references to each batch's arrays
+        run, draw = runner.run_circuit, runner.sample
+
+        def traced_run(*args, **kwargs):
+            if kwargs.get("batch"):
+                assert all(ref() is None for ref in arrays), "a batch's probabilities outlived it"
+            state, transcript = run(*args, **kwargs)
+            if kwargs.get("batch"):
+                kept = (state.buf_even, state.buf_odd, state.scratch)
+                states.extend(weakref.ref(a) for a in kept if a is not None)
+            return state, transcript
+
+        def traced_sample(probs, shots, rng):
+            assert all(ref() is None for ref in states), "a batch was sampled while alive"
+            arrays.append(weakref.ref(probs))
+            return draw(probs, shots, rng)
+
+        monkeypatch.setattr(runner, "run_circuit", traced_run)
+        monkeypatch.setattr(runner, "sample", traced_sample)
+        outcome = run_program(make_program(2, self.OPS), shots=10, seed=1, noise_p=0.05,
+                              persist=False)
+        assert sum(outcome.histogram.values()) == 10
+        assert len(states) == 6 and len(arrays) == 3
+
 
 class TestCliExitCodes:
     def test_missing_file_exits_one(self, capsys):
@@ -646,6 +691,7 @@ class TestCliParserReuse:
 
 
 class TestBenches:
+    @pytest.mark.timing
     def test_gate_bench_rows_and_stability(self):
         first = bench_gates()
         second = bench_gates()

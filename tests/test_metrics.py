@@ -1,5 +1,6 @@
 """Gate counts, fidelity, success probability, QV, and speedup models."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from helpers import make_program
 from qaccel.cqasm import Program, parse
 from qaccel.gates import gate
+from qaccel.harness.records import RunRecord, store_line
 from qaccel.metrics import (
     MetricSet,
     SpeedupParams,
@@ -185,4 +187,5 @@ class TestMetricSet:
             success_probability=1.0,
             quantum_volume=8,
         )
-        assert MetricSet.from_dict(metrics.to_dict()) == metrics
+        record = RunRecord("r-1", "2026-01-01T00:00:00+00:00", "abc123", {}, metrics)
+        assert RunRecord.from_dict(json.loads(store_line(record))).metrics == metrics
