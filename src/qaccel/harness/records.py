@@ -44,8 +44,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """The record of a decoded store line, which must hold every field;
-        other keys are ignored.  Raises KeyError, TypeError or ValueError."""
+        """The record of a decoded store line, which must hold every field,
+        its ``run_id``, ``timestamp`` and ``circuit_hash`` as strings; other
+        keys are ignored.  Raises KeyError, TypeError or ValueError."""
+        identity = [data[key] for key in ("run_id", "timestamp", "circuit_hash")]
+        if not all(isinstance(value, str) for value in identity):
+            raise TypeError(f"run_id, timestamp and circuit_hash must be strings: {identity!r}")
         m = data["metrics"]
         metrics = MetricSet(m["total_gates"], dict(m["by_kind"]), m["depth"], m["fidelity"],
                             m["success_probability"], m["quantum_volume"])
@@ -54,8 +58,8 @@ class RunRecord:
             re, im = fs["amplitude"]
             states.append(FinalState(fs["bitstring"], (float(re), float(im)),
                                      float(fs["probability"])))
-        return cls(data["run_id"], data["timestamp"], data["circuit_hash"], dict(data["config"]),
-                   metrics, states, int(data["wall_time_ns"]), int(data["peak_state_bytes"]))
+        return cls(*identity, dict(data["config"]), metrics, states, int(data["wall_time_ns"]),
+                   int(data["peak_state_bytes"]))
 
 
 def store_line(record: RunRecord) -> str:

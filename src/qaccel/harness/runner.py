@@ -8,10 +8,14 @@ noiseless run's state is its own ideal reference: it records fidelity 1
 without computing it, once that state's norm has been checked.  Every run
 makes one noiseless engine pass for that reference; a noisy run then
 simulates its shots as batches of trajectories, one readout each, and
-records trajectory 0 of its first batch as its final state.
+records trajectory 0 of its first batch as its final state.  The engine
+draws each batch's whole error schedule first and runs its trajectories in
+groups from where each leaves the noiseless path (see trajectories); the
+batch, its readouts and the record are the bytes a gate-by-gate pass gives.
 After its pass a noiseless run keeps one amplitude buffer and one
 probability array, shared by sampling, the support check and the top-k
-summary; a noisy run adds its recorded trajectory and that one's array.
+summary; a noisy run adds its recorded trajectory and that one's array,
+and keeps only each batch's live buffer until it is sampled.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ SUPPORT_THRESHOLD = 1e-9
 #: On 200-shot noisy runs of 9-qubit circuits (2-core VM) 2^13 took 135 ms
 #: an op, 2^14 116 ms and 2^15 to 2^18 103-110 ms, against 630-700 ms for one
 #: engine pass per shot; 2^16 sits on that plateau with 1 MiB buffers.
+#: These figures predate the grouped noisy pass (see trajectories), which runs
+#: each batch's trajectories in groups of one chunk from where they diverge.
 TRAJECTORY_AMPLITUDES = 1 << 16
 
 #: Topologies kept for reuse; the least recently used one goes first.
@@ -142,12 +148,13 @@ def run_program(
         shot_rng = np.random.default_rng(shot_seq)
         width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> executed.n))
         for start in range(0, shots, width):
-            batch, _ = run_circuit(executed.n, unitary, rng=shot_rng, noise=noise,
-                                   batch=min(width, shots - start))
-            if start == 0:  # a copy, so the batch buffers are not kept alive
-                recorded = batch.live[:, 0].copy()
-            batch_probs = batch.probabilities()
-            del batch  # buffers and scratch freed before sampling
+            # only the live buffer is kept: the dead one and the scratch go here
+            batch = run_circuit(executed.n, unitary, rng=shot_rng, noise=noise,
+                                batch=min(width, shots - start))[0].live
+            if start == 0:  # a copy, so the batch buffer is not kept alive
+                recorded = batch[:, 0].copy()
+            batch_probs = probabilities(batch)
+            del batch  # freed before sampling
             for key, count in sample(batch_probs, 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
             del batch_probs  # freed before the next batch runs

@@ -268,7 +268,7 @@ class _Router:
         self.out: list[GateInstance] = []
 
     def emit_swap(self, u: int, v: int) -> None:
-        self.out.append(GateInstance(GateKind.SWAP, (u, v)))
+        self.out.append(GateInstance.prevalidated(GateKind.SWAP, (u, v)))
         self.added_swaps += 1
         _exchange(self.pos, self.occ, u, v)
 
@@ -372,7 +372,9 @@ def route(
                 router.bring_adjacent(*g.qubits)
             elif len(g.qubits) == 3:
                 router.bring_toffoli(*g.qubits)
-            router.out.append(GateInstance(g.kind, tuple(router.pos[q] for q in g.qubits), g.angle))
+            # a parsed gate's fields, its operands renamed to distinct nodes
+            router.out.append(GateInstance.prevalidated(
+                g.kind, tuple(router.pos[q] for q in g.qubits), g.angle))
         out_kernels.append(Kernel(kernel.name, tuple(router.out[start:])))
 
     routed = Program(program.version, topo.node_count, tuple(out_kernels))

@@ -11,8 +11,9 @@ writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
-``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also owns
-the strided kernel's scratch (see gates), three chunks of that size.  Only
+``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also holds
+the strided kernel's scratch (see gates), three chunks of that size, which
+the states of one noisy pass share.  Only
 :func:`probabilities` turns amplitudes of either shape into probabilities.
 
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
@@ -128,6 +129,26 @@ def estimate_peak_memory(params: MemoryParams) -> int:
     return estimate_total_memory(params) + 2 * params.scalar_bytes * scratch + scan
 
 
+def check_capacity(n: int, batch: int | None = None) -> None:
+    """Raise CapacityError unless n is in 1..MAX_QUBITS and the engine's peak
+    (:func:`estimate_peak_memory`) for n qubits, times ``batch``
+    trajectories when given, fits in physical memory."""
+    if not 1 <= n <= MAX_QUBITS:
+        msg = f"qubit count {n} outside supported range 1..{MAX_QUBITS}"
+        if n >= 1:
+            need = estimate_total_memory(MemoryParams(n))
+            msg += f": double-buffered state would need {need} bytes"
+        raise CapacityError(msg)
+    params = MemoryParams(n, batch=1 if batch is None else batch)
+    peak, physical = estimate_peak_memory(params), physical_memory_bytes()
+    if physical is not None and peak > physical:
+        width = f" x {batch} trajectories" if batch else ""
+        raise CapacityError(
+            f"{n} qubits{width} need {peak} bytes (double buffer, kernel scratch "
+            f"and zero-skip scan), more than the {physical} bytes of physical memory"
+        )
+
+
 class StateVector:
     """An n-qubit register held in two alternating amplitude buffers.
 
@@ -143,20 +164,7 @@ class StateVector:
     __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense", "scratch")
 
     def __init__(self, n: int, batch: int | None = None):
-        if not 1 <= n <= MAX_QUBITS:
-            msg = f"qubit count {n} outside supported range 1..{MAX_QUBITS}"
-            if n >= 1:
-                need = estimate_total_memory(MemoryParams(n))
-                msg += f": double-buffered state would need {need} bytes"
-            raise CapacityError(msg)
-        params = MemoryParams(n, batch=1 if batch is None else batch)
-        peak, physical = estimate_peak_memory(params), physical_memory_bytes()
-        if physical is not None and peak > physical:
-            width = f" x {batch} trajectories" if batch else ""
-            raise CapacityError(
-                f"{n} qubits{width} need {peak} bytes (double buffer, kernel scratch "
-                f"and zero-skip scan), more than the {physical} bytes of physical memory"
-            )
+        check_capacity(n, batch)
         self.n = n
         self.dim = 1 << n
         self.batch = batch
@@ -213,16 +221,26 @@ class StateVector:
         return norms if self.batch else float(norms)
 
     def copy(self) -> "StateVector":
-        dup = StateVector.__new__(StateVector)
-        dup.n = self.n
-        dup.dim = self.dim
-        dup.batch = self.batch
-        dup.buf_even = self.buf_even.copy()
-        dup.buf_odd = self.buf_odd.copy()
-        dup.parity = self.parity
+        dup = StateVector.holding(self.live.copy())
         dup.dense = self.dense
-        dup.scratch = _scratch(dup.buf_even.size)
         return dup
+
+    @classmethod
+    def holding(cls, live: np.ndarray, scratch: np.ndarray | None = None) -> "StateVector":
+        """A state whose live buffer is ``live``, a ``(2^n,)`` or ``(2^n, B)``
+        array it takes over without a copy, with a new +0 dead buffer and
+        ``scratch`` as its kernel scratch, or new scratch where it is None and
+        the register needs some.  A kernel uses a state's scratch only while
+        it runs, so states may share one.  No capacity check is made."""
+        state = cls.__new__(cls)
+        state.dim = live.shape[0]
+        state.n = state.dim.bit_length() - 1
+        state.batch = live.shape[1] if live.ndim > 1 else None
+        state.buf_even, state.buf_odd = live, np.zeros_like(live)
+        state.parity = 0
+        state.dense = False
+        state.scratch = _scratch(live.size) if scratch is None else scratch
+        return state
 
     @classmethod
     def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
@@ -235,9 +253,8 @@ class StateVector:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         check_normalized(probabilities(amps), "input")
-        state = cls(n)
-        state.buf_even[:] = amps + 0.0  # exact, and -0.0 + 0.0 is +0.0
-        return state
+        check_capacity(n)
+        return cls.holding(amps + 0.0)  # exact, and -0.0 + 0.0 is +0.0
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, parity={self.parity})"

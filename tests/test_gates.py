@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import engine_state, random_circuit
-from qaccel import gates, statecore
+from qaccel import gates, statecore, trajectories
 from qaccel.gates import (
     GateInstance,
     GateKind,
@@ -1041,3 +1041,112 @@ class TestTrajectoryBatch:
         assert sample(probs, 1, np.random.default_rng(0)) == {"01": 2, "10": 2, "11": 2}
         assert sum(sample(probs, 5, np.random.default_rng(0)).values()) == 30
 
+
+
+def _per_gate_pass(n, instructions, rng, noise, zero_skip, batch):
+    """The noisy pass as it was before trajectories were grouped, kept here
+    as the reference: each gate applied to the whole batch and then its
+    depolarizing draws, with measure and prep_z acting where they stand."""
+    state = StateVector(n, batch)
+    transcript = []
+    for g in instructions:
+        if g.kind is GateKind.MEASURE:
+            bit, _ = measure(state, g.qubits[0], rng)
+            transcript.append((g.qubits[0], bit))
+        elif g.kind is GateKind.PREP_Z:
+            bits, _ = measure(state, g.qubits[0], rng)
+            flipped = np.flatnonzero(bits)
+            if flipped.size:
+                apply_gate(state, GateInstance(GateKind.X, g.qubits), columns=flipped)
+        else:
+            apply_depolarizing(state, g, noise, rng, zero_skip=zero_skip)
+    return state, transcript
+
+
+class TestGroupedNoisyPass:
+    """The noisy pass runs trajectories in groups from their divergence
+    points; every byte it returns is the per-gate pass's."""
+
+    WIDTHS = (1, 2, 31, 33, 128, 200)
+    PS = (1e-4, 0.01, 0.3, 1.0)
+
+    @staticmethod
+    def program(rng, n, resets):
+        ops = random_circuit(rng, n, max_gates=12, min_gates=4)
+        if resets:
+            for kind in ("prep_z", "measure", "prep_z"):
+                ops.insert(int(rng.integers(len(ops) + 1)), gate(kind, int(rng.integers(n))))
+        return ops
+
+    @staticmethod
+    def assert_same(n, ops, p, zero_skip, batch, seed):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        noise = NoiseConfig(p)
+        state, transcript = run_circuit(n, ops, rng=ours, noise=noise, zero_skip=zero_skip,
+                                        batch=batch)
+        expected, expected_transcript = _per_gate_pass(n, ops, reference, noise, zero_skip, batch)
+        case = (n, batch, p, zero_skip, [g.kind.mnemonic for g in ops])
+        assert state.batch == expected.batch and state.live.shape == expected.live.shape, case
+        assert state.live.tobytes() == expected.live.tobytes(), case
+        assert state.dead.tobytes() == expected.dead.tobytes(), case
+        assert len(transcript) == len(expected_transcript), case
+        for (q, bits), (q_expected, bits_expected) in zip(transcript, expected_transcript):
+            assert q == q_expected and type(bits) is type(bits_expected), case
+            assert np.array_equal(bits, bits_expected), case
+            if batch:
+                assert bits.dtype == bits_expected.dtype, case
+        assert ours.random() == reference.random(), case  # the same draws were made
+
+    @pytest.mark.parametrize("resets", [False, True])
+    @pytest.mark.parametrize("zero_skip", [True, False])
+    def test_every_register_size_matches_the_per_gate_pass(self, zero_skip, resets):
+        rng = np.random.default_rng(1400 + 2 * zero_skip + resets)
+        for n in range(1, 15):
+            for k in range(2):
+                width = self.WIDTHS[(2 * n + k) % len(self.WIDTHS)]
+                width = min(width, max(1, (1 << 20) >> n))  # buffers of at most 16 MiB
+                p = self.PS[(n + 3 * k) % len(self.PS)]
+                ops = self.program(rng, n, resets)
+                seed = int(rng.integers(1 << 30))
+                self.assert_same(n, ops, p, zero_skip, width, seed)
+                if k:  # a plain state is a pass of one column
+                    self.assert_same(n, ops, p, zero_skip, None, seed)
+
+    @pytest.mark.parametrize("resets", [False, True])
+    @pytest.mark.parametrize("zero_skip", [True, False])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_every_width_and_rate_matches_the_per_gate_pass(self, n, zero_skip, resets):
+        rng = np.random.default_rng(900 + 10 * n + 2 * zero_skip + resets)
+        for width in self.WIDTHS:
+            for p in self.PS:
+                ops = self.program(rng, n, resets)
+                self.assert_same(n, ops, p, zero_skip, width, int(rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("n, width", [(9, 33), (14, 3), (15, 2)])
+    def test_a_lone_trajectory_measures_as_its_batch_would(self, n, width):
+        # on a dense state the order of a measurement's sum shows in its
+        # bytes; a group of one column takes the batch's order
+        rng = np.random.default_rng(n)
+        ops = [gate("h", q) for q in range(n)]
+        ops += [gate("ry", q, angle=float(rng.uniform(-3, 3))) for q in range(n)]
+        ops += [gate("cnot", q, q + 1) for q in range(n - 1)]
+        ops += [gate("measure", 0), gate("rx", 1, angle=0.4), gate("prep_z", 2), gate("h", 2)]
+        for seed in range(3):
+            self.assert_same(n, ops, 0.02, True, width, seed)
+
+    def test_groups_start_at_their_first_error(self, monkeypatch):
+        # at n = 9 a group is 32 trajectories; only gates from a group's
+        # first error on are applied to it
+        calls = []
+        original = trajectories.apply_gate
+
+        def counted(state, g, **kwargs):
+            calls.append(1 if state.batch is None else state.batch)
+            return original(state, g, **kwargs)
+
+        monkeypatch.setattr(trajectories, "apply_gate", counted)
+        ops = random_circuit(np.random.default_rng(9), 9, max_gates=40, min_gates=40)
+        run_circuit(9, ops, rng=np.random.default_rng(3), noise=NoiseConfig(0.005), batch=128)
+        # the per-gate pass applies every gate to all 128 columns
+        assert sum(calls) < 0.75 * 128 * len(ops)
+        assert max(calls) == 32

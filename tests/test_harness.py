@@ -435,6 +435,49 @@ class TestNoisyTrajectories:
         assert sum(outcome.histogram.values()) == 10
         assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=4))
 
+    #: Traced peaks of 200-shot runs at noise 0.01 of 30-gate random
+    #: H/R*/CNOT/CZ/X circuits when each batch ran every gate on all its
+    #: trajectories, in buffers of the widest batch.
+    PER_GATE_PEAKS = {9: 3.78, 12: 3.90, 14: 4.35, 15: 4.86, 16: 5.79}
+
+    @staticmethod
+    def random_ops(n, seed, count=30):
+        rng = np.random.default_rng(seed)
+        ops = []
+        for kind in rng.choice(["h", "rx", "ry", "rz", "cnot", "cz", "x"], size=count):
+            qubits = rng.choice(n, size=2 if kind in ("cnot", "cz") else 1, replace=False)
+            angle = float(rng.uniform(-3, 3)) if kind.startswith("r") else None
+            ops.append(gate(str(kind), *(int(q) for q in qubits), angle=angle))
+        return ops
+
+    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
+    def test_noisy_run_peaks_below_the_per_gate_pass(self, n):
+        width = min(200, runner.TRAJECTORY_AMPLITUDES >> n)
+        program = make_program(n, self.random_ops(n, n))
+        run_program(program, shots=2, seed=1, noise_p=0.01, persist=False)  # tables and imports
+        tracemalloc.start()
+        try:
+            run_program(program, shots=200, seed=1, noise_p=0.01, persist=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * width << n) <= self.PER_GATE_PEAKS[n]
+
+    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
+    def test_noisy_pass_fits_the_memory_model(self, n):
+        # the figure StateVector's capacity check admits a batch against
+        width = min(200, runner.TRAJECTORY_AMPLITUDES >> n)
+        ops = self.random_ops(n, n)
+        run_circuit(n, ops)  # tables and imports
+        tracemalloc.start()
+        try:
+            run_circuit(n, ops, rng=np.random.default_rng(1), noise=NoiseConfig(0.01),
+                        batch=width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_peak_memory(MemoryParams(n, batch=width))
+
     def test_each_batch_is_freed_before_it_is_sampled(self, monkeypatch):
         monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
         states, arrays = [], []  # weak references to each batch's arrays
@@ -654,6 +697,20 @@ class TestCliSubcommands:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out.splitlines()[0])["run_id"] == "zzz"
+        assert "skipped 1" in captured.err
+
+    @pytest.mark.parametrize("key, value", [("timestamp", 2021), ("run_id", 7),
+                                            ("circuit_hash", None), ("timestamp", ["2021"])])
+    def test_metrics_query_counts_a_non_string_identity_field_corrupt(
+            self, key, value, tmp_path, capsys):
+        store = tmp_path / "runs.jsonl"
+        line = json.loads(SAMPLE_LINE)
+        line[key] = value
+        store.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        code = main(["metrics", "query", "--store", str(store), "--since", "2020"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ""
         assert "skipped 1" in captured.err
 
 

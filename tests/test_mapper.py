@@ -7,7 +7,7 @@ from helpers import make_program, random_circuit, undo_layout_permutation
 from qaccel import mapper
 from qaccel.cqasm import parse
 from qaccel.errors import MappingError
-from qaccel.gates import GateKind, gate
+from qaccel.gates import GateInstance, GateKind, gate
 from qaccel.mapper import (
     LayoutMap,
     Topology,
@@ -209,6 +209,24 @@ class TestRoute:
                 assert report.gates_after == len(routed.instructions)
                 assert report.depth_after >= report.depth_before
                 _assert_adjacency(routed, topo)
+
+    def test_routed_gates_are_built_unchecked_with_checked_fields(self, monkeypatch):
+        checks = []
+        original = GateInstance.__post_init__
+        monkeypatch.setattr(GateInstance, "__post_init__",
+                            lambda g: checks.append(g) or original(g))
+        rng = np.random.default_rng(61)
+        for kind, dims in (("line", (6,)), ("grid", (3, 3)), ("ring", (7,))):
+            topo = build_topology(kind, *dims)
+            program = make_program(6, random_circuit(rng, 6, max_gates=40, min_gates=30))
+            checks.clear()
+            routed, _final, report = route(program, topo, initial_placement(program, topo))
+            assert checks == [] and report.added_swaps > 0
+            for g in routed.instructions:
+                assert type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+                assert type(g.angle) is (float if g.kind.takes_angle else type(None))
+                assert g == GateInstance(g.kind, g.qubits, g.angle)
+            assert len(checks) == len(routed.instructions)
 
     def test_semantic_preservation_small_sample(self):
         rng = np.random.default_rng(59)

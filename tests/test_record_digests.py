@@ -1,11 +1,12 @@
-"""Seeded store lines of static programs, pinned by digest.
+"""Seeded store lines of programs, pinned by digest.
 
 A static program measures each qubit only at its end and has no prep_z, so
 its record is one noiseless pass, its sampled readout and, for a noisy run,
-its batches of trajectories.  These lines must not move when the runner or
-the engine changes: each test compares the sha256 of a store line, less its
-``run_id``, ``timestamp`` and ``wall_time_ns``, with the digest recorded
-when the test was written (numpy 2.4.6 on x86-64).
+its batches of trajectories; one pinned program also resets qubits with
+prep_z.  These lines must not move when the runner or the engine changes:
+each test compares the sha256 of a store line, less its ``run_id``,
+``timestamp`` and ``wall_time_ns``, with the digest recorded when the test
+was written (numpy 2.4.6 on x86-64).
 """
 
 import hashlib
@@ -54,6 +55,37 @@ def _mirror_8() -> Program:
     return make_program(n, forward + inverse)
 
 
+def _layers_12() -> Program:
+    """Two layers of H, RY and CNOT on 12 qubits, then a measure on each."""
+    n, rng = 12, np.random.default_rng(12)
+    ops = []
+    for _ in range(2):
+        ops += [gate("h", q) for q in range(n)]
+        ops += [gate("ry", q, angle=float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+        ops += [gate("cnot", int(a), int(b)) for a, b in rng.permutation(n).reshape(-1, 2)]
+    return make_program(n, ops + [gate("measure", q) for q in range(n)])
+
+
+PREP_Z = """version 1.0
+qubits 5
+h q[0]
+cnot q[0], q[1]
+ry q[2], 0.7
+prep_z q[1]
+cnot q[1], q[2]
+h q[3]
+rx q[4], 1.3
+prep_z q[3]
+cz q[0], q[4]
+h q[1]
+measure q[0]
+measure q[1]
+measure q[2]
+measure q[3]
+measure q[4]
+"""
+
+
 def _digest(program: Program, tmp_path, **kwargs) -> str:
     store = tmp_path / "runs.jsonl"
     run_program(program, store_path=store, **kwargs)
@@ -78,6 +110,15 @@ PINNED = {
     "noisy": (
         _mirror_8(), {"seed": 4, "topology": "grid:3x3", "noise_p": 0.01, "shots": 200},
         "dded5e039b814c38e11e1c9739bd245b1c735941f5829927f838c3a8385b5b21"),
+    # noisy runs whose trajectories span several groups and batches
+    "noisy_groups": (
+        _mirror_8(), {"seed": 5, "topology": "grid:3x3", "noise_p": 0.05, "shots": 400},
+        "28bebb2bede3c87bb8e4ce7dfc135b7c6fd1cf6d52fef8a6c13ed7f9cb934f15"),
+    "noisy_12": (_layers_12(), {"seed": 6, "noise_p": 0.01, "shots": 200},
+                 "f27dfc49cb09c338a66bdcd81622048ebe958e8e5b34d9ad5d224c102f356957"),
+    # its recorded fidelity is one of the known wrong answers ROADMAP.md lists for prep_z
+    "noisy_prep_z": (parse(PREP_Z), {"seed": 7, "noise_p": 0.01, "shots": 300},
+                     "d28a61ad7716d5f750668a65210fbe647ae679b208810d95a12f6ee4664a7ed9"),
 }
 
 #: sha256 of ``qaccel map`` stdout for the mirror circuit on grid:3x3.
