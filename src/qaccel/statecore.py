@@ -226,17 +226,20 @@ class StateVector:
         return dup
 
     @classmethod
-    def holding(cls, live: np.ndarray, scratch: np.ndarray | None = None) -> "StateVector":
+    def holding(cls, live: np.ndarray, scratch: np.ndarray | None = None,
+                dead: np.ndarray | None = None) -> "StateVector":
         """A state whose live buffer is ``live``, a ``(2^n,)`` or ``(2^n, B)``
-        array it takes over without a copy, with a new +0 dead buffer and
-        ``scratch`` as its kernel scratch, or new scratch where it is None and
-        the register needs some.  A kernel uses a state's scratch only while
-        it runs, so states may share one.  No capacity check is made."""
+        array it takes over without a copy, with ``dead`` (all +0, of the
+        same shape) or a new +0 array as its dead buffer and ``scratch`` as
+        its kernel scratch, or new scratch where it is None and the register
+        needs some.  A kernel uses a state's scratch only while it runs, so
+        states may share one.  No capacity check is made."""
         state = cls.__new__(cls)
         state.dim = live.shape[0]
         state.n = state.dim.bit_length() - 1
         state.batch = live.shape[1] if live.ndim > 1 else None
-        state.buf_even, state.buf_odd = live, np.zeros_like(live)
+        state.buf_even = live
+        state.buf_odd = np.zeros_like(live) if dead is None else dead
         state.parity = 0
         state.dense = False
         state.scratch = _scratch(live.size) if scratch is None else scratch

@@ -12,65 +12,41 @@ noiseless state, byte for byte.
 The trajectories, sorted stably by divergence point, run in groups of at
 most ``CHUNK_AMPLITUDES >> n`` columns, and at least one: up to n = 14 a
 group is a register of at most one chunk, which the kernels apply gates to
-whole, and from n = 14 on it is one trajectory.  One noiseless state is carried gate by
-gate, unfused, through each group's first erring gate in turn, and each
-group starts from a copy of it; the last group, when it is one trajectory,
-runs in the carried state itself, and trajectories that never diverge take
-its end.  Paulis change a group's columns in place with the bytes the
-kernels write.
+whole, and from n = 14 on it is one trajectory.  One noiseless state is
+carried gate by gate, unfused, through each group's first erring gate in
+turn, and each group starts from a copy of it; the last group, when it is
+one trajectory, runs in the carried state itself, and trajectories that
+never diverge take its end.  Paulis, and ``prep_z``'s flips, go through
+:func:`apply_gate` on the columns they hit, as in the gate-by-gate pass.
 
 The batch is assembled in its own column order, each column with the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
 draw; a lone trajectory of a wider batch sums its measurement probability
 in index order, as a batch's column reduction does.  A plain noisy pass is
-a batch of one.  What the pass holds at once (the carried state, one group,
-the finished groups' amplitudes) fits in a batch's double buffer and kernel
-scratch, the figure ``statecore.estimate_peak_memory`` states; the states
-of one pass share one scratch.  numpy's own ufunc buffers, about 390 KiB a
-call on non-contiguous views, come on top.
+a batch of one.  The pass holds at once the carried state, one group and
+the finished groups' amplitudes.  Groups of several columns all run in one
+pair of buffers made once per pass, a group of one column takes the dead
+buffer the one before it left, and the states of one pass share one
+scratch; numpy's ufunc buffers are held to ``UFUNC_BUFFER`` elements while
+the groups run.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .gates import _PAULIS, GateInstance, GateKind, _Block, _collapse, apply_gate
 from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 
-
-@functools.cache
-def _pauli_gates(q: int) -> tuple[GateInstance, ...]:
-    """X, Y and Z on qubit q."""
-    return tuple(GateInstance(kind, (q,)) for kind in _PAULIS)
-
-
-def _pauli(state: StateVector, kind: int, q: int, columns: list[int]) -> None:
-    """Apply Pauli ``_PAULIS[kind]`` on qubit q to those trajectories of
-    ``state``: to all of them through :func:`apply_gate`, to some of a batch
-    in place, with the bytes the kernels write (X moves amplitudes, Z takes
-    the 1 half from +0 as a -1 term does, and Y's exact products are added
-    to +0, so no -0.0 appears).  In place it costs about 11-20 us against
-    19-31 us through ``apply_gate(columns=...)`` for one column of a (2^9,
-    32) group (timeit, 2-core VM)."""
-    if state.batch is None or len(columns) == state.batch:
-        apply_gate(state, _pauli_gates(q)[kind])
-        return
-    view = state.live.reshape(-1, 2, 1 << q, state.batch)
-    if kind == 2:  # Z
-        ones = view[:, 1]
-        ones[..., columns] = 0.0 - ones[..., columns]
-    elif kind == 0:  # X
-        view[..., columns] = view[..., columns][:, ::-1]
-    else:
-        flipped = view[..., columns][:, ::-1] * _Y_HALVES
-        flipped += 0.0
-        view[..., columns] = flipped
-
-
-#: Y's coefficients on the two halves of a qubit, as its table holds them.
-_Y_HALVES = np.array([complex(0.0, -1.0), complex(0.0, 1.0)]).reshape(2, 1, 1)
+#: numpy's ufunc buffer, in elements, while a noisy pass runs its groups.
+#: numpy 2 copies each operand of a ufunc on views with short contiguous runs
+#: through a buffer of up to 8192 elements (128 KiB of complex), up to three
+#: per call: more than a whole 200-trajectory batch at n = 6, whose pass then
+#: peaked 0.6 batch buffers above ``estimate_peak_memory``.  With 256 the
+#: perfbench ``run_noisy`` ``op_ms.p50`` read 62-71 ms against 71-81 ms
+#: (6 alternating runs each, seed 1, 2-core VM).  Every byte the pass
+#: returns, its measurements' sums included, is the default's.
+UFUNC_BUFFER = 256
 
 
 def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int | None):
@@ -97,9 +73,27 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int
     qubit = np.repeat(np.array([q for _, q, *_ in rows], np.int8), sizes)
     of = np.concatenate([hits for *_, hits, _ in rows] or [np.empty(0)]).astype(np.int32)
     pauli = np.concatenate([picks for *_, picks in rows] or [np.empty(0)]).astype(np.int8)
-    start = np.full(batch or 1, min(uniforms, default=len(instructions)))
+    start = np.full(batch or 1, min(uniforms, default=len(instructions)), np.int32)
     np.minimum.at(start, of, at)
     return uniforms, (at, qubit, of, pauli), start
+
+
+def _errors_by_gate(errors: tuple, column: np.ndarray):
+    """A group's errors, gate by gate in order: (instruction, {(qubit, Pauli
+    index): the group's columns it hits, in draw order}).  ``column`` maps
+    each error to its trajectory's column in the group, or -1 outside it."""
+    at, qubit, _, pauli = errors
+    current, paulis = None, {}
+    for i, q, kind, c in zip(at, qubit, pauli, column):
+        if c < 0:
+            continue
+        if i != current and paulis:
+            yield current, paulis
+            paulis = {}
+        current = int(i)
+        paulis.setdefault((int(q), int(kind)), []).append(int(c))
+    if paulis:
+        yield current, paulis
 
 
 def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
@@ -113,90 +107,109 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
     check_capacity(n, batch)
     width, end = batch or 1, len(instructions)
-    uniforms, (error_at, error_q, error_of, error_kind), start = _schedule(
-        instructions, rng, p, batch)
-    group_width = max(1, CHUNK_AMPLITUDES >> n)
-    order = np.argsort(start, kind="stable") if width > group_width else np.arange(width)
-    carried, done = StateVector(n), 0  # noiseless, through instructions[:done]
+    uniforms, errors, start = _schedule(instructions, rng, p, batch)
+    group_width = min(width, max(1, CHUNK_AMPLITUDES >> n))
+    order = (np.argsort(start, kind="stable") if width > group_width
+             else np.arange(width, dtype=np.int32))
+    begins = [int(start[order[first:first + group_width]].min())
+              for first in range(0, width, group_width)]
+    del start
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
-    live = None  # the batch's amplitudes, once a group of several columns has ended
+    carried, done = StateVector(n), 0  # noiseless, through instructions[:done]
+    pair = None  # two flat buffers, made once, for the groups of several columns
+    spare = None  # the all +0 dead buffer a group of one column left
+    live = None  # the batch's amplitudes, made when a group of several columns ends
     lone = []  # (trajectories, amplitudes) of one column, copied in at the end
-    for first in range(0, width, group_width):
-        cols = order[first:first + group_width]
-        begin = int(start[cols].min())
-        # carried through the group's first erring gate, or up to its first measure
-        reach = begin + (begin < end and instructions[begin].kind.is_unitary)
-        for g in instructions[done:reach]:
-            apply_gate(carried, g, zero_skip=zero_skip)
-        done = reach
-        if begin == end:  # these and all later trajectories never diverge
-            lone.append((order[first:], carried.live))
-            break
-        last = first + group_width >= width
-        if last and cols.size == 1:
-            state = carried  # the last group runs in the carried state
-        else:
-            state = StateVector.holding(  # one scratch for the pass
-                carried.live.copy() if cols.size == 1
-                else np.repeat(carried.live[:, None], cols.size, axis=1), carried.scratch)
-        state.dense = carried.dense
-        if last:
-            carried = None
-        position = np.full(width, -1, np.int32)
-        position[cols] = np.arange(cols.size)
-        events = ((int(i), int(q), int(kind), int(position[t]))
-                  for i, q, t, kind in zip(error_at, error_q, error_of, error_kind)
-                  if position[t] >= 0)
-        event = next(events, None)
-        in_order = state.batch is None and width > 1
-        for i in range(begin, end):
-            g = instructions[i]
-            if i < reach:
-                pass  # the erring gate, run in the carried state
-            elif isinstance(g, _Block) or g.kind.is_unitary:
-                apply_gate(state, g, zero_skip=zero_skip)
+    with np.errstate():  # restores numpy's buffer size on exit
+        np.setbufsize(UFUNC_BUFFER)
+        for first, begin in zip(range(0, width, group_width), begins):
+            cols = order[first:first + group_width]
+            last = first + group_width >= width
+            # carried through the group's first erring gate, or up to its first measure
+            reach = begin + (begin < end and instructions[begin].kind.is_unitary)
+            for g in instructions[done:reach]:
+                apply_gate(carried, g, zero_skip=zero_skip)
+            done = reach
+            if begin == end:  # these and all later trajectories never diverge
+                cols, state, last = order[first:], carried, True
             else:
-                draws = uniforms[i] if batch is None else uniforms[i][
-                    cols if state.batch else cols[0]]
-                bits = _collapse(state, g.qubits[0], draws, in_order)
-                if g.kind is GateKind.MEASURE:
-                    outcomes[i][cols] = bits
-                elif np.any(bits):  # prep_z flips each trajectory that read 1
-                    _pauli(state, 0, g.qubits[0], np.flatnonzero(bits).tolist())
-            paulis: dict[tuple[int, int], list[int]] = {}  # (qubit, Pauli) -> columns
-            while event is not None and event[0] == i:
-                paulis.setdefault(event[1:3], []).append(event[3])
-                event = next(events, None)
-            for (q, kind), columns in paulis.items():
-                _pauli(state, kind, q, columns)
-        if state.batch is None:
-            lone.append((cols, state.live))
-        elif cols.size == width:  # one group of every trajectory, in order
-            live = state.live
-        else:
-            if live is None:
-                live = np.empty((1 << n, width), np.complex128)
-            live[:, cols] = state.live
-        del state
-    del carried
+                if last and cols.size == 1:
+                    state = carried  # the last group runs in the carried state
+                elif cols.size == 1:
+                    state = StateVector.holding(carried.live.copy(), carried.scratch, dead=spare)
+                else:
+                    if pair is None:
+                        pair = [np.empty(group_width << n, np.complex128),
+                                np.zeros(group_width << n, np.complex128)]
+                    # the fronts of the pair, the second all +0 there
+                    even, odd = (flat[:cols.size << n].reshape(-1, cols.size) for flat in pair)
+                    even[...] = carried.live[:, None]
+                    state = StateVector.holding(even, carried.scratch, dead=odd)
+                    del even, odd
+                state.dense = carried.dense
+                if last:
+                    pair = spare = carried = None
+                if cols.size == width:  # one group, in order: a trajectory is its column
+                    column = errors[2]
+                else:
+                    column = np.full(width, -1, np.int32)
+                    column[cols] = np.arange(cols.size)
+                    column = column[errors[2]]
+                paulis = _errors_by_gate(errors, column)
+                hit_at, hits = next(paulis, (end, None))
+                in_order = state.batch is None and width > 1
+                for i in range(begin, end):
+                    g = instructions[i]
+                    if i < reach:
+                        pass  # the erring gate, run in the carried state
+                    elif isinstance(g, _Block) or g.kind.is_unitary:
+                        apply_gate(state, g, zero_skip=zero_skip)
+                    else:
+                        draws = uniforms[i] if batch is None else uniforms[i][
+                            cols if state.batch else cols[0]]
+                        bits = _collapse(state, g.qubits[0], draws, in_order)
+                        if g.kind is GateKind.MEASURE:
+                            outcomes[i][cols] = bits
+                        elif np.any(bits):  # prep_z flips each trajectory that read 1
+                            apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits),
+                                       zero_skip=zero_skip, columns=np.flatnonzero(bits))
+                    if i == hit_at:
+                        for (q, kind), columns in hits.items():
+                            apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),
+                                       zero_skip=zero_skip, columns=np.array(columns))
+                        hit_at, hits = next(paulis, (end, None))
+            if state.batch == batch or width == 1:  # the only group
+                break
+            if state.batch is None:
+                lone.append((cols, state.live))
+                spare = state.dead
+            else:
+                if live is None:
+                    live = np.empty((1 << n, width), np.complex128)
+                live[:, cols] = state.live
+            if last:
+                break
+            if state.parity and state.batch:  # the next group's dead buffer is this one's
+                pair.reverse()
 
-    live = _assemble(live, lone, n, batch)
     transcript = [(instructions[i].qubits[0], bits if batch else int(bits[0]))
                   for i, bits in outcomes.items()]
-    return StateVector.holding(live), transcript
+    if state.batch == batch:  # the only group's state is the batch
+        return state, transcript
+    if width == 1:  # a batch of one, run in the carried state
+        return StateVector.holding(state.live.reshape(-1, 1), state.scratch,
+                                   dead=state.dead.reshape(-1, 1)), transcript
+    del pair, spare, state, carried  # freed before the batch's buffers are made
+    return StateVector.holding(_assemble(live, lone, n, width)), transcript
 
 
-def _assemble(live: np.ndarray | None, lone: list, n: int, batch: int | None) -> np.ndarray:
-    """The batch's live buffer: ``live`` (made here if no group of several
-    columns made it) with each one-column final of ``lone`` copied in,
-    emptying ``lone`` so each is freed once copied.  A pass of one column
-    keeps its final as it is."""
-    if live is None and (batch or 1) == 1:
-        (_, final), = lone
-        return final if batch is None else final.reshape(-1, 1)
+def _assemble(live: np.ndarray | None, lone: list, n: int, width: int) -> np.ndarray:
+    """The batch's live buffer: ``live``, made here if no group of several
+    columns made it, with each one-column final of ``lone`` copied in,
+    emptying ``lone`` so each is freed once copied."""
     if live is None:
-        live = np.empty((1 << n, batch), np.complex128)
+        live = np.empty((1 << n, width), np.complex128)
     while lone:
         cols, final = lone.pop()
         live[:, cols] = final[:, None]

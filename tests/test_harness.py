@@ -438,7 +438,7 @@ class TestNoisyTrajectories:
     #: Traced peaks of 200-shot runs at noise 0.01 of 30-gate random
     #: H/R*/CNOT/CZ/X circuits when each batch ran every gate on all its
     #: trajectories, in buffers of the widest batch.
-    PER_GATE_PEAKS = {9: 3.78, 12: 3.90, 14: 4.35, 15: 4.86, 16: 5.79}
+    PER_GATE_PEAKS = {6: 3.77, 9: 3.78, 12: 3.90, 14: 4.35, 15: 4.86, 16: 5.79}
 
     @staticmethod
     def random_ops(n, seed, count=30):
@@ -468,7 +468,8 @@ class TestNoisyTrajectories:
         # the figure StateVector's capacity check admits a batch against
         width = min(200, runner.TRAJECTORY_AMPLITUDES >> n)
         ops = self.random_ops(n, n)
-        run_circuit(n, ops)  # tables and imports
+        # tables, layouts and imports, the Paulis' too
+        run_circuit(n, ops, rng=np.random.default_rng(2), noise=NoiseConfig(0.01), batch=width)
         tracemalloc.start()
         try:
             run_circuit(n, ops, rng=np.random.default_rng(1), noise=NoiseConfig(0.01),
