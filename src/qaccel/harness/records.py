@@ -110,15 +110,15 @@ def store_query(
     records: list[RunRecord] = []
     corrupt = 0
     try:
-        with target.open("r", encoding="utf-8") as handle:
+        with target.open("rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = RunRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    corrupt += 1
+                except (KeyError, TypeError, ValueError, RecursionError, OverflowError):
+                    corrupt += 1  # ValueError covers bad UTF-8 and bad JSON
                     continue
                 if run_id is not None and record.run_id != run_id:
                     continue

@@ -41,11 +41,11 @@ from .records import FinalState, RunRecord, store_append
 SUPPORT_THRESHOLD = 1e-9
 
 #: Amplitudes in one batch of noisy trajectories (2^n x shots per batch).
-#: On 200-shot noisy runs of 9-qubit circuits (2-core VM) 2^13 took 135 ms
-#: an op, 2^14 116 ms and 2^15 to 2^18 103-110 ms, against 630-700 ms for one
-#: engine pass per shot; 2^16 sits on that plateau with 1 MiB buffers.
-#: These figures predate the grouped noisy pass (see trajectories), which runs
-#: each batch's trajectories in groups of one chunk from where they diverge.
+#: On 200-shot runs at p = 0.01 of the 32 perfbench ``run_noisy`` programs
+#: (9 qubits, 2-core VM, best of 4 rounds) 2^13 took 86 ms an op, 2^14 65 ms,
+#: 2^15 61 ms and 2^16 to 2^18 47-54 ms, against 634 ms for one engine pass
+#: per shot; 2^16 sits on that plateau with 1 MiB buffers.  The batch width
+#: orders the noisy pass's draws: another value changes every seeded record.
 TRAJECTORY_AMPLITUDES = 1 << 16
 
 #: Topologies kept for reuse; the least recently used one goes first.

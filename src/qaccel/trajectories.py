@@ -24,9 +24,11 @@ bytes the gate-by-gate pass gives it, with that pass's transcript and next
 draw; a lone trajectory of a wider batch sums its measurement probability
 in index order, as a batch's column reduction does.  A plain noisy pass is
 a batch of one.  The pass holds at once the carried state, one group and
-the finished groups' amplitudes.  Groups of several columns all run in one
-pair of buffers made once per pass, a group of one column takes the dead
-buffer the one before it left, and the states of one pass share one
+the finished groups' amplitudes.  A group that does not run in the carried
+state starts from a fresh copy of it, and a finished group keeps only its
+live buffer, so its dead one is freed before the next group's are made.
+Once the last group ends and the carried state is freed, the batch's buffer
+is made once and filled from the groups'.  The states of one pass share one
 scratch; numpy's ufunc buffers are held to ``UFUNC_BUFFER`` elements while
 the groups run.
 """
@@ -117,10 +119,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
     carried, done = StateVector(n), 0  # noiseless, through instructions[:done]
-    pair = None  # two flat buffers, made once, for the groups of several columns
-    spare = None  # the all +0 dead buffer a group of one column left
-    live = None  # the batch's amplitudes, made when a group of several columns ends
-    lone = []  # (trajectories, amplitudes) of one column, copied in at the end
+    finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
         for first, begin in zip(range(0, width, group_width), begins):
@@ -136,20 +135,13 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             else:
                 if last and cols.size == 1:
                     state = carried  # the last group runs in the carried state
-                elif cols.size == 1:
-                    state = StateVector.holding(carried.live.copy(), carried.scratch, dead=spare)
-                else:
-                    if pair is None:
-                        pair = [np.empty(group_width << n, np.complex128),
-                                np.zeros(group_width << n, np.complex128)]
-                    # the fronts of the pair, the second all +0 there
-                    even, odd = (flat[:cols.size << n].reshape(-1, cols.size) for flat in pair)
-                    even[...] = carried.live[:, None]
-                    state = StateVector.holding(even, carried.scratch, dead=odd)
-                    del even, odd
+                else:  # a fresh copy of the carried state
+                    state = StateVector.holding(
+                        np.repeat(carried.live[:, None], cols.size, axis=1) if cols.size > 1
+                        else carried.live.copy(), carried.scratch)
                 state.dense = carried.dense
                 if last:
-                    pair = spare = carried = None
+                    carried = None
                 if cols.size == width:  # one group, in order: a trajectory is its column
                     column = errors[2]
                 else:
@@ -181,36 +173,24 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                         hit_at, hits = next(paulis, (end, None))
             if state.batch == batch or width == 1:  # the only group
                 break
-            if state.batch is None:
-                lone.append((cols, state.live))
-                spare = state.dead
-            else:
-                if live is None:
-                    live = np.empty((1 << n, width), np.complex128)
-                live[:, cols] = state.live
+            finals.append((cols, state.live.reshape(state.dim, -1)))
+            del state  # its dead buffer is freed before the next group's are made
             if last:
                 break
-            if state.parity and state.batch:  # the next group's dead buffer is this one's
-                pair.reverse()
 
     transcript = [(instructions[i].qubits[0], bits if batch else int(bits[0]))
                   for i, bits in outcomes.items()]
-    if state.batch == batch:  # the only group's state is the batch
-        return state, transcript
-    if width == 1:  # a batch of one, run in the carried state
-        return StateVector.holding(state.live.reshape(-1, 1), state.scratch,
-                                   dead=state.dead.reshape(-1, 1)), transcript
-    del pair, spare, state, carried  # freed before the batch's buffers are made
-    return StateVector.holding(_assemble(live, lone, n, width)), transcript
-
-
-def _assemble(live: np.ndarray | None, lone: list, n: int, width: int) -> np.ndarray:
-    """The batch's live buffer: ``live``, made here if no group of several
-    columns made it, with each one-column final of ``lone`` copied in,
-    emptying ``lone`` so each is freed once copied."""
-    if live is None:
-        live = np.empty((1 << n, width), np.complex128)
-    while lone:
-        cols, final = lone.pop()
-        live[:, cols] = final[:, None]
-    return live
+    if not finals:  # the only group's state
+        if state.batch == batch:
+            return state, transcript
+        # a batch of one, run in the carried state, whose dead buffer goes first
+        live, scratch = state.live.reshape(-1, 1), state.scratch
+        del state, carried
+        return StateVector.holding(live, scratch), transcript
+    del carried  # freed before the batch's buffer is made
+    live = np.empty((1 << n, width), np.complex128)
+    while finals:  # each group's amplitudes are freed once copied
+        cols, final = finals.pop()
+        live[:, cols] = final
+    del final  # freed before the batch's dead buffer is made
+    return StateVector.holding(live), transcript

@@ -1122,7 +1122,7 @@ class TestGroupedNoisyPass:
                 ops = self.program(rng, n, resets)
                 self.assert_same(n, ops, p, zero_skip, width, int(rng.integers(1 << 30)))
 
-    @pytest.mark.parametrize("n, width", [(9, 33), (14, 3), (15, 2)])
+    @pytest.mark.parametrize("n, width", [(9, 33), (14, 3), (15, 2), (16, 1)])
     def test_a_lone_trajectory_measures_as_its_batch_would(self, n, width):
         # on a dense state the order of a measurement's sum shows in its
         # bytes; a group of one column takes the batch's order

@@ -700,6 +700,24 @@ class TestCliSubcommands:
         assert json.loads(captured.out.splitlines()[0])["run_id"] == "zzz"
         assert "skipped 1" in captured.err
 
+    @pytest.mark.parametrize("bad", [
+        b"\xff\n",  # not UTF-8
+        b"[" * 100000 + b"\n",  # nested deeper than the recursion limit
+        SAMPLE_LINE.replace('"wall_time_ns": 12345', '"wall_time_ns": 1e400').encode() + b"\n",
+    ], ids=["invalid-utf8", "too-deep", "int-overflow"])
+    def test_metrics_query_skips_a_line_it_cannot_decode(self, bad, tmp_path, capsys):
+        store = tmp_path / "runs.jsonl"
+        store_append(_sample_record("first"), store)
+        with store.open("ab") as handle:
+            handle.write(bad)
+        store_append(_sample_record("second"), store)
+        code = main(["metrics", "query", "--store", str(store)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [json.loads(line)["run_id"] for line in captured.out.splitlines()] == [
+            "first", "second"]
+        assert "skipped 1 corrupt line(s)" in captured.err
+
     @pytest.mark.parametrize("key, value", [("timestamp", 2021), ("run_id", 7),
                                             ("circuit_hash", None), ("timestamp", ["2021"])])
     def test_metrics_query_counts_a_non_string_identity_field_corrupt(
