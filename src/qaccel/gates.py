@@ -40,9 +40,9 @@ A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
 TOFFOLI, or a fused block of them) also carries a lookup: each subspace
 index's flipped operand bits and whether it is negated.  In a sparse pass a
 signed permutation scatters through its table's lookup, in one indexed add,
-whether it is a lone gate or a block; every other table scatters term by
-term.  Each amplitude then lands once, exactly negated or not, on a +0 in
-its new place, so both scatters give the same bytes.
+whether it is a lone gate, a block or a chain of them; every other table
+scatters term by term.  Each amplitude then lands once, exactly negated or
+not, on a +0 in its new place, so both scatters give the same bytes.
 
 Noiseless passes of :func:`run_circuit` on registers of at least
 ``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs.  One-qubit
@@ -53,9 +53,15 @@ themselves when alone.  Each run of signed permutation gates on at most
 ``FUSE_MAX_QUBITS`` qubits becomes one block: a signed permutation of its
 operand subspace, composed through its gates' lookups and cached by its
 gate sequence.  A held product goes out before the open run unless that run
-touches its qubit, in which case the run closes first.  Gates, products and
-blocks all go through :func:`apply_gate`, each with its own table, so a
-block gives the bytes of its gates applied one at a time.  A product rounds
+touches its qubit, in which case the run closes first.  Each stretch of
+consecutive signed permutation items (blocks, and lone X, Z, CNOT, CZ, SWAP
+and TOFFOLI gates) goes through :func:`apply_gate` as one chain, every
+other product or gate alone, each part with its own table.  A signed
+permutation keeps the support, so a chain is scanned once; on a sparse
+state its parts move the scanned rows through their lookups in turn and
+land them in one indexed add, and on a dense state the strided kernel
+applies them one at a time.  So a chain gives the bytes of its items, and a
+block those of its gates, applied one at a time.  A product rounds
 differently from its gates, and so do two non-permutation gates on
 different qubits that fusion has swapped: fused passes differ from program
 order in the last bits (at most 1.2e-16 per amplitude over random
@@ -84,7 +90,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,16 +205,20 @@ SCATTER_MAX_FRACTION = 1 / 16
 
 #: Noiseless passes on registers of at least SCAN_MIN_QUBITS qubits fuse each
 #: run of signed permutation gates on at most this many qubits into one
-#: block, applied in one pass.  The figures below were measured before Z
-#: and CZ joined the blocks.  Over the 32 perfbench ``align`` instances of
-#: seed 1 (17 qubits; median in-process CPU time, 2-core VM, 3 to 6 rounds)
-#: an op took 237-279 ms unfused, 147-163 ms at a cap of 4, 91-103 at 5,
-#: 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514 gates became
-#: 306, 184, 143, 110 and 110 applications.  The cap is 6 because the
-#: ``align`` benchmark's peak RSS stays flat there (47.9-48.0 MiB against
-#: 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.  That
-#: rise is glibc malloc keeping freed heap pages, not live data: at a cap of
-#: 8 the benchmark read 51.1 MiB, and 48.3-48.7 MiB with either
+#: block.  A stretch of blocks and lone signed gates goes through one scan
+#: and, on a sparse state, one lookup pass as a chain (see apply_gate), so
+#: the cap now sizes only the blocks the strided kernel applies, one pass
+#: each, on a dense state.  The figures below were measured before chains,
+#: when a run stopped at the cap and each block cost a scan of its own, and
+#: before Z and CZ joined the blocks.  Over the 32 perfbench ``align``
+#: instances of seed 1 (17 qubits; median in-process CPU time, 2-core VM, 3
+#: to 6 rounds) an op took 237-279 ms unfused, 147-163 ms at a cap of 4,
+#: 91-103 at 5, 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514
+#: gates became 306, 184, 143, 110 and 110 applications.  The cap is 6
+#: because the ``align`` benchmark's peak RSS stays flat there (47.9-48.0 MiB
+#: against 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.
+#: That rise is glibc malloc keeping freed heap pages, not live data: at a
+#: cap of 8 the benchmark read 51.1 MiB, and 48.3-48.7 MiB with either
 #: MALLOC_MMAP_THRESHOLD_=131072 or MALLOC_TRIM_THRESHOLD_=0 set on its
 #: process, which make glibc map large blocks on their own or trim its heap.
 FUSE_MAX_QUBITS = 6
@@ -456,61 +466,82 @@ def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarr
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
 
-def _move(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
-    """Sparse kernel of a signed permutation: each given input, negated
-    where the table's lookup says so, is added to its target in one indexed
-    add; the index arrays select whole rows, so a batch moves every
-    trajectory."""
-    flips, negate = table.moves
-    local = _gather(nonzero, qubits)
-    moved = src[nonzero]
-    if negate is not None:
-        negate = negate[local]
-        moved[negate] = -moved[negate]
-    dst[nonzero ^ _layout(qubits)[2][flips][local]] += moved
+def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]], nonzero: np.ndarray) -> None:
+    """Sparse kernel of signed permutations, given as (qubits, table) parts
+    applied in order: the given inputs go through each part's lookup in
+    turn, negated where it says so, and are added to their last targets in
+    one indexed add; the index arrays select whole rows, so a batch moves
+    every trajectory.  This gives the bytes of the parts applied one at a
+    time: a negation is exact, and adding an input to the +0 it lands on
+    changes only a -0.0 part, to +0, whether once or after every part."""
+    moved, rows = src[nonzero], nonzero
+    for qubits, table in parts:
+        flips, negate = table.moves
+        local = _gather(rows, qubits)
+        if negate is not None:
+            negate = negate[local]
+            moved[negate] = -moved[negate]
+        rows = rows ^ _layout(qubits)[2][flips][local]
+    dst[rows] += moved
 
 
 def apply_gate(
     state: StateVector,
-    g: GateInstance | _Block,
+    g: GateInstance | _Block | list[GateInstance | _Block],
     *,
     zero_skip: bool = True,
     columns: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply one unitary gate, or a block of fused gates, through its table
-    and the kernel :func:`_scatter_rows` picks; toggles the buffer parity.
+    """Apply one unitary gate, a block of fused gates, or a chain (a list
+    of signed permutation gates and blocks, applied in order), through
+    their tables and the kernel :func:`_scatter_rows` picks; toggles the
+    buffer parity once per pass.
 
-    MEASURE and PREP_Z are not gate applications and must go through
+    A chain is scanned once: a signed permutation keeps the support, so the
+    scan holds for every part, and a sparse chain is one :func:`_move`
+    pass.  On a dense state the strided kernel applies its parts one at a
+    time.  MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch; the others keep their amplitudes.  A
     plain state is the single trajectory 0.
     """
-    if any(q >= state.n for q in g.qubits):
-        raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
-    if isinstance(g, _Block):
-        table = g.table
-    elif g.kind.is_unitary:
-        table = _gate_table(g.kind, g.angle)
+    if isinstance(g, list):
+        parts = [(part.qubits, _checked_table(part, state.n)) for part in g]
+        if any(table.moves is None for _, table in parts):
+            raise ValueError("a chain holds signed permutations only")
     else:
-        raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
+        parts = ((g.qubits, _checked_table(g, state.n)),)
     whole = columns is None or len(columns) >= (state.batch or 1)
-    if whole:
-        src, dst = state.live, state.dead
-    else:
-        src = state.live[:, columns]
-        dst = np.zeros_like(src)
+    src = state.live if whole else state.live[:, columns]
     rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
-    if rows is None:
-        _strided(src, dst, g.qubits, table, state.scratch)
-    elif table.moves is None:
-        _scatter(src, dst, g.qubits, table, rows)
-    else:  # a signed permutation scatters through its lookup
-        _move(src, dst, g.qubits, table, rows)
-    if whole:
-        state.toggle_after_gate(rows)
-    else:
-        state.live[:, columns] = dst
+    # the strided kernel takes a chain a part at a time; a sparse pass
+    # moves it whole, in one pass
+    for qubits, table in parts if rows is None else parts[:1]:
+        dst = state.dead if whole else np.zeros_like(src)
+        if rows is None:
+            _strided(src, dst, qubits, table, state.scratch)
+        elif table.moves is None:
+            _scatter(src, dst, qubits, table, rows)
+        else:  # signed permutations scatter through their lookups
+            _move(src, dst, parts, rows)
+        if whole:
+            state.toggle_after_gate(rows)  # dst is now the live buffer
+        src = dst
+    if not whole:
+        state.live[:, columns] = src
     return state
+
+
+def _checked_table(g: GateInstance | _Block, n: int) -> _Table:
+    """A gate's or block's table, once its operands are checked to fit ``n``
+    qubits and it is checked to be a gate application."""
+    if any(q >= n for q in g.qubits):
+        raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
+    if isinstance(g, _Block):
+        return g.table
+    if g.kind.is_unitary:
+        return _gate_table(g.kind, g.angle)
+    raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
 
 
 def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:
@@ -556,15 +587,13 @@ FUSED_BLOCKS_KEPT = 256
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
     """Compose signed permutation gates, in order, on the subspace of their
     qubits: each subspace index, tagged with itself plus one, moves through
-    every gate's lookup as :func:`_move` moves amplitudes, and lands on its
-    destination with its sign."""
+    every gate's lookup in one :func:`_move` pass, as amplitudes do, and
+    lands on its destination with its sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
-    tags = index + 1.0
-    for g in gates:
-        moved = np.zeros_like(tags)
-        _move(tags, moved, tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle), index)
-        tags = moved
+    tags = np.zeros(index.size)
+    _move(index + 1.0, tags, [(tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle))
+                              for g in gates], index)
     m = np.zeros((index.size, index.size))
     m[index, abs(tags).astype(int) - 1] = np.sign(tags)
     return _Block(gates, qubits, _table(m))
@@ -626,6 +655,11 @@ def _fused(instructions: Iterable[GateInstance]):
     yield from release(list(held))
     if run:
         yield close()
+
+
+def _signed(item: GateInstance | _Block) -> bool:
+    """Whether a :func:`_fused` item is a signed permutation with a lookup."""
+    return item.table.moves is not None if isinstance(item, _Block) else item.kind in _SIGNED
 
 
 def measure(
@@ -745,12 +779,14 @@ def run_circuit(
     if n >= SCAN_MIN_QUBITS:
         # blocks and their tables built before the buffers exist: built
         # during the pass, they kept the heap from shrinking and raised the
-        # perfbench run_dense peak RSS by about 2 MiB
-        instructions = list(_fused(instructions))
+        # perfbench run_dense peak RSS by about 2 MiB.  Each stretch of
+        # signed permutation items becomes one chain, scanned once.
+        instructions = [item for signed, items in itertools.groupby(_fused(instructions), _signed)
+                        for item in ([list(items)] if signed else items)]
     state = StateVector(n, batch)
     transcript: list[tuple[int, int]] = []
     for g in instructions:
-        if isinstance(g, _Block) or g.kind.is_unitary:
+        if isinstance(g, (list, _Block)) or g.kind.is_unitary:
             apply_gate(state, g, zero_skip=zero_skip)
         elif g.kind is GateKind.MEASURE:
             bit, _ = measure(state, g.qubits[0], rng)

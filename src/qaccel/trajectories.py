@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import _PAULIS, GateInstance, GateKind, _Block, _collapse, apply_gate
+from .gates import _PAULIS, GateInstance, GateKind, _collapse, apply_gate
 from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 
 #: numpy's ufunc buffer, in elements, while a noisy pass runs its groups.
@@ -60,8 +60,6 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int
     measure or prep_z, else ``len(instructions)``."""
     uniforms, rows = {}, []
     for i, g in enumerate(instructions):
-        if isinstance(g, _Block):
-            continue
         if not g.kind.is_unitary:
             uniforms[i] = rng.random(batch)
             continue
@@ -155,7 +153,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                     g = instructions[i]
                     if i < reach:
                         pass  # the erring gate, run in the carried state
-                    elif isinstance(g, _Block) or g.kind.is_unitary:
+                    elif g.kind.is_unitary:
                         apply_gate(state, g, zero_skip=zero_skip)
                     else:
                         draws = uniforms[i] if batch is None else uniforms[i][

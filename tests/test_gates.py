@@ -27,6 +27,37 @@ from qaccel.tensor_oracle import base_unitary, simulate_instructions
 S = 1 / math.sqrt(2)
 
 
+def signed_zero_live(rng, n, support, batch=None):
+    """A live buffer (``batch`` columns when given) with ``support`` random
+    nonzero rows, a third of them with a -0.0 real part and a third with a
+    -0.0 imaginary part (see :func:`keep_signed_zeros`)."""
+    columns = []
+    for _ in range(batch or 1):
+        amps = np.full(1 << n, complex(-0.0, -0.0))
+        rows = rng.choice(1 << n, size=support, replace=False)
+        amps[rows] = rng.normal(size=support) + 1j * rng.normal(size=support)
+        amps.real[rows[::3]] = -0.0
+        amps.imag[rows[1::3]] = -0.0
+        columns.append(keep_signed_zeros(amps))
+    return columns[0] if batch is None else np.stack(columns, axis=1)
+
+
+def keep_signed_zeros(amps):
+    """``amps``, normalized, as a live buffer: the zero entries +0, as
+    ``from_amplitudes`` stores them, and the nonzero entries as they are,
+    -0.0 parts included, which ``from_amplitudes`` would store as +0.0."""
+    amps = amps / np.linalg.norm(amps)
+    live = StateVector.from_amplitudes(amps).live
+    nonzero = amps != 0
+    live[nonzero] = amps[nonzero]
+    return live
+
+
+def has_negative_zero(state):
+    parts = state.live.view(np.float64)
+    return bool(np.signbit(parts[parts == 0]).any())
+
+
 class TestMappingExamples:
     def test_x_maps_zero_to_one(self):
         state = alloc_state(1)
@@ -301,7 +332,7 @@ class TestKernels:
                 amps[rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
                 amps[rows[::3]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries
                 amps[rows[1::3]] = complex(-0.5, -0.0)
-                columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
+                columns.append(keep_signed_zeros(amps))
             ops = random_circuit(rng, n, max_gates=20, min_gates=10)
             runs = []
             for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
@@ -319,6 +350,33 @@ class TestKernels:
                 assert not np.signbit(parts[parts == 0]).any()
                 runs.append(state.live.tobytes())
             assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_signed_permutations_leave_no_negative_zero(self, monkeypatch, batch):
+        # in a circuit of signed permutations only, the last gate writes every
+        # output, so a kernel that copied its inputs (not adding them to +0)
+        # would keep their -0.0 parts; lone gates, blocks and chains alike
+        rng = np.random.default_rng(2020 + (batch or 0))
+        for _ in range(30):
+            n = int(rng.integers(3, 10))
+            live = signed_zero_live(rng, n, max(1, (1 << n) // 4), batch)
+            ops = TestFusion.signed_circuit(rng, n, 30)
+            items = list(gates._fused(ops))
+            cut = (len(items) + 1) // 2
+            chains = [chain for chain in (items[:cut], items[cut:]) if chain]
+            runs = []
+            for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
+                for applied in (ops, items, chains):
+                    with monkeypatch.context() as patch:
+                        self.force(patch, kernel)
+                        state = StateVector(n, batch)
+                        state.live[:] = live
+                        for g in applied:
+                            apply_gate(state, g, zero_skip=zero_skip)
+                            assert not state.dead.view(np.uint64).any()
+                            assert not has_negative_zero(state)
+                    runs.append(state.live.tobytes())
+            assert runs.count(runs[0]) == len(runs)
 
     def test_dense_state_stops_scanning_until_reset(self, monkeypatch):
         calls = self.force(monkeypatch, "scatter")
@@ -358,6 +416,16 @@ class TestFusion:
             ops.append(gate(kind, *(int(q) for q in qubits), angle=angle))
         return ops
 
+    @classmethod
+    def signed_circuit(cls, rng, n, count):
+        """``count`` gates of the signed permutation kinds."""
+        ops = []
+        for _ in range(count):
+            kind = cls.SIGNED_KINDS[int(rng.integers(len(cls.SIGNED_KINDS)))]
+            qubits = rng.choice(n, size=gates.MNEMONICS[kind].arity, replace=False)
+            ops.append(gate(kind, *(int(q) for q in qubits)))
+        return ops
+
     @staticmethod
     def stepwise(n, ops, zero_skip, batch=None):
         state = StateVector(n, batch)
@@ -367,15 +435,16 @@ class TestFusion:
 
     @staticmethod
     def count_blocks(monkeypatch):
-        """Record each block that ``apply_gate`` applies: its width, and
-        whether the state was dense after it."""
+        """Record each block that ``apply_gate`` applies, alone or in a
+        chain: its width, and whether the state was dense after it."""
         applied = []
         original = gates.apply_gate
 
         def counted(state, g, **kwargs):
             original(state, g, **kwargs)
-            if isinstance(g, gates._Block):
-                applied.append((len(g.qubits), state.dense))
+            for part in g if isinstance(g, list) else [g]:
+                if isinstance(part, gates._Block):
+                    applied.append((len(part.qubits), state.dense))
             return state
 
         monkeypatch.setattr(gates, "apply_gate", counted)
@@ -521,14 +590,15 @@ class TestFusion:
         assert identity.gates == (y, y) and identity.table.moves is not None
         rotation, = gates._fused([h, y])
         assert rotation.gates == (h, y) and rotation.table.moves is None
-        # so a sparse pass moves it through its lookup, with the bytes of Y then Y
+        # so a sparse pass moves it through its lookup, in one chain with the
+        # X before it, with the bytes of X, Y then Y
         log = []
         TestKernels.force(monkeypatch, "scatter", log)
         ops = [gate("ry", 0, angle=0.3), gate("x", 0), y, y]
         items = list(gates._fused(ops))
         assert items[:2] == ops[:2] and items[2].gates == (y, y)
         fused, _ = run_circuit(3, ops)
-        assert log == ["scatter", "move", "move"]
+        assert log == ["scatter", "move"]
         assert fused.live.tobytes() == self.stepwise(3, ops, True).live.tobytes()
 
     @pytest.mark.parametrize("batch", [None, 2])
@@ -545,12 +615,8 @@ class TestFusion:
                     amps[rows] = rng.normal(size=support) + 1j * rng.normal(size=support)
                     amps[rows[:8]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries
                     amps[rows[8:16]] = complex(0.5, -0.0)
-                    columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
-                ops = []
-                for _ in range(60):
-                    kind = self.SIGNED_KINDS[int(rng.integers(len(self.SIGNED_KINDS)))]
-                    qubits = rng.choice(n, size=gates.MNEMONICS[kind].arity, replace=False)
-                    ops.append(gate(kind, *(int(q) for q in qubits)))
+                    columns.append(keep_signed_zeros(amps))
+                ops = self.signed_circuit(rng, n, 60)
                 items = list(gates._fused(ops))
                 assert self.expand(items) == ops
                 negated += sum(isinstance(i, gates._Block) and i.table.moves[1] is not None
@@ -599,7 +665,7 @@ class TestFusion:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_negative_zero_inputs_keep_the_dead_buffer_clear(self, batch):
         # a sparse pass clears only the rows its scan found nonzero, which is
-        # exact because from_amplitudes stores the -0.0 entries as +0.0
+        # exact because the zero entries, -0.0 in amps, are stored as +0.0
         rng = np.random.default_rng(1415 + (batch or 0))
         for n in (13, 14, 15):
             columns = []
@@ -608,7 +674,7 @@ class TestFusion:
                 support = rng.choice(1 << n, size=64, replace=False)
                 amps[support] = rng.normal(size=64) + 1j * rng.normal(size=64)
                 amps[support[:8]] = complex(-0.0, 1.0)  # signed zeros in nonzero entries too
-                columns.append(StateVector.from_amplitudes(amps / np.linalg.norm(amps)).live)
+                columns.append(keep_signed_zeros(amps))
             items = list(gates._fused(self.permutation_heavy(rng, n, 40)))
             assert any(isinstance(item, gates._Block) for item in items)
             finals = []
@@ -621,29 +687,125 @@ class TestFusion:
                 finals.append(state.live.tobytes())
             assert finals[0] == finals[1]
 
-    def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
-        # every fused application runs through the public entry point
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_a_chain_gives_the_bytes_of_its_items_one_at_a_time(self, monkeypatch, batch):
+        # a chain wider than a block, on states with -0.0 parts: one scan,
+        # then one lookup pass on a sparse state, or one strided pass per
+        # part, none wider than a block, on a dense one
+        log = []
+        for name in ("_scatter_rows", "_move", "_strided"):
+            original = getattr(gates, name)
+
+            def spied(*args, _name=name, _original=original):
+                log.append((_name, args))
+                return _original(*args)
+
+            monkeypatch.setattr(gates, name, spied)
+        rng = np.random.default_rng(1818 + (batch or 0))
+        for n in (13, 14, 15):
+            for support in (64, 1 << n):
+                live = signed_zero_live(rng, n, support, batch)
+                chain = list(gates._fused(self.signed_circuit(rng, n, 40)))
+                assert len({q for item in chain for q in item.qubits}) > gates.FUSE_MAX_QUBITS
+                assert any(isinstance(item, gates._Block) for item in chain)
+                finals = []
+                for zero_skip in (True, False):
+                    chained, stepwise = StateVector(n, batch), StateVector(n, batch)
+                    chained.live[:] = stepwise.live[:] = live
+                    del log[:]
+                    apply_gate(chained, chain, zero_skip=zero_skip)
+                    if zero_skip and support == 1 << n:
+                        assert [name for name, _ in log] == (
+                            ["_scatter_rows"] + ["_strided"] * len(chain))
+                        assert [args[2] for _, args in log[1:]] == [i.qubits for i in chain]
+                        assert all(len(args[2]) <= gates.FUSE_MAX_QUBITS for _, args in log[1:])
+                    else:
+                        assert [name for name, _ in log] == ["_scatter_rows", "_move"]
+                    assert not chained.dead.view(np.uint64).any()
+                    for item in chain:
+                        apply_gate(stepwise, item, zero_skip=zero_skip)
+                    assert chained.live.tobytes() == stepwise.live.tobytes()
+                    assert chained.dense == stepwise.dense
+                    assert not has_negative_zero(chained)
+                    finals.append(chained.live.tobytes())
+                assert finals[0] == finals[1]
+
+    @classmethod
+    def signed(cls, item):
+        """Whether a ``_fused`` item is a signed permutation with a lookup."""
+        if isinstance(item, gates._Block):
+            return item.table.moves is not None
+        return item.kind.mnemonic in cls.SIGNED_KINDS
+
+    @classmethod
+    def calls(cls, items):
+        """The ``apply_gate`` calls of a noiseless pass over ``_fused`` items:
+        each stretch of signed permutation items as one chain (a list), each
+        other unitary item alone."""
+        calls, chain = [], None
+        for item in items:
+            if cls.signed(item):
+                if chain is None:
+                    chain = []
+                    calls.append(chain)
+                chain.append(item)
+                continue
+            chain = None
+            if isinstance(item, gates._Block) or item.kind.is_unitary:
+                calls.append(item)
+        return calls
+
+    @staticmethod
+    def spy_applied(monkeypatch):
+        """Record what each ``apply_gate`` call applies, noisy passes' too."""
         applied = []
         original = gates.apply_gate
-        monkeypatch.setattr(gates, "apply_gate", lambda state, g, **kwargs: (
-            applied.append(g) or original(state, g, **kwargs)))
+
+        def spied(state, g, **kwargs):
+            applied.append(g)
+            return original(state, g, **kwargs)
+
+        for module in (gates, trajectories):
+            monkeypatch.setattr(module, "apply_gate", spied)
+        return applied
+
+    def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
+        # every fused application runs through the public entry point, each
+        # stretch of signed permutation items as one chain
+        applied = self.spy_applied(monkeypatch)
         rng = np.random.default_rng(1313)
+        chains = 0
         for _ in range(6):
             ops = random_circuit(rng, 13, max_gates=60, min_gates=40)
             ops.insert(int(rng.integers(len(ops))), gate("measure", int(rng.integers(13))))
             del applied[:]
             run_circuit(13, ops, rng=np.random.default_rng(0))
-            items = [i for i in gates._fused(ops) if isinstance(i, gates._Block) or i.kind.is_unitary]
-            assert any(isinstance(i, gates._Block) for i in items)
-            assert [self.expand([i]) for i in applied] == [self.expand([i]) for i in items]
+            calls = self.calls(gates._fused(ops))
+            assert any(isinstance(part, gates._Block)
+                       for c in calls for part in (c if isinstance(c, list) else [c]))
+            chains += sum(isinstance(c, list) and len(c) > 1 for c in calls)
+            assert [isinstance(c, list) for c in applied] == [isinstance(c, list) for c in calls]
+            assert [self.expand(c if isinstance(c, list) else [c]) for c in applied] == [
+                self.expand(c if isinstance(c, list) else [c]) for c in calls]
+        assert chains
 
     def test_noisy_pass_applies_no_block(self, monkeypatch):
-        applied = self.count_blocks(monkeypatch)
+        applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
         run_circuit(13, ops, rng=np.random.default_rng(0), noise=NoiseConfig(0.01), batch=2)
-        assert applied == []
+        assert applied and not any(isinstance(g, (list, gates._Block)) for g in applied)
+        del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
-        assert applied
+        assert any(isinstance(g, list) and any(isinstance(part, gates._Block) for part in g)
+                   for g in applied)
+
+    def test_a_chain_takes_signed_permutations_only(self):
+        state = StateVector(13)
+        with pytest.raises(ValueError):
+            apply_gate(state, [gate("x", 0), gate("h", 1)])
+        with pytest.raises(ValueError):
+            apply_gate(state, [gate("x", 0), gate("measure", 1)])
+        assert state.live[0] == 1 and state.parity == 0
 
     def test_block_out_of_range_raises(self):
         with pytest.raises(IndexError):
