@@ -23,7 +23,14 @@ registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
 amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
 nonzero; other gates are strided, and a larger support marks the state
 dense, which skips the scan until ``reset_ground``.  Both constants are
-measured crossovers of the kernels.
+measured crossovers of the kernels.  A pass that owns its state (the
+noiseless pass of :func:`run_circuit`, and the noiseless state a noisy pass
+carries) scans it once at the start and once after each ``measure`` or
+``prep_z``, and from there carries its support in ``state.support``: a
+sparse pass returns the rows it wrote, which are the rows the next scan
+would find, so every kernel choice, ``dense`` flag and byte stays what
+scanning gives.  A state that no pass owns, such as one that ``qaccel
+bench`` times, is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -466,14 +473,40 @@ def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarr
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
 
-def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]], nonzero: np.ndarray) -> None:
+def _scattered(dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``dst`` after :func:`_scatter` wrote the table's
+    terms from ``nonzero`` into it, all +0 before: every term writes only
+    inputs moved by its flip, so these are the nonzero rows among the
+    inputs moved by each distinct flip.  Repeats go by a sort, not by
+    ``np.unique``, whose hash path raised the perfbench ``align`` peak RSS
+    from 49.0 to 50.4 MiB and its calibration scale from 1.24 to 1.68
+    (medians of 6 runs each, 2-core VM)."""
+    flips = set(_layout(qubits)[2][table.flips].tolist())
+    if len(flips) == 1:
+        rows = nonzero ^ flips.pop()
+    else:  # a row may be reached by several flips
+        rows = np.sort(np.concatenate([nonzero ^ flip for flip in flips]))
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    return rows[_occupied(dst[rows])]
+
+
+def _occupied(amps) -> np.ndarray:
+    """Per row of an amplitude array, whether it is nonzero in any column."""
+    occupied = amps != 0
+    return occupied if amps.ndim == 1 else occupied.any(axis=1)
+
+
+def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]],
+          nonzero: np.ndarray) -> np.ndarray:
     """Sparse kernel of signed permutations, given as (qubits, table) parts
     applied in order: the given inputs go through each part's lookup in
     turn, negated where it says so, and are added to their last targets in
     one indexed add; the index arrays select whole rows, so a batch moves
     every trajectory.  This gives the bytes of the parts applied one at a
     time: a negation is exact, and adding an input to the +0 it lands on
-    changes only a -0.0 part, to +0, whether once or after every part."""
+    changes only a -0.0 part, to +0, whether once or after every part.
+    Returns the rows written, each input's last target: distinct, and
+    nonzero wherever its input is."""
     moved, rows = src[nonzero], nonzero
     for qubits, table in parts:
         flips, negate = table.moves
@@ -483,6 +516,7 @@ def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]], nonzero: np
             moved[negate] = -moved[negate]
         rows = rows ^ _layout(qubits)[2][flips][local]
     dst[rows] += moved
+    return rows
 
 
 def apply_gate(
@@ -504,6 +538,15 @@ def apply_gate(
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch; the others keep their amplitudes.  A
     plain state is the single trajectory 0.
+
+    A state that carries its support (``state.support``, set only by a pass
+    that owns the state) is not scanned: its support is what the scan
+    would return, and the kernel is picked from it alike.  After a sparse
+    pass over the whole state the support is the rows the pass wrote:
+    :func:`_move`'s targets, each nonzero as its input is, or the nonzero
+    rows among the term scatter's targets (:func:`_scattered`).  A strided
+    pass or a ``columns`` application carries none on, and a state that
+    came in without one leaves without one.
     """
     if isinstance(g, list):
         parts = [(part.qubits, _checked_table(part, state.n)) for part in g]
@@ -513,7 +556,13 @@ def apply_gate(
         parts = ((g.qubits, _checked_table(g, state.n)),)
     whole = columns is None or len(columns) >= (state.batch or 1)
     src = state.live if whole else state.live[:, columns]
-    rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
+    carried = state.support if whole else None
+    state.support = None  # until a sparse pass over a carried support sets it
+    if carried is None:
+        rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
+    else:  # the rows a scan would find, and the same choice
+        state.dense = carried.size > SCATTER_MAX_FRACTION * state.dim
+        rows = None if state.dense else carried
     # the strided kernel takes a chain a part at a time; a sparse pass
     # moves it whole, in one pass
     for qubits, table in parts if rows is None else parts[:1]:
@@ -522,8 +571,12 @@ def apply_gate(
             _strided(src, dst, qubits, table, state.scratch)
         elif table.moves is None:
             _scatter(src, dst, qubits, table, rows)
+            if carried is not None:
+                state.support = _scattered(dst, qubits, table, rows)
         else:  # signed permutations scatter through their lookups
-            _move(src, dst, parts, rows)
+            moved = _move(src, dst, parts, rows)
+            if carried is not None:
+                state.support = moved
         if whole:
             state.toggle_after_gate(rows)  # dst is now the live buffer
         src = dst
@@ -545,17 +598,29 @@ def _checked_table(g: GateInstance | _Block, n: int) -> _Table:
 
 
 def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:
-    """Pick the kernel for the next pass over ``src``: the rows the scatter
-    must move, or None for the strided kernel.  Scanning updates
-    ``state.dense``."""
+    """Pick the kernel for the next pass over ``src`` of a state that
+    carries no support: the rows the scatter must move, or None for the
+    strided kernel.  Scanning updates ``state.dense``."""
     if not zero_skip:  # the reference: every basis state through the scatter
         return np.arange(state.dim)
     if state.dense or state.n < SCAN_MIN_QUBITS:
         return None
-    occupied = src != 0
-    nonzero = (occupied if src.ndim == 1 else occupied.any(axis=1)).nonzero()[0]
+    nonzero = _scan(src)
     state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
     return None if state.dense else nonzero
+
+
+def _scan(src) -> np.ndarray:
+    """The zero-skip scan: a full read of ``src`` for its nonzero rows."""
+    return _occupied(src).nonzero()[0]
+
+
+def _carry(state: StateVector, zero_skip: bool) -> None:
+    """Make ``state``, which the calling pass owns, carry its support from
+    here on (see :func:`apply_gate`): one scan, where the next gate would
+    scan.  The pass clears it before it hands the state back."""
+    if zero_skip and not state.dense and state.n >= SCAN_MIN_QUBITS:
+        state.support = _scan(state.live)
 
 
 def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
@@ -693,6 +758,7 @@ def _collapse(state: StateVector, q: int, uniforms, in_order: bool = False) -> i
     if np.any(total < 0.5):  # cannot happen while the normalization invariant holds
         raise RuntimeError(f"degenerate state: norm^2 = {total!r}")
     ones_seen = uniforms >= p0
+    state.support = None  # the collapse may clear rows
     np.copyto(view[:, 0], 0, where=ones_seen)
     np.copyto(view[:, 1], 0, where=~ones_seen)
     live /= np.sqrt(np.where(ones_seen, p1, p0))
@@ -784,15 +850,19 @@ def run_circuit(
         instructions = [item for signed, items in itertools.groupby(_fused(instructions), _signed)
                         for item in ([list(items)] if signed else items)]
     state = StateVector(n, batch)
+    _carry(state, zero_skip)
     transcript: list[tuple[int, int]] = []
     for g in instructions:
         if isinstance(g, (list, _Block)) or g.kind.is_unitary:
             apply_gate(state, g, zero_skip=zero_skip)
-        elif g.kind is GateKind.MEASURE:
+            continue
+        if g.kind is GateKind.MEASURE:
             bit, _ = measure(state, g.qubits[0], rng)
             transcript.append((g.qubits[0], bit))
         else:
             prep_z(state, g.qubits[0], rng)
+        _carry(state, zero_skip)
+    state.support = None
     return state, transcript
 
 

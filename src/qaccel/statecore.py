@@ -156,12 +156,16 @@ class StateVector:
     current amplitudes, 1 means the odd buffer does.  Between gates the
     non-live buffer is kept all +0, bit for bit.  ``dense`` records that
     zero-skipping found most amplitudes nonzero, so the engine stops
-    scanning for zeros until :meth:`reset_ground`.  With ``batch=B`` the buffers are
+    scanning for zeros until :meth:`reset_ground`.  ``support``, like
+    ``dense`` a kernel hint, is None or, while a pass that owns the state
+    carries it, the rows a zero-skip scan would find nonzero (see gates);
+    a reset, a copy and a new state carry none.  With ``batch=B`` the buffers are
     ``(2^n, B)``, one column per trajectory; ``batch`` is None for a plain
     ``(2^n,)`` state, which acts as a single trajectory.
     """
 
-    __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense", "scratch")
+    __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense", "support",
+                 "scratch")
 
     def __init__(self, n: int, batch: int | None = None):
         check_capacity(n, batch)
@@ -173,6 +177,7 @@ class StateVector:
         self.buf_odd = np.zeros(shape, dtype=np.complex128)
         self.parity = 0
         self.dense = False
+        self.support = None
         self.buf_even[0] = 1.0
         self.scratch = _scratch(self.buf_even.size)
 
@@ -205,6 +210,7 @@ class StateVector:
         self.buf_even[0] = 1.0
         self.parity = 0
         self.dense = False
+        self.support = None
 
     def amplitude(self, i: int) -> Amplitude:
         if not 0 <= i < self.dim:
@@ -241,6 +247,7 @@ class StateVector:
         state.buf_odd = np.zeros_like(live)
         state.parity = 0
         state.dense = False
+        state.support = None
         state.scratch = _scratch(live.size) if scratch is None else scratch
         return state
 

@@ -18,6 +18,10 @@ turn, and each group starts from a copy of it; the last group, when it is
 one trajectory, runs in the carried state itself, and trajectories that
 never diverge take its end.  Paulis, and ``prep_z``'s flips, go through
 :func:`apply_gate` on the columns they hit, as in the gate-by-gate pass.
+The pass owns the carried state, so it scans it once and then carries its
+support from gate to gate (see gates), up to the last group's first
+collapse when that group runs in it; a group's copy carries none, and is
+scanned before each gate.
 
 The batch is assembled in its own column order, each column with the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import _PAULIS, GateInstance, GateKind, _collapse, apply_gate
+from .gates import _PAULIS, GateInstance, GateKind, _carry, _collapse, apply_gate
 from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 
 #: numpy's ufunc buffer, in elements, while a noisy pass runs its groups.
@@ -117,6 +121,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
     carried, done = StateVector(n), 0  # noiseless, through instructions[:done]
+    _carry(carried, zero_skip)
     finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
@@ -180,6 +185,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                   for i, bits in outcomes.items()]
     if not finals:  # the only group's state
         if state.batch == batch:
+            state.support = None  # it may be the carried state
             return state, transcript
         # a batch of one, run in the carried state, whose dead buffer goes first
         live, scratch = state.live.reshape(-1, 1), state.scratch

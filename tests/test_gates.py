@@ -1312,3 +1312,171 @@ class TestGroupedNoisyPass:
         # the per-gate pass applies every gate to all 128 columns
         assert sum(calls) < 0.75 * 128 * len(ops)
         assert max(calls) == 32
+
+
+class TestCarriedSupport:
+    """A pass that owns its state carries the state's support from item to
+    item instead of scanning for it: exactly the rows a scan would find,
+    with the same kernel choices, ``dense`` flags and bytes."""
+
+    @staticmethod
+    def cancelling(q, r):
+        """H on a qubit in a basis state, around two CNOTs it controls: the
+        second H cancels every row with qubit q set to exactly 0."""
+        return [gate("h", q), gate("cnot", q, r), gate("cnot", q, r), gate("h", q)]
+
+    @classmethod
+    def program(cls, rng, n, dense):
+        """Held one-qubit products, stretches of signed permutations (blocks
+        and chains), a measure and a prep_z, rows cancelled to 0, and, when
+        ``dense``, an H layer that makes the state dense before the rest."""
+        ops = cls.cancelling(0, 1)
+        for _ in range(3):
+            ops += TestFusion.permutation_heavy(rng, n, 12)
+            q = int(rng.integers(n))
+            ops += [gate("h", q), gate("ry", q, angle=float(rng.uniform(-3, 3))),
+                    gate("rz", q, angle=float(rng.uniform(-3, 3)))]
+        r = int(rng.integers(1, n))
+        ops += [gate("measure", r), gate("prep_z", 0)] + cls.cancelling(0, r)
+        if dense:
+            ops += [gate("h", q) for q in range(n - 3)]
+        ops += TestFusion.permutation_heavy(rng, n, 12) + [gate("measure", r)]
+        return ops + random_circuit(rng, n, max_gates=12, min_gates=8)
+
+    @staticmethod
+    def exact(state):
+        """Whether a carried support is the set a scan of the live buffer
+        would find (no support at all passes)."""
+        if state.support is None:
+            return True
+        occupied = state.live != 0
+        rows = np.flatnonzero(occupied if state.batch is None else occupied.any(axis=1))
+        return not state.dense and np.array_equal(np.sort(state.support), rows)
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_a_noiseless_pass_carries_the_rows_a_scan_would_find(self, monkeypatch, batch):
+        # a shadow state that carries nothing takes every call the pass
+        # makes, with draws from a copy of the pass's generator
+        failures, checks, shrunk = [], [0], [0]
+        shadow = {}
+        apply_original, measure_original, carry_original = (
+            gates.apply_gate, gates.measure, gates._carry)
+
+        def check(state, what):
+            checks[0] += state.support is not None
+            twin = shadow["state"]
+            if not self.exact(state):
+                failures.append((what, "support"))
+            if state.dense != twin.dense or state.live.tobytes() != twin.live.tobytes():
+                failures.append((what, "state"))
+
+        def applied(state, g, **kwargs):
+            before = None if state.support is None else state.support.size
+            apply_original(state, g, **kwargs)
+            apply_original(shadow["state"], g, **kwargs)
+            if before is not None and state.support is not None and state.support.size < before:
+                shrunk[0] += 1
+            check(state, g)
+            return state
+
+        def measured(state, q, rng):
+            bits, _ = measure_original(state, q, rng)
+            measure_original(shadow["state"], q, shadow["rng"])
+            check(state, ("measure", q))
+            return bits, state
+
+        def carried(state, zero_skip):
+            carry_original(state, zero_skip)
+            check(state, "carry")
+
+        monkeypatch.setattr(gates, "apply_gate", applied)
+        monkeypatch.setattr(gates, "measure", measured)
+        monkeypatch.setattr(gates, "_carry", carried)
+        rng = np.random.default_rng(2121 + (batch or 0))
+        for case in range(6):
+            n, dense = 13 + case % 3, case % 2 == 1
+            ops = self.program(rng, n, dense)
+            seed = int(rng.integers(1 << 30))
+            shadow.update(state=StateVector(n, batch), rng=np.random.default_rng(seed))
+            state, _ = run_circuit(n, ops, rng=np.random.default_rng(seed), batch=batch)
+            if state.live.tobytes() != shadow["state"].live.tobytes():
+                failures.append((case, "final bytes"))
+            if dense != shadow["state"].dense:
+                failures.append((case, "dense at the end"))
+        assert not failures, failures[:5]
+        assert checks[0] > 100 and shrunk[0] > 0
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_the_noisy_carried_state_carries_the_rows_a_scan_would_find(self, monkeypatch, n):
+        failures, checks = [], [0]
+        original = trajectories.apply_gate
+
+        def applied(state, g, **kwargs):
+            original(state, g, **kwargs)
+            checks[0] += state.support is not None
+            if not self.exact(state):
+                failures.append(g)
+            return state
+
+        monkeypatch.setattr(trajectories, "apply_gate", applied)
+        rng = np.random.default_rng(2200 + n)
+        for width in (1, 3, 8):
+            for p in (0.01, 0.1):
+                ops = TestFusion.permutation_heavy(rng, n, 30) + self.cancelling(0, 1)
+                ops += random_circuit(rng, n, max_gates=6)
+                at = sorted(rng.choice(len(ops), 2, replace=False))
+                for i, kind in zip(at, ("measure", "prep_z")):
+                    ops.insert(int(i), gate(kind, int(rng.integers(n))))
+                TestGroupedNoisyPass.assert_same(n, ops, p, True, width,
+                                                 int(rng.integers(1 << 30)))
+        assert not failures, failures[:5]
+        assert checks[0] > 20
+
+    def test_a_noiseless_pass_scans_at_most_once(self, monkeypatch):
+        scans = []
+        original = gates._scan
+        monkeypatch.setattr(gates, "_scan", lambda src: scans.append(1) or original(src))
+        rng = np.random.default_rng(2323)
+        for n, batch in ((13, None), (14, 2), (15, None)):
+            for dense in (False, True):
+                ops = TestFusion.permutation_heavy(rng, n, 60)
+                if dense:
+                    ops[30:30] = [gate("h", q) for q in range(n - 3)]
+                del scans[:]
+                run_circuit(n, ops, batch=batch)
+                assert len(scans) <= 1
+
+    def test_apply_gate_scans_a_state_no_pass_owns_on_every_call(self, monkeypatch):
+        # what c09 and ``qaccel bench`` time
+        scans = []
+        original = gates._scan
+        monkeypatch.setattr(gates, "_scan", lambda src: scans.append(1) or original(src))
+        n = 13
+        amps = np.zeros(1 << n, complex)
+        amps[[3, 40, 700]] = 1 / np.sqrt(3)
+        reset = StateVector(n)
+        apply_gate(reset, gate("h", 0))
+        reset.reset_ground()
+        for state in (StateVector(n), StateVector.from_amplitudes(amps), alloc_state(n), reset):
+            del scans[:]
+            for g in (gate("x", 2), gate("h", 1), gate("cnot", 1, 5), gate("rz", 5, angle=0.3)):
+                apply_gate(state, g)
+                assert state.support is None
+            assert len(scans) == 4
+
+    def test_the_states_passes_return_and_make_carry_no_support(self):
+        n, rng = 14, np.random.default_rng(2424)
+        ops = TestFusion.permutation_heavy(rng, n, 20) + [gate("measure", 3)]
+        for noise, batch in ((None, None), (None, 2), (NoiseConfig(0.01), None),
+                             (NoiseConfig(0.01), 3), (NoiseConfig(1e-6), None)):
+            state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), noise=noise, batch=batch)
+            assert state.support is None
+        # a carried support goes with a collapse, a columns= application,
+        # a reset and a copy
+        state = StateVector(n, 2)
+        for drop in (lambda s: measure(s, 0, rng), lambda s: s.reset_ground(),
+                     lambda s: apply_gate(s, gate("x", 1), columns=np.array([1]))):
+            gates._carry(state, True)
+            assert state.support is not None and state.copy().support is None
+            drop(state)
+            assert state.support is None

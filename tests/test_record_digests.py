@@ -2,7 +2,7 @@
 
 A static program measures each qubit only at its end and has no prep_z, so
 its record is one noiseless pass, its sampled readout and, for a noisy run,
-its batches of trajectories; one pinned program also resets qubits with
+its batches of trajectories; two pinned programs also reset qubits with
 prep_z.  These lines must not move when the runner or the engine changes:
 each test compares the sha256 of a store line, less its ``run_id``,
 ``timestamp`` and ``wall_time_ns``, with the digest recorded when the test
@@ -66,6 +66,25 @@ def _layers_12() -> Program:
     return make_program(n, ops + [gate("measure", q) for q in range(n)])
 
 
+def _sparse_then_dense(n: int, seed: int, reset: bool = False) -> Program:
+    """H gates on qubit 0 around two CNOTs that cancel a row back to 0, a
+    sparse stretch of signed permutations and H on a few qubits (with a
+    prep_z in it when ``reset``), then a layer of H, RY and CNOT on every
+    qubit and a TOFFOLI, then a measure on every qubit."""
+    rng = np.random.default_rng(seed)
+    ops = [gate("h", 0), gate("cnot", 0, 1), gate("cnot", 0, 1), gate("h", 0),
+           gate("x", 0), gate("h", 1), gate("cnot", 1, 2), gate("toffoli", 0, 2, n - 1),
+           gate("h", 3), gate("swap", 3, 4), gate("cz", 1, 4), gate("z", 2),
+           gate("cnot", n - 1, 5), gate("h", 6), gate("toffoli", 5, 6, 7)]
+    if reset:
+        ops += [gate("prep_z", 2), gate("x", 2), gate("cnot", 2, 8)]
+    ops += [gate("h", q) for q in range(n)]
+    ops += [gate("ry", q, angle=float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+    ops += [gate("cnot", int(a), int(b)) for a, b in rng.permutation(n)[:n - n % 2].reshape(-1, 2)]
+    ops.append(gate("toffoli", *(int(q) for q in rng.choice(n, 3, replace=False))))
+    return make_program(n, ops + [gate("measure", q) for q in range(n)])
+
+
 PREP_Z = """version 1.0
 qubits 5
 h q[0]
@@ -119,6 +138,17 @@ PINNED = {
     # its recorded fidelity is one of the known wrong answers ROADMAP.md lists for prep_z
     "noisy_prep_z": (parse(PREP_Z), {"seed": 7, "noise_p": 0.01, "shots": 300},
                      "d28a61ad7716d5f750668a65210fbe647ae679b208810d95a12f6ee4664a7ed9"),
+    # a sparse state carried gate by gate: in every batch's noiseless
+    # state, and through a prep_z that collapses the fused pass's state
+    "noisy_14_batches": (
+        _sparse_then_dense(14, 14), {"seed": 8, "noise_p": 0.02, "shots": 16},
+        "591702834813e244d7e8eb26cf895caa3136b5a65494127318a2fc360543681e"),
+    "noisy_16": (
+        _sparse_then_dense(16, 16), {"seed": 9, "noise_p": 0.01, "shots": 8},
+        "304a1a7117f57d942683670253a32f7e0fcf63357e247caecde4169fa39aaaf7"),
+    "sparse_dense_prep_z_15": (
+        _sparse_then_dense(15, 15, reset=True), {"seed": 10},
+        "c3aef0dca7e6ea1a29941600e4f65c788cad63d902c8d39839271020cdfa0ec5"),
 }
 
 #: sha256 of ``qaccel map`` stdout for the mirror circuit on grid:3x3.
