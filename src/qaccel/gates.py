@@ -558,11 +558,7 @@ def apply_gate(
     src = state.live if whole else state.live[:, columns]
     carried = state.support if whole else None
     state.support = None  # until a sparse pass over a carried support sets it
-    if carried is None:
-        rows = _scatter_rows(state, src, zero_skip)  # None: the strided kernel
-    else:  # the rows a scan would find, and the same choice
-        state.dense = carried.size > SCATTER_MAX_FRACTION * state.dim
-        rows = None if state.dense else carried
+    rows = _scatter_rows(state, src, zero_skip, carried)  # None: the strided kernel
     # the strided kernel takes a chain a part at a time; a sparse pass
     # moves it whole, in one pass
     for qubits, table in parts if rows is None else parts[:1]:
@@ -597,15 +593,16 @@ def _checked_table(g: GateInstance | _Block, n: int) -> _Table:
     raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
 
 
-def _scatter_rows(state: StateVector, src, zero_skip: bool) -> np.ndarray | None:
-    """Pick the kernel for the next pass over ``src`` of a state that
-    carries no support: the rows the scatter must move, or None for the
-    strided kernel.  Scanning updates ``state.dense``."""
+def _scatter_rows(state: StateVector, src, zero_skip: bool, nonzero=None) -> np.ndarray | None:
+    """Pick the kernel for the next pass over ``src``: the rows the scatter
+    must move, or None for the strided kernel.  ``nonzero``, a support the
+    state carries, stands in for the scan; either updates ``state.dense``."""
     if not zero_skip:  # the reference: every basis state through the scatter
         return np.arange(state.dim)
-    if state.dense or state.n < SCAN_MIN_QUBITS:
-        return None
-    nonzero = _scan(src)
+    if nonzero is None:
+        if state.dense or state.n < SCAN_MIN_QUBITS:
+            return None
+        nonzero = _scan(src)
     state.dense = nonzero.size > SCATTER_MAX_FRACTION * state.dim
     return None if state.dense else nonzero
 
@@ -618,9 +615,9 @@ def _scan(src) -> np.ndarray:
 def _carry(state: StateVector, zero_skip: bool) -> None:
     """Make ``state``, which the calling pass owns, carry its support from
     here on (see :func:`apply_gate`): one scan, where the next gate would
-    scan.  The pass clears it before it hands the state back."""
-    if zero_skip and not state.dense and state.n >= SCAN_MIN_QUBITS:
-        state.support = _scan(state.live)
+    scan, marking a dense state.  The pass clears it before it hands the state back."""
+    if zero_skip:
+        state.support = _scatter_rows(state, state.live, zero_skip)
 
 
 def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
@@ -775,6 +772,12 @@ def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
     return state
 
 
+def check_shots(shots: int) -> None:
+    """Raise ValueError unless 1 <= shots <= 2**63 - 1, the most numpy's multinomial draws."""
+    if not 1 <= shots <= 2**63 - 1:
+        raise ValueError(f"shots must be in 1..2**63 - 1, got {shots}")
+
+
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Draw full-register samples from a ``(2^n,)`` probability array.
 
@@ -782,8 +785,7 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str,
     trajectory's column and counts them together.  Keys are bitstrings with
     qubit n-1 leftmost and qubit 0 rightmost.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     counts = rng.multinomial(shots, (probs / probs.sum(axis=0)).T)
     if probs.ndim > 1:
         counts = counts.sum(axis=0)

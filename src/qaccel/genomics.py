@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cqasm import Kernel, Program
-from .gates import GateInstance, GateKind, run_circuit
+from .gates import GateInstance, GateKind, check_shots, run_circuit
 from .statecore import MAX_QUBITS
 
 #: 2-bit encoding used when references arrive as nucleotide letters.
@@ -322,8 +322,7 @@ def align(
     the histogram counts those of real positions, and the rest are
     ``padding_readouts``.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     program = build_alignment_circuit(inst)
     state, _ = run_circuit(program.n, program.instructions, rng=rng)
     marginals = index_marginals(inst, state.probabilities())

@@ -12,10 +12,11 @@ records trajectory 0 of its first batch as its final state.  The engine
 draws each batch's whole error schedule first and runs its trajectories in
 groups from where each leaves the noiseless path (see trajectories); the
 batch, its readouts and the record are the bytes a gate-by-gate pass gives.
-After its pass a noiseless run keeps one amplitude buffer and one
-probability array, shared by sampling, the support check and the top-k
-summary; a noisy run adds its recorded trajectory and that one's array,
-and keeps only each batch's live buffer until it is sampled.
+A run keeps only the ideal state's live buffer and summarizes the state it
+records once, while it is live: a noiseless run from the probability array
+it samples, a noisy run from its first batch before that batch is sampled.
+It keeps each batch's live buffer only until it is sampled, and reads the
+ideal probabilities only at the histogram's keys, for the support check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cqasm import Program, emit, parse
-from ..gates import GateKind, NoiseConfig, run_circuit, sample
+from ..gates import GateKind, NoiseConfig, check_shots, run_circuit, sample
 from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
 from ..statecore import MemoryParams, check_normalized, estimate_total_memory, probabilities
@@ -113,8 +114,7 @@ def run_program(
     persist: bool = True,
 ) -> RunOutcome:
     started = time.perf_counter_ns()
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     canonical = emit(program)
@@ -133,15 +133,14 @@ def run_program(
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
     noise = NoiseConfig(noise_p) if noise_p else None
 
-    ideal_state, _ = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))
-    ideal = recorded = ideal_state.live
-    del ideal_state  # only its live buffer is needed from here on
+    ideal = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))[0].live
     width = 1  # trajectories in the widest state
     if noise is None:
-        ideal_probs = probs = probabilities(ideal)
+        probs = probabilities(ideal)
         check_normalized(probs, "ideal")
         run_fidelity = 1.0  # the recorded state is the ideal one
         histogram = sample(probs, shots, np.random.default_rng(sample_seq))
+        final_states = _top_states(ideal, probs, executed.n, top_k)
     else:
         # one noisy trajectory per shot, simulated in batches, one readout each
         histogram = {}
@@ -151,17 +150,18 @@ def run_program(
             # only the live buffer is kept: the dead one and the scratch go here
             batch = run_circuit(executed.n, unitary, rng=shot_rng, noise=noise,
                                 batch=min(width, shots - start))[0].live
-            if start == 0:  # a copy, so the batch buffer is not kept alive
-                recorded = batch[:, 0].copy()
+            if start == 0:  # trajectory 0 is the recorded state, summarized while it is live
+                run_fidelity = fidelity(ideal, batch[:, 0])
+                final_states = _top_states(batch[:, 0], probabilities(batch[:, 0]),
+                                           executed.n, top_k)
             batch_probs = probabilities(batch)
             del batch  # freed before sampling
             for key, count in sample(batch_probs, 1, shot_rng).items():
                 histogram[key] = histogram.get(key, 0) + count
             del batch_probs  # freed before the next batch runs
-        ideal_probs, probs = probabilities(ideal), probabilities(recorded)
-        run_fidelity = fidelity(ideal, recorded)
 
-    support = [key for key in histogram if ideal_probs[int(key, 2)] > SUPPORT_THRESHOLD]
+    ideal_probs = probabilities(ideal[[int(key, 2) for key in histogram]])  # at its keys only
+    support = [key for key, p in zip(histogram, ideal_probs) if p > SUPPORT_THRESHOLD]
     counts = gate_count(executed)
     depth = report.depth_after if report is not None else schedule_asap(executed).depth
     metric_set = MetricSet(
@@ -190,7 +190,7 @@ def run_program(
         circuit_hash=circuit_hash,
         config=config,
         metrics=metric_set,
-        final_states=_top_states(recorded, probs, executed.n, top_k),
+        final_states=final_states,
         wall_time_ns=time.perf_counter_ns() - started,
         peak_state_bytes=estimate_total_memory(MemoryParams(executed.n, batch=width)),
     )

@@ -135,9 +135,10 @@ def check_capacity(n: int, batch: int | None = None) -> None:
     trajectories when given, fits in physical memory."""
     if not 1 <= n <= MAX_QUBITS:
         msg = f"qubit count {n} outside supported range 1..{MAX_QUBITS}"
-        if n >= 1:
+        if n >= 1:  # a figure past 64 bits as a power of two, whose digits stay few
             need = estimate_total_memory(MemoryParams(n))
-            msg += f": double-buffered state would need {need} bytes"
+            figure = need if need < 1 << 64 else f"2^{need.bit_length() - 1}"
+            msg += f": double-buffered state would need {figure} bytes"
         raise CapacityError(msg)
     params = MemoryParams(n, batch=1 if batch is None else batch)
     peak, physical = estimate_peak_memory(params), physical_memory_bytes()

@@ -145,12 +145,9 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 state.dense = carried.dense
                 if last:
                     carried = None
-                if cols.size == width:  # one group, in order: a trajectory is its column
-                    column = errors[2]
-                else:
-                    column = np.full(width, -1, np.int32)
-                    column[cols] = np.arange(cols.size)
-                    column = column[errors[2]]
+                column = np.full(width, -1, np.int32)
+                column[cols] = np.arange(cols.size)
+                column = column[errors[2]]
                 paulis = _errors_by_gate(errors, column)
                 hit_at, hits = next(paulis, (end, None))
                 in_order = state.batch is None and width > 1

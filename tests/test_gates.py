@@ -1042,6 +1042,12 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(alloc_state(1).probabilities(), 0, np.random.default_rng(0))
 
+    def test_takes_shots_up_to_the_largest_count_numpy_draws(self):
+        probs = StateVector(1).probabilities()
+        assert sample(probs, 2**63 - 1, np.random.default_rng(0)) == {"0": 2**63 - 1}
+        with pytest.raises(ValueError, match="shots"):
+            sample(probs, 2**63, np.random.default_rng(0))
+
 
 def _first_pauli_choice(seed: int) -> int:
     """Which Pauli apply_depolarizing draws first at p=1 for this seed."""

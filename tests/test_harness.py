@@ -452,10 +452,11 @@ class TestNoisyTrajectories:
             ops.append(gate(str(kind), *(int(q) for q in qubits), angle=angle))
         return ops
 
-    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
-    def test_noisy_run_peaks_below_the_per_gate_pass(self, n):
-        width = min(200, runner.TRAJECTORY_AMPLITUDES >> n)
-        program = make_program(n, self.random_ops(n, n))
+    @classmethod
+    def traced_run_peak(cls, n):
+        """The traced peak of a 200-shot run at noise 0.01 of one of these
+        circuits, and its widest batch."""
+        program = make_program(n, cls.random_ops(n, n))
         run_program(program, shots=2, seed=1, noise_p=0.01, persist=False)  # tables and imports
         tracemalloc.start()
         try:
@@ -463,7 +464,19 @@ class TestNoisyTrajectories:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, min(200, runner.TRAJECTORY_AMPLITUDES >> n)
+
+    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
+    def test_noisy_run_peaks_below_the_per_gate_pass(self, n):
+        peak, width = self.traced_run_peak(n)
         assert peak / (16 * width << n) <= self.PER_GATE_PEAKS[n]
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_noisy_run_holds_the_pass_and_one_ideal_state(self, n):
+        # the engine's peak plus the ideal amplitudes the run keeps; at
+        # n <= 12 the histogram's objects show on top of that
+        peak, width = self.traced_run_peak(n)
+        assert peak <= estimate_peak_memory(MemoryParams(n, batch=width)) + (16 << n)
 
     @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
     def test_noisy_pass_fits_the_memory_model(self, n):
@@ -523,10 +536,19 @@ class TestCliExitCodes:
         qasm.write_text("version 1.0\nqubits 3\nh q[0]\n")
         assert main(["run", str(qasm), "--topology", "line:2"]) == 2
 
-    def test_capacity_error_exits_three(self, tmp_path):
-        qasm = tmp_path / "huge.qasm"
-        qasm.write_text("version 1.0\nqubits 31\nx q[0]\n")
-        assert main(["run", str(qasm), "--shots", "1"]) == 3
+    def test_capacity_error_exits_three(self, tmp_path, capsys):
+        bell = tmp_path / "bell.qasm"
+        bell.write_text(BELL)
+        argvs = [["run", str(bell), "--topology", "line:20000"]]
+        # from 14,280 qubits on, the double buffer's byte count has more
+        # digits than Python turns into a string
+        for qubits in (31, 20000):
+            qasm = tmp_path / f"huge{qubits}.qasm"
+            qasm.write_text(f"version 1.0\nqubits {qubits}\nx q[0]\n")
+            argvs.append(["run", str(qasm)])
+        for argv in argvs:
+            assert main(argv + ["--shots", "1"]) == 3, argv
+            assert capsys.readouterr().err.startswith("capacity error: "), argv
 
     def test_register_beyond_physical_memory_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
@@ -544,6 +566,17 @@ class TestCliExitCodes:
         qasm.write_text(BELL)
         assert main([a.format(qasm=qasm) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error: qaccel")
+
+    @pytest.mark.parametrize("argv", [["run", "{qasm}"],
+                                      ["run", "{qasm}", "--noise-p", "0.1"],
+                                      ["align", "--reference", "0110", "--read", "01"]],
+                             ids=["run", "noisy-run", "align"])
+    def test_shots_beyond_what_numpy_draws_exit_one(self, argv, tmp_path, capsys):
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        argv = [a.format(qasm=qasm) for a in argv] + ["--shots", str(10**20)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: shots must be in 1..2**63 - 1")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -38,6 +38,12 @@ class TestAllocState:
             alloc_state(31)
         assert str(8 * 2 ** (31 + 2)) in str(err.value)
 
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_a_huge_register_names_its_need_as_a_power_of_two(self, n):
+        # 2^20005 has more digits than Python turns into a string
+        with pytest.raises(CapacityError, match=rf"would need 2\^{n + 5} bytes$"):
+            StateVector(n)
+
     def test_refuses_register_beyond_physical_memory(self, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
         with pytest.raises(CapacityError, match="physical memory"):
