@@ -23,14 +23,15 @@ registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
 amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
 nonzero; other gates are strided, and a larger support marks the state
 dense, which skips the scan until ``reset_ground``.  Both constants are
-measured crossovers of the kernels.  A pass that owns its state (the
-noiseless pass of :func:`run_circuit`, and the noiseless state a noisy pass
-carries) scans it once at the start and once after each ``measure`` or
-``prep_z``, and from there carries its support in ``state.support``: a
-sparse pass returns the rows it wrote, which are the rows the next scan
-would find, so every kernel choice, ``dense`` flag and byte stays what
-scanning gives.  A state that no pass owns, such as one that ``qaccel
-bench`` times, is scanned before every gate.
+measured crossovers of the kernels.  A pass carries the support of every
+state it makes in ``state.support``: the noiseless pass of
+:func:`run_circuit` scans its state once at the start and once after each
+``measure`` or ``prep_z``, a noisy pass scans the noiseless state it
+carries once, and its groups' copies take that support along.  A sparse
+pass returns the rows it wrote, which are the rows the next scan would
+find, so every kernel choice, ``dense`` flag and byte stays what scanning
+gives.  A state that no pass owns, such as one that ``qaccel bench``
+times, is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -83,7 +84,9 @@ column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory.
 
 A noisy pass of :func:`run_circuit` runs each batch's trajectories in
-groups from where each leaves the noiseless path; see ``trajectories``.
+groups from where each leaves the noiseless path, each group from a copy of
+the noiseless state that takes its support along, and returns the batch
+as one state; see ``trajectories``.
 
 :func:`sample` draws readouts from a probability array (see
 ``statecore.probabilities``), so a caller that computed one for its own use

@@ -12,18 +12,19 @@ noiseless state, byte for byte.
 The trajectories, sorted stably by divergence point, run in groups of at
 most ``CHUNK_AMPLITUDES >> n`` columns, and at least one: up to n = 14 a
 group is a register of at most one chunk, which the kernels apply gates to
-whole, and from n = 14 on it is one trajectory.  One noiseless state is
+whole, and from n = 14 on it is one trajectory; the trajectories that
+never diverge make one group, of any width.  One noiseless state is
 carried gate by gate, unfused, through each group's first erring gate in
-turn, and each group starts from a copy of it; the last group, when it is
-one trajectory, runs in the carried state itself, and trajectories that
-never diverge take its end.  Paulis, and ``prep_z``'s flips, go through
-:func:`apply_gate` on the columns they hit, as in the gate-by-gate pass.
-The pass owns the carried state, so it scans it once and then carries its
-support from gate to gate (see gates), up to the last group's first
-collapse when that group runs in it; a group's copy carries none, and is
-scanned before each gate.
+turn, and each group starts from a copy of it; the last group runs in the
+carried state itself when it is one trajectory or never diverges.  Paulis,
+and ``prep_z``'s flips, go through :func:`apply_gate` on the columns they
+hit, as in the gate-by-gate pass.  The pass carries the support of every
+state it makes (see gates): it scans the carried state once, and a group's
+copy, that state byte for byte, takes its support along.  A group's state
+carries it up to its first collapse, or its first gate on only some of its
+columns, and is scanned before each gate from there.
 
-The batch is assembled in its own column order, each column with the
+The pass returns the batch in its own column order, each column with the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
 draw; a lone trajectory of a wider batch sums its measurement probability
 in index order, as a batch's column reduction does.  A plain noisy pass is
@@ -31,8 +32,10 @@ a batch of one.  The pass holds at once the carried state, one group and
 the finished groups' amplitudes.  A group that does not run in the carried
 state starts from a fresh copy of it, and a finished group keeps only its
 live buffer, so its dead one is freed before the next group's are made.
-Once the last group ends and the carried state is freed, the batch's buffer
-is made once and filled from the groups'.  The states of one pass share one
+The pass leaves through one state: it takes the only group's buffer as it
+is when that group covers the batch in column order; otherwise, once the
+last group ends and the carried state is freed, the batch's buffer is made
+once and filled from the groups'.  The states of one pass share one
 scratch; numpy's ufunc buffers are held to ``UFUNC_BUFFER`` elements while
 the groups run.
 """
@@ -115,83 +118,67 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
     group_width = min(width, max(1, CHUNK_AMPLITUDES >> n))
     order = (np.argsort(start, kind="stable") if width > group_width
              else np.arange(width, dtype=np.int32))
-    begins = [int(start[order[first:first + group_width]].min())
-              for first in range(0, width, group_width)]
-    del start
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
-    carried, done = StateVector(n), 0  # noiseless, through instructions[:done]
+    carried, done, first = StateVector(n), 0, 0  # noiseless, through instructions[:done]
     _carry(carried, zero_skip)
     finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
-        for first, begin in zip(range(0, width, group_width), begins):
+        while first < width:
             cols = order[first:first + group_width]
-            last = first + group_width >= width
+            begin = int(start[cols].min())
+            if begin == end:  # these and all later trajectories never diverge
+                cols = order[first:]
+            first += cols.size
             # carried through the group's first erring gate, or up to its first measure
             reach = begin + (begin < end and instructions[begin].kind.is_unitary)
             for g in instructions[done:reach]:
                 apply_gate(carried, g, zero_skip=zero_skip)
             done = reach
-            if begin == end:  # these and all later trajectories never diverge
-                cols, state, last = order[first:], carried, True
-            else:
-                if last and cols.size == 1:
-                    state = carried  # the last group runs in the carried state
-                else:  # a fresh copy of the carried state
-                    state = StateVector.holding(
-                        np.repeat(carried.live[:, None], cols.size, axis=1) if cols.size > 1
-                        else carried.live.copy(), carried.scratch)
-                state.dense = carried.dense
-                if last:
-                    carried = None
-                column = np.full(width, -1, np.int32)
-                column[cols] = np.arange(cols.size)
-                column = column[errors[2]]
-                paulis = _errors_by_gate(errors, column)
-                hit_at, hits = next(paulis, (end, None))
-                in_order = state.batch is None and width > 1
-                for i in range(begin, end):
-                    g = instructions[i]
-                    if i < reach:
-                        pass  # the erring gate, run in the carried state
-                    elif g.kind.is_unitary:
-                        apply_gate(state, g, zero_skip=zero_skip)
-                    else:
-                        draws = uniforms[i] if batch is None else uniforms[i][
-                            cols if state.batch else cols[0]]
-                        bits = _collapse(state, g.qubits[0], draws, in_order)
-                        if g.kind is GateKind.MEASURE:
-                            outcomes[i][cols] = bits
-                        elif np.any(bits):  # prep_z flips each trajectory that read 1
-                            apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits),
-                                       zero_skip=zero_skip, columns=np.flatnonzero(bits))
-                    if i == hit_at:
-                        for (q, kind), columns in hits.items():
-                            apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),
-                                       zero_skip=zero_skip, columns=np.array(columns))
-                        hit_at, hits = next(paulis, (end, None))
-            if state.batch == batch or width == 1:  # the only group
-                break
+            if first == width and (cols.size == 1 or begin == end):
+                state, carried = carried, None  # the last group runs in the carried state
+            else:  # a copy of the carried state, byte for byte, so with its support
+                state = StateVector.holding(
+                    np.repeat(carried.live[:, None], cols.size, axis=1) if cols.size > 1
+                    else carried.live.copy(), carried.scratch)
+                state.dense, state.support = carried.dense, carried.support
+            column = np.full(width, -1, np.int32)
+            column[cols] = np.arange(cols.size)
+            paulis = _errors_by_gate(errors, column[errors[2]])
+            hit_at, hits = next(paulis, (end, None))
+            in_order = state.batch is None and width > 1
+            for i in range(begin, end):
+                g = instructions[i]
+                if i < reach:
+                    pass  # the erring gate, run in the carried state
+                elif g.kind.is_unitary:
+                    apply_gate(state, g, zero_skip=zero_skip)
+                else:
+                    draws = uniforms[i] if batch is None else uniforms[i][
+                        cols if state.batch else cols[0]]
+                    bits = _collapse(state, g.qubits[0], draws, in_order)
+                    if g.kind is GateKind.MEASURE:
+                        outcomes[i][cols] = bits
+                    elif np.any(bits):  # prep_z flips each trajectory that read 1
+                        apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits),
+                                   zero_skip=zero_skip, columns=np.flatnonzero(bits))
+                if i == hit_at:
+                    for (q, kind), columns in hits.items():
+                        apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),
+                                   zero_skip=zero_skip, columns=np.array(columns))
+                    hit_at, hits = next(paulis, (end, None))
             finals.append((cols, state.live.reshape(state.dim, -1)))
             del state  # its dead buffer is freed before the next group's are made
-            if last:
-                break
 
     transcript = [(instructions[i].qubits[0], bits if batch else int(bits[0]))
                   for i, bits in outcomes.items()]
-    if not finals:  # the only group's state
-        if state.batch == batch:
-            state.support = None  # it may be the carried state
-            return state, transcript
-        # a batch of one, run in the carried state, whose dead buffer goes first
-        live, scratch = state.live.reshape(-1, 1), state.scratch
-        del state, carried
-        return StateVector.holding(live, scratch), transcript
     del carried  # freed before the batch's buffer is made
-    live = np.empty((1 << n, width), np.complex128)
-    while finals:  # each group's amplitudes are freed once copied
-        cols, final = finals.pop()
-        live[:, cols] = final
-    del final  # freed before the batch's dead buffer is made
-    return StateVector.holding(live), transcript
+    live = finals[0][1]  # the only group's amplitudes, when it covers the batch in order
+    if len(finals) > 1 or live.shape[1] < width:
+        live = np.empty((1 << n, width), np.complex128)
+        while finals:  # each group's amplitudes are freed once copied
+            cols, final = finals.pop()
+            live[:, cols] = final
+        del final  # freed before the batch's dead buffer is made
+    return StateVector.holding(live if batch else live[:, 0]), transcript

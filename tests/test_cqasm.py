@@ -49,6 +49,11 @@ class TestParse:
             parse("version 1.0\nh q[0]\n")
         assert "qubits" in str(err.value)
 
+    def test_file_ends_before_qubits(self):
+        with pytest.raises(ParseError, match="'qubits' header") as err:
+            parse("version 1.0\n# no register\n")
+        assert err.value.line == 1
+
     def test_empty_source(self):
         with pytest.raises(ParseError):
             parse("")
@@ -79,6 +84,16 @@ class TestParse:
     def test_malformed_operand(self):
         with pytest.raises(ParseError):
             parse("version 1.0\nqubits 1\nx qubit0\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("cnot q[0], , q[1]", "empty operand"),
+        ("rx 0.5, q[0]", "qubit operand after angle"),
+        ("rx q[0], 0.5, 0.25", "more than one angle"),
+    ])
+    def test_operand_list_errors(self, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(f"version 1.0\nqubits 2\n{line}\n")
+        assert err.value.line == 3
 
     def test_duplicate_kernel_name(self):
         with pytest.raises(ParseError):

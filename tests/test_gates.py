@@ -162,6 +162,14 @@ class TestGateInstanceValidation:
         with pytest.raises(ValueError):
             GateInstance(GateKind.X, (0,), 0.5)
 
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            GateInstance(GateKind.CNOT, (0, -1))
+
+    def test_unknown_mnemonic_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate mnemonic"):
+            gate("nope", 0)
+
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, angle):
         with pytest.raises(ValueError, match="finite"):
@@ -1301,6 +1309,13 @@ class TestGroupedNoisyPass:
         ops += [gate("measure", 0), gate("rx", 1, angle=0.4), gate("prep_z", 2), gate("h", 2)]
         for seed in range(3):
             self.assert_same(n, ops, 0.02, True, width, seed)
+
+    def test_an_operand_out_of_range_raises_before_any_draw(self):
+        ours, untouched = np.random.default_rng(8), np.random.default_rng(8)
+        with pytest.raises(IndexError, match="out of range"):
+            run_circuit(3, [gate("h", 0), gate("cnot", 0, 3)], rng=ours, noise=NoiseConfig(0.1),
+                        batch=4)
+        assert ours.random() == untouched.random()
 
     def test_groups_start_at_their_first_error(self, monkeypatch):
         # at n = 9 a group is 32 trajectories; only gates from a group's

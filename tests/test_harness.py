@@ -104,6 +104,29 @@ class TestStore:
         assert [r.run_id for r in result.records] == ["a", "b"]
         assert result.corrupt_lines == 2
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        store.write_text("\n" + SAMPLE_LINE + "\n\n  \t\n", encoding="utf-8")
+        result = store_query(store)
+        assert result.records == (_sample_record(),)
+        assert result.corrupt_lines == 0
+
+    def test_run_without_a_store_path_goes_to_the_environment_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        store = tmp_path / "from_env" / "runs.jsonl"
+        monkeypatch.setenv("QACCEL_STORE", str(store))
+        monkeypatch.chdir(tmp_path)
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        assert main(["run", str(qasm), "--shots", "10", "--seed", "1"]) == 0
+        assert f"stored -> {store}" in capsys.readouterr().out
+        # nothing went to the default file in the working directory
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bell.qasm", "from_env"]
+        (record,) = store_query().records  # a query without a path reads it too
+        assert record.config["shots"] == 10
+        assert store_query(store).records == (record,)
+
     def test_filters(self, tmp_path):
         store = tmp_path / "runs.jsonl"
         store_append(_sample_record("a", "2026-01-01T00:00:00+00:00"), store)
@@ -494,6 +517,17 @@ class TestNoisyTrajectories:
             tracemalloc.stop()
         assert peak <= estimate_peak_memory(MemoryParams(n, batch=width))
 
+    def test_group_copies_carry_the_support(self, monkeypatch):
+        # 50 batches of 4 trajectories, each a group of its own: one scan of
+        # each batch's carried state and one of the ideal state; a group
+        # copy scanned before each of its gates took 1,271 scans here
+        scans = []
+        original = gates._scan
+        monkeypatch.setattr(gates, "_scan", lambda src: scans.append(1) or original(src))
+        run_program(make_program(14, self.random_ops(14, 30)), shots=200, seed=1, noise_p=0.01,
+                    persist=False)
+        assert len(scans) <= 64
+
     def test_each_batch_is_freed_before_it_is_sampled(self, monkeypatch):
         monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
         states, arrays = [], []  # weak references to each batch's arrays
@@ -657,6 +691,19 @@ class TestCliSubcommands:
         assert code == 0
         assert "swap" in out_file.read_text()
         assert "mapping:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise_p", ["0", "0.1"])
+    def test_run_top_k_zero_records_and_prints_no_states(self, noise_p, tmp_path, capsys):
+        qasm = tmp_path / "bell.qasm"
+        qasm.write_text(BELL)
+        store = tmp_path / "runs.jsonl"
+        argv = ["run", str(qasm), "--shots", "20", "--seed", "2", "--noise-p", noise_p,
+                "--top-k", "0", "--store", str(store)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "fidelity" in out and "|" not in out  # no state lines
+        (record,) = store_query(store).records
+        assert record.final_states == []
 
     def test_align_ranks_toy(self, capsys):
         code = main(["align", "--reference", "0110", "--read", "01", "--seed", "4"])

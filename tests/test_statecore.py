@@ -190,6 +190,10 @@ class TestBufferInvariants:
         apply_gate(state, gate("x", 0))
         np.testing.assert_array_equal(dup.live, [1, 0])
 
+    def test_from_amplitudes_needs_a_power_of_two(self):
+        with pytest.raises(ValueError, match="not a power of two"):
+            StateVector.from_amplitudes(np.array([0.6, 0.8, 0.0]))
+
     def test_from_amplitudes_checks_normalization(self):
         with pytest.raises(ValueError):
             StateVector.from_amplitudes(np.array([1.0, 1.0]))

@@ -84,6 +84,10 @@ class TestGateMatrix:
     def test_h_on_qubit_one_of_two(self):
         np.testing.assert_allclose(gate_matrix(gate("h", 1), 2), kron(H, I2), atol=1e-15)
 
+    def test_operand_out_of_range(self):
+        with pytest.raises(IndexError):
+            gate_matrix(gate("cnot", 0, 2), 2)
+
     def test_cnot_maps_index_one_to_three(self):
         m = gate_matrix(gate("cnot", 0, 1), 2)
         column = m[:, 1]
@@ -159,6 +163,11 @@ class TestHadamardTensorCheck:
         np.testing.assert_allclose(
             hadamard_tensor_check(2, 3), [0.5, -0.5, -0.5, 0.5], atol=1e-15
         )
+
+    @pytest.mark.parametrize("a", [-1, 4])
+    def test_basis_index_out_of_range(self, a):
+        with pytest.raises(ValueError, match="out of range"):
+            hadamard_tensor_check(2, a)
 
     def test_matches_dense_simulation(self):
         for n in range(1, 5):
