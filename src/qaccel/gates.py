@@ -24,14 +24,13 @@ amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
 nonzero; other gates are strided, and a larger support marks the state
 dense, which skips the scan until ``reset_ground``.  Both constants are
 measured crossovers of the kernels.  A pass carries the support of every
-state it makes in ``state.support``: the noiseless pass of
-:func:`run_circuit` scans its state once at the start and once after each
-``measure`` or ``prep_z``, a noisy pass scans the noiseless state it
-carries once, and its groups' copies take that support along.  A sparse
-pass returns the rows it wrote, which are the rows the next scan would
-find, so every kernel choice, ``dense`` flag and byte stays what scanning
-gives.  A state that no pass owns, such as one that ``qaccel bench``
-times, is scanned before every gate.
+state it makes in ``state.support``: a pass of :func:`run_circuit` scans
+its state once at the start and once after each ``measure`` or ``prep_z``,
+a noisy pass scans the noiseless state it carries once, and its groups'
+copies take that support along.  A sparse pass returns the rows it wrote,
+which are the rows the next scan would find, so every kernel choice,
+``dense`` flag and byte stays what scanning gives.  A state that no pass
+owns, such as one that ``qaccel bench`` times, is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -52,7 +51,7 @@ whether it is a lone gate, a block or a chain of them; every other table
 scatters term by term.  Each amplitude then lands once, exactly negated or
 not, on a +0 in its new place, so both scatters give the same bytes.
 
-Noiseless passes of :func:`run_circuit` on registers of at least
+Passes of :func:`run_circuit`, all noiseless, on registers of at least
 ``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs.  One-qubit
 gates that are not signed permutations (H, RX, RY, RZ, Y) are held per
 qubit and move past gates on other qubits; when an instruction touches
@@ -83,10 +82,8 @@ trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory.
 
-A noisy pass of :func:`run_circuit` runs each batch's trajectories in
-groups from where each leaves the noiseless path, each group from a copy of
-the noiseless state that takes its support along, and returns the batch
-as one state; see ``trajectories``.
+Noisy passes live in ``trajectories``, which builds on this module; this
+module does not import it.
 
 :func:`sample` draws readouts from a probability array (see
 ``statecore.probabilities``), so a caller that computed one for its own use
@@ -832,12 +829,12 @@ def run_circuit(
     instructions: Iterable[GateInstance],
     *,
     rng: np.random.Generator | None = None,
-    noise: NoiseConfig | None = None,
     zero_skip: bool = True,
     batch: int | None = None,
 ) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
-    """Execute a gate sequence from the ground state, as ``batch``
-    independent trajectories when given.
+    """Execute a gate sequence from the ground state without noise, as
+    ``batch`` independent trajectories when given.  Noisy runs go through
+    ``trajectories.batches``.
 
     Returns the final state and the measurement transcript as
     (qubit, outcome) pairs in execution order; a batch's outcomes are
@@ -845,8 +842,6 @@ def run_circuit(
     """
     if rng is None:
         rng = np.random.default_rng()
-    if noise is not None and noise.p > 0.0:
-        return trajectories.noisy_pass(n, list(instructions), rng, noise.p, zero_skip, batch)
     if n >= SCAN_MIN_QUBITS:
         # blocks and their tables built before the buffers exist: built
         # during the pass, they kept the heap from shrinking and raised the
@@ -869,7 +864,3 @@ def run_circuit(
         _carry(state, zero_skip)
     state.support = None
     return state, transcript
-
-
-# the noisy pass builds on the names above
-from . import trajectories  # noqa: E402

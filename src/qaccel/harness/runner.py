@@ -6,17 +6,16 @@ register for readout and sampling, while fidelity and the state summary
 are taken before any collapse.  The engine simulates perfect qubits, so a
 noiseless run's state is its own ideal reference: it records fidelity 1
 without computing it, once that state's norm has been checked.  Every run
-makes one noiseless engine pass for that reference; a noisy run then
-simulates its shots as batches of trajectories, one readout each, and
-records trajectory 0 of its first batch as its final state.  The engine
-draws each batch's whole error schedule first and runs its trajectories in
-groups from where each leaves the noiseless path (see trajectories); the
-batch, its readouts and the record are the bytes a gate-by-gate pass gives.
-A run keeps only the ideal state's live buffer and summarizes the state it
+makes one noiseless engine pass for that reference; a noisy run then loops
+over ``trajectories.batches``, one readout per trajectory, and records
+trajectory 0 of the first, widest batch as its final state and that
+batch's width in its memory figure.  The batches, their readouts and the
+record are the bytes a gate-by-gate pass gives (see trajectories).  A run
+keeps only the ideal state's live buffer and summarizes the state it
 records once, while it is live: a noiseless run from the probability array
 it samples, a noisy run from its first batch before that batch is sampled.
-It keeps each batch's live buffer only until it is sampled, and reads the
-ideal probabilities only at the histogram's keys, for the support check.
+It keeps each batch only until it is sampled, and reads the ideal
+probabilities only at the histogram's keys, for the support check.
 """
 
 from __future__ import annotations
@@ -31,28 +30,33 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import trajectories
 from ..cqasm import Program, emit, parse
+from ..errors import CapacityError
 from ..gates import GateKind, NoiseConfig, check_shots, run_circuit, sample
-from ..mapper import MappingReport, Topology, build_topology, initial_placement, route, schedule_asap
+from ..mapper import (MappingReport, Topology, build_topology, initial_placement, route,
+                      schedule_asap, topology_size)
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
-from ..statecore import MemoryParams, check_normalized, estimate_total_memory, probabilities
+from ..statecore import (MAX_QUBITS, MemoryParams, check_normalized, estimate_total_memory,
+                         probabilities)
 from .records import FinalState, RunRecord, store_append
 
 #: Ideal-state probabilities above this threshold define the correct-answer set.
 SUPPORT_THRESHOLD = 1e-9
 
-#: Amplitudes in one batch of noisy trajectories (2^n x shots per batch).
-#: On 200-shot runs at p = 0.01 of the 32 perfbench ``run_noisy`` programs
-#: (9 qubits, 2-core VM, best of 4 rounds) 2^13 took 86 ms an op, 2^14 65 ms,
-#: 2^15 61 ms and 2^16 to 2^18 47-54 ms, against 634 ms for one engine pass
-#: per shot; 2^16 sits on that plateau with 1 MiB buffers.  The batch width
-#: orders the noisy pass's draws: another value changes every seeded record.
-TRAJECTORY_AMPLITUDES = 1 << 16
-
 #: Topologies kept for reuse; the least recently used one goes first.
 TOPOLOGIES_KEPT = 8
 
 _shared_topology = lru_cache(maxsize=TOPOLOGIES_KEPT)(build_topology)
+
+
+def _topology_key(spec: str) -> tuple:
+    """(kind, *dimensions) of a CLI spec: line:N, ring:N, grid:RxC, full:N."""
+    kind, _, dims = spec.partition(":")
+    if not dims:
+        raise ValueError(f"topology spec {spec!r} needs dimensions, e.g. line:4")
+    kind = kind.strip().lower()
+    return (kind, *map(int, dims.lower().split("x") if kind == "grid" else [dims]))
 
 
 def parse_topology_spec(spec: str) -> Topology:
@@ -61,16 +65,7 @@ def parse_topology_spec(spec: str) -> Topology:
     Specs with the same kind and dimensions share one Topology, so its path
     cache serves every run in the process that routes onto it.
     """
-    kind, _, dims = spec.partition(":")
-    kind = kind.strip().lower()
-    if not dims:
-        raise ValueError(f"topology spec {spec!r} needs dimensions, e.g. line:4")
-    if kind == "grid":
-        parts = dims.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"grid spec must be grid:RxC, got {spec!r}")
-        return _shared_topology("grid", int(parts[0]), int(parts[1]))
-    return _shared_topology(kind, int(dims))
+    return _shared_topology(*_topology_key(spec))
 
 
 @dataclass
@@ -123,7 +118,11 @@ def run_program(
     report: MappingReport | None = None
     executed = program
     if topology is not None:
-        topo = parse_topology_spec(topology)
+        shape = _topology_key(topology)
+        if (nodes := topology_size(*shape)) > MAX_QUBITS:  # before a single edge is built
+            raise CapacityError(f"topology {topology} has {nodes} nodes, one qubit each; "
+                                f"at most {MAX_QUBITS} qubits are simulated")
+        topo = _shared_topology(*shape)
         layout = initial_placement(program, topo, placement)
         executed, _final_layout, report = route(program, topo, layout)
 
@@ -131,26 +130,22 @@ def run_program(
     # child 0 is unused; keeping four children keeps seeded histograms stable across versions
     _, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
-    noise = NoiseConfig(noise_p) if noise_p else None
+    NoiseConfig(noise_p)  # a rate outside [0, 1] fails before any pass
 
     ideal = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))[0].live
-    width = 1  # trajectories in the widest state
-    if noise is None:
+    if not noise_p:
+        width = 1  # trajectories in the widest state
         probs = probabilities(ideal)
         check_normalized(probs, "ideal")
         run_fidelity = 1.0  # the recorded state is the ideal one
         histogram = sample(probs, shots, np.random.default_rng(sample_seq))
         final_states = _top_states(ideal, probs, executed.n, top_k)
     else:
-        # one noisy trajectory per shot, simulated in batches, one readout each
-        histogram = {}
+        histogram, width = {}, 0
         shot_rng = np.random.default_rng(shot_seq)
-        width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> executed.n))
-        for start in range(0, shots, width):
-            # only the live buffer is kept: the dead one and the scratch go here
-            batch = run_circuit(executed.n, unitary, rng=shot_rng, noise=noise,
-                                batch=min(width, shots - start))[0].live
-            if start == 0:  # trajectory 0 is the recorded state, summarized while it is live
+        for batch in trajectories.batches(executed.n, unitary, shot_rng, noise_p, shots):
+            if not width:  # the first and widest batch: its trajectory 0 is the recorded state
+                width = batch.shape[1]
                 run_fidelity = fidelity(ideal, batch[:, 0])
                 final_states = _top_states(batch[:, 0], probabilities(batch[:, 0]),
                                            executed.n, top_k)

@@ -17,6 +17,7 @@ the runner shares one topology per spec so the cache outlives a run.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -55,23 +56,29 @@ class Topology:
         return f"Topology({self.kind!r}, nodes={self.node_count}, edges={len(self.edges)})"
 
 
+def topology_size(kind: str, *dims: int) -> int:
+    """The node count of ``build_topology(kind, *dims)``, found without
+    building it; ValueError for the kinds and dimensions it rejects."""
+    # each kind's dimension count and the least value of each dimension
+    shapes = {"line": (1, 1), "ring": (1, 3), "grid": (2, 1), "full": (1, 1)}
+    count, least = shapes.get(kind.lower(), (None, None))
+    if count is None:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    if len(dims) != count or min(dims) < least:
+        raise ValueError(f"{kind} needs {count} dimension(s) of at least {least}, got {dims}")
+    return math.prod(dims)
+
+
 def build_topology(kind: str, *dims: int) -> Topology:
     """line(n), ring(n), grid(rows, cols) with 4-neighbour links, or full(n)."""
+    n = topology_size(kind, *dims)
     kind = kind.lower()
     if kind == "line":
-        (n,) = dims
-        if n < 1:
-            raise ValueError("line needs at least 1 node")
         return Topology(kind, n, [(i, i + 1) for i in range(n - 1)])
     if kind == "ring":
-        (n,) = dims
-        if n < 3:
-            raise ValueError("ring needs at least 3 nodes")
         return Topology(kind, n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "grid":
         rows, cols = dims
-        if rows < 1 or cols < 1:
-            raise ValueError("grid needs rows >= 1 and cols >= 1")
         edges = []
         for r in range(rows):
             for c in range(cols):
@@ -80,13 +87,8 @@ def build_topology(kind: str, *dims: int) -> Topology:
                     edges.append((v, v + 1))
                 if r + 1 < rows:
                     edges.append((v, v + cols))
-        return Topology(kind, rows * cols, edges)
-    if kind == "full":
-        (n,) = dims
-        if n < 1:
-            raise ValueError("full needs at least 1 node")
-        return Topology(kind, n, combinations(range(n), 2))
-    raise ValueError(f"unknown topology kind {kind!r}")
+        return Topology(kind, n, edges)
+    return Topology(kind, n, combinations(range(n), 2))
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,38 @@
-"""Noisy passes: a batch of trajectories run from where each diverges.
+"""Noisy runs: shots as batches of trajectories, each run from where it diverges.
 
-A noisy pass of :func:`gates.run_circuit` pays for a trajectory only from
-where it leaves the noiseless path.  It first draws the batch's whole error
-schedule, with the Generator calls a gate-by-gate pass makes, in its order:
-per operand of each gate the trajectories it hits and then their Paulis,
-per ``measure`` and ``prep_z`` one uniform per trajectory.  A trajectory
-diverges at its first error's gate, or at the first ``measure`` or
-``prep_z``, which counts for every trajectory; before that it is the
-noiseless state, byte for byte.
+:func:`batches` owns a noisy run's shot loop: it checks operands and the
+widest batch's capacity once, then yields one :func:`noisy_pass`'s
+``(2^n, width)`` amplitudes after another, the widest first, each of
+``TRAJECTORY_AMPLITUDES >> n`` trajectories, at least one and at most the
+shots left.  It keeps no reference to a batch it has yielded.
+
+A noisy pass first draws the batch's whole error schedule, with the
+Generator calls a gate-by-gate pass makes, in its order: per operand of
+each gate the trajectories it hits and then their Paulis, per ``measure``
+and ``prep_z`` one uniform per trajectory.  A trajectory diverges at its
+first error's gate, or at the first ``measure`` or ``prep_z``; before that
+it is the noiseless state, byte for byte.
 
 The trajectories, sorted stably by divergence point, run in groups of at
-most ``CHUNK_AMPLITUDES >> n`` columns, and at least one: up to n = 14 a
-group is a register of at most one chunk, which the kernels apply gates to
-whole, and from n = 14 on it is one trajectory; the trajectories that
-never diverge make one group, of any width.  One noiseless state is
-carried gate by gate, unfused, through each group's first erring gate in
-turn, and each group starts from a copy of it; the last group runs in the
-carried state itself when it is one trajectory or never diverges.  Paulis,
-and ``prep_z``'s flips, go through :func:`apply_gate` on the columns they
-hit, as in the gate-by-gate pass.  The pass carries the support of every
-state it makes (see gates): it scans the carried state once, and a group's
-copy, that state byte for byte, takes its support along.  A group's state
-carries it up to its first collapse, or its first gate on only some of its
-columns, and is scanned before each gate from there.
+most ``CHUNK_AMPLITUDES >> n`` columns and at least one (one trajectory
+from n = 14 on); those that never diverge make one group, of any width.
+One noiseless state is carried gate by gate, unfused, through each group's
+first erring gate in turn.  Each group starts from a copy of it, which
+takes its support along (see gates) up to its first collapse or gate on
+only some of its columns; the last group runs in the carried state itself
+when it is one trajectory or never diverges.  Paulis and ``prep_z``'s
+flips go through :func:`apply_gate` on the columns they hit.
 
-The pass returns the batch in its own column order, each column with the
+The pass returns the batch's amplitudes in column order, each column the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
 draw; a lone trajectory of a wider batch sums its measurement probability
-in index order, as a batch's column reduction does.  A plain noisy pass is
-a batch of one.  The pass holds at once the carried state, one group and
-the finished groups' amplitudes.  A group that does not run in the carried
-state starts from a fresh copy of it, and a finished group keeps only its
-live buffer, so its dead one is freed before the next group's are made.
-The pass leaves through one state: it takes the only group's buffer as it
-is when that group covers the batch in column order; otherwise, once the
-last group ends and the carried state is freed, the batch's buffer is made
-once and filled from the groups'.  The states of one pass share one
-scratch; numpy's ufunc buffers are held to ``UFUNC_BUFFER`` elements while
-the groups run.
+in index order, as a batch's column reduction does.  It holds at once the
+carried state, one group and the finished groups' live buffers.  It returns
+the only group's live buffer when that group covers the batch in column
+order; otherwise, once the carried state is freed, it fills the batch's
+array from the groups'.  It makes no dead buffer or scratch for the batch.
+The states of one pass share one scratch; numpy's ufunc buffers are held
+to ``UFUNC_BUFFER`` elements while the groups run.
 """
 
 from __future__ import annotations
@@ -57,8 +52,15 @@ from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 #: returns, its measurements' sums included, is the default's.
 UFUNC_BUFFER = 256
 
+#: Amplitudes in one batch of a noisy run (2^n x trajectories per batch).  On
+#: 200-shot runs at p = 0.01 of the 32 perfbench ``run_noisy`` programs (9
+#: qubits, 2-core VM, best of 4 rounds) 2^13 took 86 ms an op, 2^14 65 ms, 2^15
+#: 61 ms and 2^16 to 2^18 47-54 ms, against 634 ms for one pass per shot.  The
+#: batch width orders the draws: another value changes every seeded record.
+TRAJECTORY_AMPLITUDES = 1 << 16
 
-def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int | None):
+
+def _schedule(instructions: list, rng: np.random.Generator, p: float, width: int):
     """Every draw a per-gate noisy pass makes, in its order: per gate and
     operand the trajectories it hits, then their Paulis; per measure and
     prep_z its uniforms.  Returns the uniforms by instruction, the errors as
@@ -68,10 +70,10 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int
     uniforms, rows = {}, []
     for i, g in enumerate(instructions):
         if not g.kind.is_unitary:
-            uniforms[i] = rng.random(batch)
+            uniforms[i] = rng.random(width)
             continue
         for q in g.qubits:
-            hits = np.flatnonzero(rng.random(batch) < p)
+            hits = np.flatnonzero(rng.random(width) < p)
             if hits.size:
                 rows.append((i, q, hits, rng.integers(3, size=hits.size)))
     # narrow integers: the schedule is held for the whole pass
@@ -80,7 +82,7 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, batch: int
     qubit = np.repeat(np.array([q for _, q, *_ in rows], np.int8), sizes)
     of = np.concatenate([hits for *_, hits, _ in rows] or [np.empty(0)]).astype(np.int32)
     pauli = np.concatenate([picks for *_, picks in rows] or [np.empty(0)]).astype(np.int8)
-    start = np.full(batch or 1, min(uniforms, default=len(instructions)), np.int32)
+    start = np.full(width, min(uniforms, default=len(instructions)), np.int32)
     np.minimum.at(start, of, at)
     return uniforms, (at, qubit, of, pauli), start
 
@@ -104,17 +106,14 @@ def _errors_by_gate(errors: tuple, column: np.ndarray):
 
 
 def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
-               zero_skip: bool, batch: int | None
-               ) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
-    """:func:`gates.run_circuit`'s pass at a depolarizing rate p > 0: the
+               zero_skip: bool, width: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """A batch of ``width`` trajectories at a depolarizing rate p > 0: the
     error schedule first, then the trajectories in groups of one chunk, each
-    from its divergence point."""
-    for g in instructions:
-        if any(q >= n for q in g.qubits):
-            raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
-    check_capacity(n, batch)
-    width, end = batch or 1, len(instructions)
-    uniforms, errors, start = _schedule(instructions, rng, p, batch)
+    from its divergence point.  Returns the batch's ``(2^n, width)``
+    amplitudes and its transcript, (qubit, outcomes) per ``measure``.  The
+    caller checks operands and capacity (see :func:`batches`)."""
+    end = len(instructions)
+    uniforms, errors, start = _schedule(instructions, rng, p, width)
     group_width = min(width, max(1, CHUNK_AMPLITUDES >> n))
     order = (np.argsort(start, kind="stable") if width > group_width
              else np.arange(width, dtype=np.int32))
@@ -155,8 +154,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 elif g.kind.is_unitary:
                     apply_gate(state, g, zero_skip=zero_skip)
                 else:
-                    draws = uniforms[i] if batch is None else uniforms[i][
-                        cols if state.batch else cols[0]]
+                    draws = uniforms[i][cols if state.batch else cols[0]]
                     bits = _collapse(state, g.qubits[0], draws, in_order)
                     if g.kind is GateKind.MEASURE:
                         outcomes[i][cols] = bits
@@ -171,8 +169,6 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             finals.append((cols, state.live.reshape(state.dim, -1)))
             del state  # its dead buffer is freed before the next group's are made
 
-    transcript = [(instructions[i].qubits[0], bits if batch else int(bits[0]))
-                  for i, bits in outcomes.items()]
     del carried  # freed before the batch's buffer is made
     live = finals[0][1]  # the only group's amplitudes, when it covers the batch in order
     if len(finals) > 1 or live.shape[1] < width:
@@ -180,5 +176,19 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
         while finals:  # each group's amplitudes are freed once copied
             cols, final = finals.pop()
             live[:, cols] = final
-        del final  # freed before the batch's dead buffer is made
-    return StateVector.holding(live if batch else live[:, 0]), transcript
+    return live, [(instructions[i].qubits[0], bits) for i, bits in outcomes.items()]
+
+
+def batches(n: int, instructions: list, rng: np.random.Generator, p: float, shots: int):
+    """A run's ``shots`` noisy trajectories at a depolarizing rate p > 0, as
+    the ``(2^n, width)`` amplitudes of one :func:`noisy_pass` after another,
+    the widest first, each drawing from ``rng`` in turn.  Operands and the
+    widest batch's capacity are checked here, once, before any draw."""
+    for g in instructions:
+        if any(q >= n for q in g.qubits):
+            raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
+    width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> n))
+    check_capacity(n, width)
+    # no name holds a yielded batch, so the caller's last reference frees it
+    return (noisy_pass(n, instructions, rng, p, True, min(width, shots - start))[0]
+            for start in range(0, shots, width))

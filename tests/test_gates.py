@@ -800,7 +800,7 @@ class TestFusion:
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
-        run_circuit(13, ops, rng=np.random.default_rng(0), noise=NoiseConfig(0.01), batch=2)
+        trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, True, 2)
         assert applied and not any(isinstance(g, (list, gates._Block)) for g in applied)
         del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
@@ -1091,10 +1091,9 @@ class TestDepolarizing:
         rng = np.random.default_rng(2024)
         total = 0.0
         runs = 1000
-        cfg = NoiseConfig(0.01)
         for _ in range(runs):
-            state, _ = run_circuit(3, circuit, rng=rng, noise=cfg)
-            total += fidelity(ideal, state.live)
+            live, _ = trajectories.noisy_pass(3, circuit, rng, 0.01, True, 1)
+            total += fidelity(ideal, live[:, 0])
         assert total / runs < 1.0
 
     def test_config_validation(self):
@@ -1170,7 +1169,7 @@ class TestTrajectoryBatch:
             assert batch.live[:, j].tobytes() == single.live.tobytes()
 
     def test_plain_state_noise_draws_one_scalar_stream(self):
-        # a plain state's per-trajectory draws are the scalar draws of one shot
+        # a pass of one trajectory draws the scalar draws of one shot
         rng = np.random.default_rng(4)
         for seed in range(50):
             n = int(rng.integers(1, 5))
@@ -1182,8 +1181,8 @@ class TestTrajectoryBatch:
                 for q in g.qubits:
                     if draws.random() < 0.3:
                         apply_gate(expected, GateInstance(PAULIS[int(draws.integers(3))], (q,)))
-            state, _ = run_circuit(n, ops, rng=np.random.default_rng(seed), noise=NoiseConfig(0.3))
-            assert state.live.tobytes() == expected.live.tobytes()
+            live, _ = trajectories.noisy_pass(n, ops, np.random.default_rng(seed), 0.3, True, 1)
+            assert live[:, 0].tobytes() == expected.live.tobytes()
 
     def test_depolarizing_draws_each_trajectory_on_its_own(self):
         width, p = 3000, 0.6
@@ -1257,20 +1256,17 @@ class TestGroupedNoisyPass:
     @staticmethod
     def assert_same(n, ops, p, zero_skip, batch, seed):
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        noise = NoiseConfig(p)
-        state, transcript = run_circuit(n, ops, rng=ours, noise=noise, zero_skip=zero_skip,
-                                        batch=batch)
-        expected, expected_transcript = _per_gate_pass(n, ops, reference, noise, zero_skip, batch)
+        live, transcript = trajectories.noisy_pass(n, ops, ours, p, zero_skip, batch)
+        expected, expected_transcript = _per_gate_pass(n, ops, reference, NoiseConfig(p),
+                                                       zero_skip, batch)
         case = (n, batch, p, zero_skip, [g.kind.mnemonic for g in ops])
-        assert state.batch == expected.batch and state.live.shape == expected.live.shape, case
-        assert state.live.tobytes() == expected.live.tobytes(), case
-        assert state.dead.tobytes() == expected.dead.tobytes(), case
+        assert live.shape == expected.live.shape, case
+        assert live.tobytes() == expected.live.tobytes(), case
         assert len(transcript) == len(expected_transcript), case
         for (q, bits), (q_expected, bits_expected) in zip(transcript, expected_transcript):
             assert q == q_expected and type(bits) is type(bits_expected), case
             assert np.array_equal(bits, bits_expected), case
-            if batch:
-                assert bits.dtype == bits_expected.dtype, case
+            assert bits.dtype == bits_expected.dtype, case
         assert ours.random() == reference.random(), case  # the same draws were made
 
     @pytest.mark.parametrize("resets", [False, True])
@@ -1283,10 +1279,7 @@ class TestGroupedNoisyPass:
                 width = min(width, max(1, (1 << 20) >> n))  # buffers of at most 16 MiB
                 p = self.PS[(n + 3 * k) % len(self.PS)]
                 ops = self.program(rng, n, resets)
-                seed = int(rng.integers(1 << 30))
-                self.assert_same(n, ops, p, zero_skip, width, seed)
-                if k:  # a plain state is a pass of one column
-                    self.assert_same(n, ops, p, zero_skip, None, seed)
+                self.assert_same(n, ops, p, zero_skip, width, int(rng.integers(1 << 30)))
 
     @pytest.mark.parametrize("resets", [False, True])
     @pytest.mark.parametrize("zero_skip", [True, False])
@@ -1313,8 +1306,7 @@ class TestGroupedNoisyPass:
     def test_an_operand_out_of_range_raises_before_any_draw(self):
         ours, untouched = np.random.default_rng(8), np.random.default_rng(8)
         with pytest.raises(IndexError, match="out of range"):
-            run_circuit(3, [gate("h", 0), gate("cnot", 0, 3)], rng=ours, noise=NoiseConfig(0.1),
-                        batch=4)
+            trajectories.batches(3, [gate("h", 0), gate("cnot", 0, 3)], ours, 0.1, 4)
         assert ours.random() == untouched.random()
 
     def test_groups_start_at_their_first_error(self, monkeypatch):
@@ -1329,7 +1321,7 @@ class TestGroupedNoisyPass:
 
         monkeypatch.setattr(trajectories, "apply_gate", counted)
         ops = random_circuit(np.random.default_rng(9), 9, max_gates=40, min_gates=40)
-        run_circuit(9, ops, rng=np.random.default_rng(3), noise=NoiseConfig(0.005), batch=128)
+        trajectories.noisy_pass(9, ops, np.random.default_rng(3), 0.005, True, 128)
         # the per-gate pass applies every gate to all 128 columns
         assert sum(calls) < 0.75 * 128 * len(ops)
         assert max(calls) == 32
@@ -1488,9 +1480,8 @@ class TestCarriedSupport:
     def test_the_states_passes_return_and_make_carry_no_support(self):
         n, rng = 14, np.random.default_rng(2424)
         ops = TestFusion.permutation_heavy(rng, n, 20) + [gate("measure", 3)]
-        for noise, batch in ((None, None), (None, 2), (NoiseConfig(0.01), None),
-                             (NoiseConfig(0.01), 3), (NoiseConfig(1e-6), None)):
-            state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), noise=noise, batch=batch)
+        for batch in (None, 2):
+            state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), batch=batch)
             assert state.support is None
         # a carried support goes with a collapse, a columns= application,
         # a reset and a copy

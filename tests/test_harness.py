@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import make_program, random_circuit
-from qaccel import gates, mapper, statecore, tensor_oracle
+from qaccel import gates, mapper, statecore, tensor_oracle, trajectories
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
 from qaccel.genomics import AlignmentInstance, build_alignment_circuit
-from qaccel.gates import NoiseConfig, gate, run_circuit, sample
+from qaccel.gates import gate, run_circuit, sample
 from qaccel.harness.bench import (
     bench_depth_scaling,
     bench_gates,
@@ -34,7 +34,12 @@ from qaccel.harness import runner
 from qaccel.harness.runner import parse_topology_spec, run_file, run_program
 from qaccel.mapper import build_topology, initial_placement, route
 from qaccel.metrics import MetricSet
-from qaccel.statecore import MemoryParams, estimate_peak_memory, estimate_total_memory
+from qaccel.statecore import (
+    MemoryParams,
+    estimate_peak_memory,
+    estimate_total_memory,
+    probabilities,
+)
 
 #: sha256 of ``align --emit-qasm`` for a 32-bit binary reference and a 5-bit
 #: read (the first perfbench ``align`` instance of seed 1); binary inputs slice
@@ -394,13 +399,13 @@ class TestNoisyTrajectories:
            gate("cz", 0, 1), gate("rx", 1, angle=0.5)]
 
     def test_batched_histogram_matches_per_shot_loop(self):
-        shots, noise = 2000, NoiseConfig(0.1)
+        shots, p = 2000, 0.1
         batched = run_program(make_program(2, self.OPS), shots=shots, seed=8,
-                              noise_p=noise.p, persist=False).histogram
+                              noise_p=p, persist=False).histogram
         rng, reference = np.random.default_rng(1234), Counter()
         for _ in range(shots):  # one fresh trajectory and one readout per shot
-            trajectory, _ = run_circuit(2, self.OPS, rng=rng, noise=noise)
-            reference.update(sample(trajectory.probabilities(), 1, rng))
+            trajectory, _ = trajectories.noisy_pass(2, self.OPS, rng, p, True, 1)
+            reference.update(sample(probabilities(trajectory), 1, rng))
         keys = sorted(set(batched) | set(reference))
         assert len(keys) == 4
         table = np.array([[batched.get(k, 0) for k in keys], [reference[k] for k in keys]])
@@ -446,17 +451,17 @@ class TestNoisyTrajectories:
         program = make_program(2, self.OPS)
         outcome = run_program(program, shots=200, seed=1, noise_p=0.05, persist=False)
         assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=200))
-        monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
+        monkeypatch.setattr(trajectories, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
         widths = []
-        original = runner.run_circuit
+        original = trajectories.noisy_pass
 
-        def recorded(*args, **kwargs):
-            widths.append(kwargs.get("batch"))
-            return original(*args, **kwargs)
+        def recorded(n, instructions, rng, p, zero_skip, batch):
+            widths.append(batch)
+            return original(n, instructions, rng, p, zero_skip, batch)
 
-        monkeypatch.setattr(runner, "run_circuit", recorded)
+        monkeypatch.setattr(trajectories, "noisy_pass", recorded)
         outcome = run_program(program, shots=10, seed=1, noise_p=0.05, persist=False)
-        assert widths == [None, 4, 4, 2]
+        assert widths == [4, 4, 2]
         assert sum(outcome.histogram.values()) == 10
         assert outcome.record.peak_state_bytes == estimate_total_memory(MemoryParams(2, batch=4))
 
@@ -487,7 +492,7 @@ class TestNoisyTrajectories:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, min(200, runner.TRAJECTORY_AMPLITUDES >> n)
+        return peak, min(200, trajectories.TRAJECTORY_AMPLITUDES >> n)
 
     @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
     def test_noisy_run_peaks_below_the_per_gate_pass(self, n):
@@ -501,21 +506,35 @@ class TestNoisyTrajectories:
         peak, width = self.traced_run_peak(n)
         assert peak <= estimate_peak_memory(MemoryParams(n, batch=width)) + (16 << n)
 
-    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
-    def test_noisy_pass_fits_the_memory_model(self, n):
-        # the figure StateVector's capacity check admits a batch against
-        width = min(200, runner.TRAJECTORY_AMPLITUDES >> n)
-        ops = self.random_ops(n, n)
+    @classmethod
+    def traced_pass_peak(cls, n):
+        """The traced peak of one noisy pass at noise 0.01 of one of these
+        circuits, as wide as a 200-shot run's widest batch, and that width."""
+        width = min(200, trajectories.TRAJECTORY_AMPLITUDES >> n)
+        ops = cls.random_ops(n, n)
         # tables, layouts and imports, the Paulis' too
-        run_circuit(n, ops, rng=np.random.default_rng(2), noise=NoiseConfig(0.01), batch=width)
+        trajectories.noisy_pass(n, ops, np.random.default_rng(2), 0.01, True, width)
         tracemalloc.start()
         try:
-            run_circuit(n, ops, rng=np.random.default_rng(1), noise=NoiseConfig(0.01),
-                        batch=width)
+            trajectories.noisy_pass(n, ops, np.random.default_rng(1), 0.01, True, width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, width
+
+    @pytest.mark.parametrize("n", sorted(PER_GATE_PEAKS))
+    def test_noisy_pass_fits_the_memory_model(self, n):
+        # the figure StateVector's capacity check admits a batch against
+        peak, width = self.traced_pass_peak(n)
         assert peak <= estimate_peak_memory(MemoryParams(n, batch=width))
+
+    @pytest.mark.parametrize("n", [9, 12, 14])
+    def test_noisy_pass_builds_no_buffer_nobody_reads(self, n):
+        # the pass holds the carried state, one group and the finished
+        # groups, or the batch it assembles; a dead buffer made for the
+        # batch it returns puts the peak at about 2.75
+        peak, width = self.traced_pass_peak(n)
+        assert peak / (16 * width << n) <= 2.0
 
     def test_group_copies_carry_the_support(self, monkeypatch):
         # 50 batches of 4 trajectories, each a group of its own: one scan of
@@ -529,30 +548,30 @@ class TestNoisyTrajectories:
         assert len(scans) <= 64
 
     def test_each_batch_is_freed_before_it_is_sampled(self, monkeypatch):
-        monkeypatch.setattr(runner, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
-        states, arrays = [], []  # weak references to each batch's arrays
-        run, draw = runner.run_circuit, runner.sample
+        monkeypatch.setattr(trajectories, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
+        batches, arrays = [], []  # weak references to each batch's arrays
+        run, draw = trajectories.noisy_pass, runner.sample
 
-        def traced_run(*args, **kwargs):
-            if kwargs.get("batch"):
-                assert all(ref() is None for ref in arrays), "a batch's probabilities outlived it"
-            state, transcript = run(*args, **kwargs)
-            if kwargs.get("batch"):
-                kept = (state.buf_even, state.buf_odd, state.scratch)
-                states.extend(weakref.ref(a) for a in kept if a is not None)
-            return state, transcript
+        def traced_run(*args):
+            assert all(ref() is None for ref in arrays), "a batch's probabilities outlived it"
+            result = run(*args)
+            array = result[0]
+            while array is not None:  # the batch and any array it views
+                batches.append(weakref.ref(array))
+                array = array.base
+            return result
 
         def traced_sample(probs, shots, rng):
-            assert all(ref() is None for ref in states), "a batch was sampled while alive"
+            assert all(ref() is None for ref in batches), "a batch was sampled while alive"
             arrays.append(weakref.ref(probs))
             return draw(probs, shots, rng)
 
-        monkeypatch.setattr(runner, "run_circuit", traced_run)
+        monkeypatch.setattr(trajectories, "noisy_pass", traced_run)
         monkeypatch.setattr(runner, "sample", traced_sample)
         outcome = run_program(make_program(2, self.OPS), shots=10, seed=1, noise_p=0.05,
                               persist=False)
         assert sum(outcome.histogram.values()) == 10
-        assert len(states) == 6 and len(arrays) == 3
+        assert len(batches) >= 3 and len(arrays) == 3
 
 
 class TestCliExitCodes:
@@ -583,6 +602,24 @@ class TestCliExitCodes:
         for argv in argvs:
             assert main(argv + ["--shots", "1"]) == 3, argv
             assert capsys.readouterr().err.startswith("capacity error: "), argv
+
+    @pytest.mark.parametrize("spec, code", [
+        ("line:99999999999", 3), ("full:99999999999", 3), ("grid:99999x99999", 3),
+        ("ring:31", 3), ("line:0", 1), ("ring:2", 1), ("grid:-9x-9", 1), ("hex:99999999999", 1),
+    ])
+    def test_run_checks_a_topology_spec_before_building_it(self, spec, code, tmp_path, capsys,
+                                                             monkeypatch):
+        # a routed run simulates one qubit per node; building the edges of
+        # line:99999999999 first ran until a 300 s timeout
+        def unbuilt(*args):
+            raise AssertionError(f"topology {args} built")
+
+        monkeypatch.setattr(runner, "_shared_topology", unbuilt)
+        bell = tmp_path / "bell.qasm"
+        bell.write_text(BELL)
+        assert main(["run", str(bell), "--topology", spec, "--shots", "1"]) == code
+        prefix = "capacity error: " if code == 3 else "error: "
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_register_beyond_physical_memory_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
