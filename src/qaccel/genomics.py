@@ -22,6 +22,9 @@ holding the bitwise complement of the read, so their post-XOR distance is
 maximal and they can never be marked.  Multi-controlled gates are lowered
 to Toffoli ladders over a small ancilla register that is uncomputed before
 it matters.
+
+An instance past the qubit cap raises CapacityError when it is built; only
+:func:`align`, which allocates the state, checks memory.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .cqasm import Kernel, Program
 from .gates import GateInstance, GateKind, check_shots, run_circuit
-from .statecore import MAX_QUBITS
+from .statecore import check_qubits
 
 #: 2-bit encoding used when references arrive as nucleotide letters.
 NUCLEOTIDE_BITS = {"A": "00", "C": "01", "G": "10", "T": "11"}
@@ -112,10 +115,7 @@ class AlignmentInstance:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.diffusion not in (DIFFUSION_JOINT, DIFFUSION_INDEX):
             raise ValueError(f"unknown diffusion register {self.diffusion!r}")
-        if self.total_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"instance needs {self.total_qubits} qubits, cap is {MAX_QUBITS}"
-            )
+        check_qubits(self.total_qubits)  # the range rule alone: --emit-qasm simulates nothing
 
     @property
     def positions(self) -> int:

@@ -32,12 +32,11 @@ import numpy as np
 
 from .. import trajectories
 from ..cqasm import Program, emit, parse
-from ..errors import CapacityError
 from ..gates import GateKind, NoiseConfig, check_shots, run_circuit, sample
 from ..mapper import (MappingReport, Topology, build_topology, initial_placement, route,
                       schedule_asap, topology_size)
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
-from ..statecore import (MAX_QUBITS, MemoryParams, check_normalized, estimate_total_memory,
+from ..statecore import (MemoryParams, check_capacity, check_normalized, estimate_total_memory,
                          probabilities)
 from .records import FinalState, RunRecord, store_append
 
@@ -119,9 +118,7 @@ def run_program(
     executed = program
     if topology is not None:
         shape = _topology_key(topology)
-        if (nodes := topology_size(*shape)) > MAX_QUBITS:  # before a single edge is built
-            raise CapacityError(f"topology {topology} has {nodes} nodes, one qubit each; "
-                                f"at most {MAX_QUBITS} qubits are simulated")
+        check_capacity(topology_size(*shape))  # one qubit per node, before an edge is built
         topo = _shared_topology(*shape)
         layout = initial_placement(program, topo, placement)
         executed, _final_layout, report = route(program, topo, layout)

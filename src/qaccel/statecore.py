@@ -16,6 +16,10 @@ the strided kernel's scratch (see gates), three chunks of that size, which
 the states of one noisy pass share.  Only
 :func:`probabilities` turns amplitudes of either shape into probabilities.
 
+Admission: only this module knows the qubit cap and the memory rule.  Every
+entry point asks :func:`check_qubits` (the range rule, O(1) for any n) or
+:func:`check_capacity` (range, then memory) before it allocates a register.
+
 Basis index convention: bit k of a basis index is qubit k, with qubit 0 the
 least significant bit.
 """
@@ -129,17 +133,22 @@ def estimate_peak_memory(params: MemoryParams) -> int:
     return estimate_total_memory(params) + 2 * params.scalar_bytes * scratch + scan
 
 
-def check_capacity(n: int, batch: int | None = None) -> None:
-    """Raise CapacityError unless n is in 1..MAX_QUBITS and the engine's peak
-    (:func:`estimate_peak_memory`) for n qubits, times ``batch``
-    trajectories when given, fits in physical memory."""
+def check_qubits(n: int) -> None:
+    """Raise CapacityError unless n is in 1..MAX_QUBITS: the range rule, in
+    O(1) time and memory for any n."""
     if not 1 <= n <= MAX_QUBITS:
         msg = f"qubit count {n} outside supported range 1..{MAX_QUBITS}"
-        if n >= 1:  # a figure past 64 bits as a power of two, whose digits stay few
-            need = estimate_total_memory(MemoryParams(n))
-            figure = need if need < 1 << 64 else f"2^{need.bit_length() - 1}"
+        if n >= 1:  # the double buffer's 2^(n + 5) bytes, named and not built from 2^64 on
+            figure = estimate_total_memory(MemoryParams(n)) if n < 59 else f"2^{n + 5}"
             msg += f": double-buffered state would need {figure} bytes"
         raise CapacityError(msg)
+
+
+def check_capacity(n: int, batch: int | None = None) -> None:
+    """Raise CapacityError unless n passes :func:`check_qubits` and the
+    engine's peak (:func:`estimate_peak_memory`) for n qubits, times
+    ``batch`` trajectories when given, fits in physical memory."""
+    check_qubits(n)
     params = MemoryParams(n, batch=1 if batch is None else batch)
     peak, physical = estimate_peak_memory(params), physical_memory_bytes()
     if physical is not None and peak > physical:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qaccel.cqasm import emit
+from qaccel.errors import CapacityError
 from qaccel.genomics import (
     AlignmentInstance,
     AlignmentResult,
@@ -89,6 +90,11 @@ class TestInstance:
             AlignmentInstance("01", "0", iterations=-1)
         with pytest.raises(ValueError):
             AlignmentInstance("01", "0", diffusion="everything")
+
+    def test_an_instance_past_the_qubit_cap_is_a_capacity_error(self):
+        assert AlignmentInstance("0" * 15, "1" * 14).total_qubits == 29
+        with pytest.raises(CapacityError, match="^qubit count 31 outside"):
+            AlignmentInstance("0" * 16, "1" * 15)
 
     def test_nucleotide_translation(self):
         assert nucleotides_to_bits("ACGT") == "00011011"

@@ -595,13 +595,14 @@ class TestCliExitCodes:
         argvs = [["run", str(bell), "--topology", "line:20000"]]
         # from 14,280 qubits on, the double buffer's byte count has more
         # digits than Python turns into a string
-        for qubits in (31, 20000):
+        for qubits in (31, 20000, 99999999999999999999):
             qasm = tmp_path / f"huge{qubits}.qasm"
             qasm.write_text(f"version 1.0\nqubits {qubits}\nx q[0]\n")
             argvs.append(["run", str(qasm)])
         for argv in argvs:
             assert main(argv + ["--shots", "1"]) == 3, argv
-            assert capsys.readouterr().err.startswith("capacity error: "), argv
+            err = capsys.readouterr().err
+            assert err.startswith("capacity error: ") and "Traceback" not in err, argv
 
     @pytest.mark.parametrize("spec, code", [
         ("line:99999999999", 3), ("full:99999999999", 3), ("grid:99999x99999", 3),
@@ -620,6 +621,41 @@ class TestCliExitCodes:
         assert main(["run", str(bell), "--topology", spec, "--shots", "1"]) == code
         prefix = "capacity error: " if code == 3 else "error: "
         assert capsys.readouterr().err.startswith(prefix)
+
+    def test_topology_beyond_physical_memory_exits_three_unbuilt(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"topology {args} built")
+
+        monkeypatch.setattr(runner, "_shared_topology", unbuilt)
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        bell = tmp_path / "bell.qasm"
+        bell.write_text(BELL)
+        assert main(["run", str(bell), "--topology", "line:29", "--shots", "1"]) == 3
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_align_past_the_qubit_cap_exits_three(self, capsys):
+        for extra in ([], ["--emit-qasm"]):
+            assert main(["align", "--reference", "0" * 16, "--read", "1" * 15] + extra) == 3
+            assert capsys.readouterr().err.startswith("capacity error: qubit count 31 ")
+
+    def test_align_emit_qasm_under_the_cap_needs_no_memory(self, capsys, monkeypatch):
+        # emitting simulates nothing, so only the range rule applies
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        assert main(["align", "--reference", "0" * 15, "--read", "1" * 14, "--emit-qasm"]) == 0
+        assert capsys.readouterr().out.startswith("version 1.0\nqubits 29\n")
+
+    def test_bench_qubits_admits_its_largest_register_before_timing(self, capsys,
+                                                                   monkeypatch):
+        def untimed(*args):
+            raise AssertionError(f"register {args} allocated")
+
+        monkeypatch.setattr("qaccel.harness.bench.StateVector", untimed)
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
+        assert main(["bench", "qubits", "--n-max", "30"]) == 3
+        assert "physical memory" in capsys.readouterr().err
+        assert main(["bench", "qubits", "--n-max", "31"]) == 3
+        assert capsys.readouterr().err.startswith("capacity error: qubit count 31 ")
 
     def test_register_beyond_physical_memory_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
@@ -906,6 +942,18 @@ class TestBenches:
     def test_qubit_scaling_argument_error(self):
         with pytest.raises(ValueError):
             bench_qubit_scaling(8, 4)
+
+    def test_depth_scaling_builds_nothing_per_gate(self, monkeypatch):
+        # each count is a loop; a list of 10^7 gate references alone is 80 MB
+        monkeypatch.setattr("qaccel.harness.bench._median_times_ns",
+                            lambda fns: [1.0] * len(fns))
+        tracemalloc.start()
+        try:
+            bench_depth_scaling((1, 10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_depth_scaling_fits(self):
         result = bench_depth_scaling((20, 60, 120))

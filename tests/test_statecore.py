@@ -1,5 +1,7 @@
 """State allocation, inspection, and the memory-cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from qaccel.statecore import (
     MemoryParams,
     StateVector,
     alloc_state,
+    check_capacity,
+    check_qubits,
     estimate_matrix_memory,
     estimate_total_memory,
     estimate_vector_memory,
@@ -43,6 +47,27 @@ class TestAllocState:
         # 2^20005 has more digits than Python turns into a string
         with pytest.raises(CapacityError, match=rf"would need 2\^{n + 5} bytes$"):
             StateVector(n)
+
+    def test_range_check_is_constant_in_time_and_memory(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                check_qubits(10**8)  # the integer 2^(10^8 + 5) alone is about 12 MiB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        # a 20-digit count is past what a shift can build: a refusal, not an OverflowError
+        with pytest.raises(CapacityError, match=r"need 2\^100000000000000000004 bytes$"):
+            StateVector(99999999999999999999)
+
+    @pytest.mark.parametrize("n, figure", [(58, "9223372036854775808"), (59, "2^64"),
+                                           (20000, "2^20005")])
+    def test_refusal_names_the_double_buffer_as_an_int_below_2_to_the_64(self, n, figure):
+        with pytest.raises(CapacityError) as err:
+            check_capacity(n)
+        assert str(err.value) == (f"qubit count {n} outside supported range 1..30: "
+                                  f"double-buffered state would need {figure} bytes")
 
     def test_refuses_register_beyond_physical_memory(self, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
