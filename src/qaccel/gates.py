@@ -27,10 +27,11 @@ measured crossovers of the kernels.  A pass carries the support of every
 state it makes in ``state.support``: a pass of :func:`run_circuit` scans
 its state once at the start and once after each ``measure`` or ``prep_z``,
 a noisy pass scans the noiseless state it carries once, and its groups'
-copies take that support along.  A sparse pass returns the rows it wrote,
-which are the rows the next scan would find, so every kernel choice,
-``dense`` flag and byte stays what scanning gives.  A state that no pass
-owns, such as one that ``qaccel bench`` times, is scanned before every gate.
+copies of it (``StateVector.copy``) take that support along.  A sparse
+pass returns the rows it wrote, which are the rows the next scan would
+find, so every kernel choice, ``dense`` flag and byte stays what scanning
+gives.  A state that no pass owns, such as one that ``qaccel bench``
+times, is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -81,6 +82,10 @@ scatter's index arrays select whole rows, scanned as nonzero when any
 trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory.
+
+One rule measures or resets a qubit, :func:`_collapse`, which flips each
+trajectory a ``prep_z`` read as 1 with the pass's ``zero_skip``: every
+pass calls it, and :func:`measure` and :func:`prep_z` are draws around it.
 
 Noisy passes live in ``trajectories``, which builds on this module; this
 module does not import it.
@@ -732,20 +737,33 @@ def measure(
     A batch draws and collapses each trajectory on its own and returns an
     array of outcomes, one per trajectory.
     """
-    if not 0 <= q < state.n:
-        raise IndexError(f"qubit {q} out of range for {state.n} qubits")
-    return _collapse(state, q, rng.random(state.batch)), state
+    return _collapse(state, GateInstance.prevalidated(GateKind.MEASURE, (q,)),
+                     rng.random(state.batch)), state
 
 
-def _collapse(state: StateVector, q: int, uniforms, in_order: bool = False) -> int | np.ndarray:
-    """Measure qubit q with the given uniform draws, one per trajectory:
-    outcome 1 where a draw is at least the probability of 0.
+def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
+    """Reset a qubit to |0> by measuring and flipping each trajectory whose
+    outcome is 1."""
+    _collapse(state, GateInstance.prevalidated(GateKind.PREP_Z, (q,)), rng.random(state.batch))
+    return state
+
+
+def _collapse(state: StateVector, g: GateInstance, uniforms, zero_skip: bool = True,
+              in_order: bool = False) -> int | np.ndarray:
+    """The one rule for a ``measure`` or ``prep_z`` instruction ``g``, with
+    the given uniform draws, one per trajectory: outcome 1 where a draw is at
+    least the probability of 0.  A ``prep_z`` then flips each trajectory
+    that read 1, through :func:`apply_gate` with ``zero_skip``.  Returns the
+    outcomes.
 
     A plain state sums the probability of 1 as numpy sums a whole array;
     ``in_order`` sums it in index order instead, as a batch's reduction
     over each column does, so a trajectory of a wider pass run on its own
     gets that pass's bytes.
     """
+    q = g.qubits[0]
+    if not 0 <= q < state.n:
+        raise IndexError(f"qubit {q} out of range for {state.n} qubits")
     live = state.live
     view = live.reshape((-1, 2, 1 << q) + live.shape[1:])
     ones = probabilities(view[:, 1])
@@ -759,17 +777,10 @@ def _collapse(state: StateVector, q: int, uniforms, in_order: bool = False) -> i
     np.copyto(view[:, 0], 0, where=ones_seen)
     np.copyto(view[:, 1], 0, where=~ones_seen)
     live /= np.sqrt(np.where(ones_seen, p1, p0))
+    if g.kind is GateKind.PREP_Z and np.any(ones_seen):
+        apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits), zero_skip=zero_skip,
+                   columns=np.flatnonzero(ones_seen))
     return ones_seen.astype(int) if state.batch else int(ones_seen)
-
-
-def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
-    """Reset a qubit to |0> by measuring and flipping each trajectory whose
-    outcome is 1."""
-    bits, _ = measure(state, q, rng)
-    flipped = np.flatnonzero(bits)
-    if flipped.size:
-        apply_gate(state, GateInstance(GateKind.X, (q,)), columns=flipped)
-    return state
 
 
 def check_shots(shots: int) -> None:
@@ -856,11 +867,9 @@ def run_circuit(
         if isinstance(g, (list, _Block)) or g.kind.is_unitary:
             apply_gate(state, g, zero_skip=zero_skip)
             continue
+        bits = _collapse(state, g, rng.random(state.batch), zero_skip)
         if g.kind is GateKind.MEASURE:
-            bit, _ = measure(state, g.qubits[0], rng)
-            transcript.append((g.qubits[0], bit))
-        else:
-            prep_z(state, g.qubits[0], rng)
+            transcript.append((g.qubits[0], bits))
         _carry(state, zero_skip)
     state.support = None
     return state, transcript

@@ -111,14 +111,15 @@ def run_program(
     check_shots(shots)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
+    shape = _topology_key(topology) if topology is not None else None
+    # the register (one qubit per node when routed) is admitted before any work
+    check_capacity(topology_size(*shape) if shape is not None else program.n)
     canonical = emit(program)
     circuit_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     report: MappingReport | None = None
     executed = program
-    if topology is not None:
-        shape = _topology_key(topology)
-        check_capacity(topology_size(*shape))  # one qubit per node, before an edge is built
+    if shape is not None:
         topo = _shared_topology(*shape)
         layout = initial_placement(program, topo, placement)
         executed, _final_layout, report = route(program, topo, layout)

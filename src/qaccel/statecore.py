@@ -13,7 +13,7 @@ A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
 ``(2^n,)``.  A state of more than ``CHUNK_AMPLITUDES`` amplitudes also holds
 the strided kernel's scratch (see gates), three chunks of that size, which
-the states of one noisy pass share.  Only
+a state shares with its copies, as the states of one noisy pass do.  Only
 :func:`probabilities` turns amplitudes of either shape into probabilities.
 
 Admission: only this module knows the qubit cap and the memory rule.  Every
@@ -169,9 +169,11 @@ class StateVector:
     scanning for zeros until :meth:`reset_ground`.  ``support``, like
     ``dense`` a kernel hint, is None or, while a pass that owns the state
     carries it, the rows a zero-skip scan would find nonzero (see gates);
-    a reset, a copy and a new state carry none.  With ``batch=B`` the buffers are
-    ``(2^n, B)``, one column per trajectory; ``batch`` is None for a plain
-    ``(2^n,)`` state, which acts as a single trajectory.
+    a reset and a new state carry none, and a :meth:`copy` carries both
+    hints.  With ``batch=B`` the buffers are ``(2^n, B)``, one column per
+    trajectory; ``batch`` is None for a plain ``(2^n,)`` state, which acts
+    as a single trajectory.  Every state is made, as new, a copy or from
+    amplitudes, through one body, :meth:`_hold`.
     """
 
     __slots__ = ("n", "dim", "batch", "buf_even", "buf_odd", "parity", "dense", "support",
@@ -179,17 +181,22 @@ class StateVector:
 
     def __init__(self, n: int, batch: int | None = None):
         check_capacity(n, batch)
-        self.n = n
-        self.dim = 1 << n
-        self.batch = batch
-        shape = (self.dim,) if batch is None else (self.dim, batch)
-        self.buf_even = np.zeros(shape, dtype=np.complex128)
-        self.buf_odd = np.zeros(shape, dtype=np.complex128)
-        self.parity = 0
-        self.dense = False
-        self.support = None
-        self.buf_even[0] = 1.0
-        self.scratch = _scratch(self.buf_even.size)
+        live = np.zeros((1 << n,) if batch is None else (1 << n, batch), np.complex128)
+        live[0] = 1.0
+        self._hold(live)
+
+    def _hold(self, live: np.ndarray, scratch: np.ndarray | None = None) -> "StateVector":
+        """Make this a state with no hints holding ``live``, a ``(2^n,)`` or
+        ``(2^n, B)`` array, without a copy; its dead buffer a calloc'd +0
+        array, whose pages stay unmapped until a gate writes them; its
+        scratch ``scratch``, or new scratch where the register needs some."""
+        self.dim = live.shape[0]
+        self.n = self.dim.bit_length() - 1
+        self.batch = live.shape[1] if live.ndim > 1 else None
+        self.buf_even, self.buf_odd = live, np.zeros(live.shape, live.dtype)
+        self.parity, self.dense, self.support = 0, False, None
+        self.scratch = _scratch(live.size) if scratch is None else scratch
+        return self
 
     @property
     def live(self) -> np.ndarray:
@@ -236,30 +243,16 @@ class StateVector:
         norms = probabilities(self.live).sum(axis=0)
         return norms if self.batch else float(norms)
 
-    def copy(self) -> "StateVector":
-        dup = StateVector.holding(self.live.copy())
-        dup.dense = self.dense
+    def copy(self, width: int | None = None) -> "StateVector":
+        """A state of this one's live bytes, each trajectory repeated into
+        ``width`` columns when given, with both kernel hints (a byte copy has
+        the rows a scan would find) and this state's scratch, if it has
+        some: a kernel uses scratch only while it runs."""
+        live = self.live.copy() if width is None else np.repeat(
+            self.live.reshape(self.dim, -1), width, axis=1)
+        dup = StateVector.__new__(StateVector)._hold(live, self.scratch)
+        dup.dense, dup.support = self.dense, self.support
         return dup
-
-    @classmethod
-    def holding(cls, live: np.ndarray, scratch: np.ndarray | None = None) -> "StateVector":
-        """A state whose live buffer is ``live``, a ``(2^n,)`` or ``(2^n, B)``
-        array it takes over without a copy, with a new +0 array as its dead
-        buffer and ``scratch`` as its kernel scratch, or new scratch where it
-        is None and the register needs some.  A kernel uses a state's scratch
-        only while it runs, so states may share one.  No capacity check is
-        made."""
-        state = cls.__new__(cls)
-        state.dim = live.shape[0]
-        state.n = state.dim.bit_length() - 1
-        state.batch = live.shape[1] if live.ndim > 1 else None
-        state.buf_even = live
-        state.buf_odd = np.zeros_like(live)
-        state.parity = 0
-        state.dense = False
-        state.support = None
-        state.scratch = _scratch(live.size) if scratch is None else scratch
-        return state
 
     @classmethod
     def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
@@ -273,7 +266,7 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         check_normalized(probabilities(amps), "input")
         check_capacity(n)
-        return cls.holding(amps + 0.0)  # exact, and -0.0 + 0.0 is +0.0
+        return cls.__new__(cls)._hold(amps + 0.0)  # exact, and -0.0 + 0.0 is +0.0
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, parity={self.parity})"

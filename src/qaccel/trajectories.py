@@ -17,11 +17,13 @@ The trajectories, sorted stably by divergence point, run in groups of at
 most ``CHUNK_AMPLITUDES >> n`` columns and at least one (one trajectory
 from n = 14 on); those that never diverge make one group, of any width.
 One noiseless state is carried gate by gate, unfused, through each group's
-first erring gate in turn.  Each group starts from a copy of it, which
-takes its support along (see gates) up to its first collapse or gate on
-only some of its columns; the last group runs in the carried state itself
-when it is one trajectory or never diverges.  Paulis and ``prep_z``'s
-flips go through :func:`apply_gate` on the columns they hit.
+first erring gate in turn.  Each group starts from a copy of it
+(``StateVector.copy``, repeated into the group's columns), which takes
+its support along (see gates) up to its first collapse or gate on only
+some of its columns; the last group runs in the carried state itself
+when it is one trajectory or never diverges.  Paulis go through
+:func:`apply_gate` on the columns they hit; ``measure`` and ``prep_z``
+through the one collapse rule, ``gates._collapse``.
 
 The pass returns the batch's amplitudes in column order, each column the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
@@ -137,11 +139,8 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             done = reach
             if first == width and (cols.size == 1 or begin == end):
                 state, carried = carried, None  # the last group runs in the carried state
-            else:  # a copy of the carried state, byte for byte, so with its support
-                state = StateVector.holding(
-                    np.repeat(carried.live[:, None], cols.size, axis=1) if cols.size > 1
-                    else carried.live.copy(), carried.scratch)
-                state.dense, state.support = carried.dense, carried.support
+            else:
+                state = carried.copy(cols.size if cols.size > 1 else None)
             column = np.full(width, -1, np.int32)
             column[cols] = np.arange(cols.size)
             paulis = _errors_by_gate(errors, column[errors[2]])
@@ -155,12 +154,9 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                     apply_gate(state, g, zero_skip=zero_skip)
                 else:
                     draws = uniforms[i][cols if state.batch else cols[0]]
-                    bits = _collapse(state, g.qubits[0], draws, in_order)
+                    bits = _collapse(state, g, draws, zero_skip, in_order)
                     if g.kind is GateKind.MEASURE:
                         outcomes[i][cols] = bits
-                    elif np.any(bits):  # prep_z flips each trajectory that read 1
-                        apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits),
-                                   zero_skip=zero_skip, columns=np.flatnonzero(bits))
                 if i == hit_at:
                     for (q, kind), columns in hits.items():
                         apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),

@@ -244,6 +244,22 @@ class TestZeroSkip:
             without = engine_state(n, ops, zero_skip=False)
             assert with_skip.tobytes() == without.tobytes()
 
+    def test_a_no_skip_pass_is_no_skip_throughout(self, monkeypatch):
+        # prep_z's flip, too, takes the pass's zero_skip
+        seen = []
+        original = gates._scatter_rows
+
+        def recorded(state, src, zero_skip, nonzero=None):
+            seen.append(zero_skip)
+            return original(state, src, zero_skip, nonzero)
+
+        monkeypatch.setattr(gates, "_scatter_rows", recorded)
+        ops = [gate("h", 0), gate("h", 1), gate("h", 2), gate("cnot", 0, 5), gate("prep_z", 0),
+               gate("x", 7)]
+        for seed in range(4):
+            run_circuit(13, ops, rng=np.random.default_rng(seed), zero_skip=False)
+        assert seen and not any(seen)
+
     def test_bit_identical_on_sparse_states(self):
         # permutation-heavy circuits keep exact zeros around
         ops = [gate("x", 0), gate("cnot", 0, 1), gate("z", 1), gate("h", 0),
@@ -1369,11 +1385,11 @@ class TestCarriedSupport:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_a_noiseless_pass_carries_the_rows_a_scan_would_find(self, monkeypatch, batch):
         # a shadow state that carries nothing takes every call the pass
-        # makes, with draws from a copy of the pass's generator
-        failures, checks, shrunk = [], [0], [0]
+        # makes, each collapse with the pass's own draws
+        failures, checks, shrunk, collapsing = [], [0], [0], [False]
         shadow = {}
-        apply_original, measure_original, carry_original = (
-            gates.apply_gate, gates.measure, gates._carry)
+        apply_original, collapse_original, carry_original = (
+            gates.apply_gate, gates._collapse, gates._carry)
 
         def check(state, what):
             checks[0] += state.support is not None
@@ -1386,31 +1402,37 @@ class TestCarriedSupport:
         def applied(state, g, **kwargs):
             before = None if state.support is None else state.support.size
             apply_original(state, g, **kwargs)
+            if collapsing[0]:  # a prep_z flip: each state's collapse makes its own
+                return state
             apply_original(shadow["state"], g, **kwargs)
             if before is not None and state.support is not None and state.support.size < before:
                 shrunk[0] += 1
             check(state, g)
             return state
 
-        def measured(state, q, rng):
-            bits, _ = measure_original(state, q, rng)
-            measure_original(shadow["state"], q, shadow["rng"])
-            check(state, ("measure", q))
-            return bits, state
+        def collapsed(state, g, uniforms, *args):
+            collapsing[0] = True
+            try:
+                bits = collapse_original(state, g, uniforms, *args)
+                collapse_original(shadow["state"], g, uniforms, *args)
+            finally:
+                collapsing[0] = False
+            check(state, (g.kind.mnemonic, g.qubits[0]))
+            return bits
 
         def carried(state, zero_skip):
             carry_original(state, zero_skip)
             check(state, "carry")
 
         monkeypatch.setattr(gates, "apply_gate", applied)
-        monkeypatch.setattr(gates, "measure", measured)
+        monkeypatch.setattr(gates, "_collapse", collapsed)
         monkeypatch.setattr(gates, "_carry", carried)
         rng = np.random.default_rng(2121 + (batch or 0))
         for case in range(6):
             n, dense = 13 + case % 3, case % 2 == 1
             ops = self.program(rng, n, dense)
             seed = int(rng.integers(1 << 30))
-            shadow.update(state=StateVector(n, batch), rng=np.random.default_rng(seed))
+            shadow.update(state=StateVector(n, batch))
             state, _ = run_circuit(n, ops, rng=np.random.default_rng(seed), batch=batch)
             if state.live.tobytes() != shadow["state"].live.tobytes():
                 failures.append((case, "final bytes"))
@@ -1483,12 +1505,13 @@ class TestCarriedSupport:
         for batch in (None, 2):
             state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), batch=batch)
             assert state.support is None
-        # a carried support goes with a collapse, a columns= application,
-        # a reset and a copy
+        # a copy carries an equal support; a collapse, a columns=
+        # application and a reset drop it
         state = StateVector(n, 2)
         for drop in (lambda s: measure(s, 0, rng), lambda s: s.reset_ground(),
                      lambda s: apply_gate(s, gate("x", 1), columns=np.array([1]))):
             gates._carry(state, True)
-            assert state.support is not None and state.copy().support is None
+            assert state.support is not None
+            assert np.array_equal(state.copy().support, state.support)
             drop(state)
             assert state.support is None

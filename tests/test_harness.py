@@ -657,6 +657,23 @@ class TestCliExitCodes:
         assert main(["bench", "qubits", "--n-max", "31"]) == 3
         assert capsys.readouterr().err.startswith("capacity error: qubit count 31 ")
 
+    @pytest.mark.parametrize("n, physical, message", [
+        (31, None, "qubit count 31 outside"), (20, 1 << 20, "physical memory")],
+        ids=["range", "memory"])
+    def test_a_run_admits_its_register_before_any_work(self, n, physical, message,
+                                                        monkeypatch):
+        # a 100,000-gate qubits 31 file was emitted, hashed and fused first
+        def unreached(*args, **kwargs):
+            raise AssertionError("work done before the register was admitted")
+
+        monkeypatch.setattr(runner, "emit", unreached)
+        monkeypatch.setattr(gates, "_fused", unreached)
+        if physical is not None:
+            monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: physical)
+        program = make_program(n, [gate("h", 0), gate("cnot", 0, n - 1)])
+        with pytest.raises(CapacityError, match=message):
+            run_program(program, shots=1, persist=False)
+
     def test_register_beyond_physical_memory_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
         qasm = tmp_path / "big.qasm"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit
-from qaccel import gate, statecore
+from qaccel import gate, gates, statecore
 from qaccel.errors import CapacityError
 from qaccel.gates import apply_gate
 from qaccel.statecore import (
@@ -214,6 +214,31 @@ class TestBufferInvariants:
         dup = state.copy()
         apply_gate(state, gate("x", 0))
         np.testing.assert_array_equal(dup.live, [1, 0])
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_a_copy_holds_the_bytes_the_hints_and_the_scratch(self, dense):
+        n = 15  # past one chunk, so the state holds scratch
+        state = StateVector(n)
+        for q in range(n if dense else 3):
+            apply_gate(state, gate("h", q))
+        gates._carry(state, True)
+        assert state.dense == dense and (state.support is None) == dense
+        before = state.live.tobytes()
+        for width in (None, 3):
+            dup = state.copy(width)
+            columns = state.live if width is None else np.repeat(state.live[:, None], width, 1)
+            assert dup.batch == width and dup.live.tobytes() == columns.tobytes()
+            assert dup.dense == dense and dup.scratch is state.scratch
+            if dense:
+                assert dup.support is None
+            else:
+                assert np.array_equal(dup.support, state.support)
+            assert dup.dead.shape == dup.live.shape and not dup.dead.view(np.uint64).any()
+            dup.live[:] = 0
+            assert state.live.tobytes() == before
+        batch = StateVector(2, 2)
+        apply_gate(batch, gate("x", 0), columns=np.array([1]))
+        assert batch.copy(3).live.tobytes() == np.repeat(batch.live, 3, 1).tobytes()
 
     def test_from_amplitudes_needs_a_power_of_two(self):
         with pytest.raises(ValueError, match="not a power of two"):
