@@ -8,30 +8,25 @@ statecore).  The strided kernel adds ``coefficient * input[column]`` into
 takes only the nonzero inputs and adds each term's share by index arrays.
 
 The strided kernel walks a register of more than
-``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, slices of its
-outermost free axes, and applies every term to one chunk before the next,
-writing each product into scratch the state owns, so no pass over such a
-register allocates a temporary of its size.  Where the lowest operand leaves
-contiguous runs of 2 to ``COPY_MIN_RUN`` amplitudes, each chunk is copied
-into contiguous scratch, operand axes outermost, and its output is built in
-zeroed scratch and copied back.  A register of at most one chunk is
-applied in place, and so is a signed permutation: its coefficients are
-+-1, so it needs no product (-1 subtracts) and reads each input once.
+``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, writing each product
+into scratch the state owns, so no pass over such a register allocates a
+temporary of its size; it applies a smaller register, and a signed
+permutation, in place (see :func:`_strided`).
 
 Without zero-skipping every basis state goes through a sparse pass.  With it,
 registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
 amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
-nonzero; other gates are strided, and a larger support marks the state
-dense, which skips the scan until ``reset_ground``.  Both constants are
-measured crossovers of the kernels.  A pass carries the support of every
-state it makes in ``state.support``: a pass of :func:`run_circuit` scans
-its state once at the start and once after each ``measure`` or ``prep_z``,
-a noisy pass scans the noiseless state it carries once, and its groups'
-copies of it (``StateVector.copy``) take that support along.  A sparse
-pass returns the rows it wrote, which are the rows the next scan would
-find, so every kernel choice, ``dense`` flag and byte stays what scanning
-gives.  A state that no pass owns, such as one that ``qaccel bench``
-times, is scanned before every gate.
+nonzero (measured crossovers of the kernels); other gates are strided, and
+a larger support marks the state dense, which skips the scan until
+``reset_ground``.  A pass carries the support of every state it makes in
+``state.support``: a pass of :func:`run_circuit` scans its state once at
+the start, a noisy pass scans the noiseless state it carries once, and its
+groups' copies of it (``StateVector.copy``) take that support along.  A
+sparse pass returns the rows it wrote, which are the rows the next scan
+would find, and a ``measure`` or ``prep_z`` rescans a state that carried
+one, so every kernel choice, ``dense`` flag and byte stays what scanning
+gives.  A state that no pass owns, such as one that ``qaccel bench`` times,
+is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -39,37 +34,29 @@ scratch, so a skipped zero input only drops the addition of a signed zero.
 After a scatter the old input buffer is cleared only at the rows the scan
 listed (all rows, as a slice, for the no-skip reference); its other rows
 hold +0 already, since no kernel output, and so no live buffer, is ever
--0.0 (see statecore).  The strided kernel's input
-is cleared whole.  Complex coefficients are split into a real and an
-imaginary term, each product one rounding, because numpy's complex-by-complex
-multiply rounds differently with array layout and length.
+-0.0 (see statecore).  The strided kernel's input is cleared whole.
+Complex coefficients are split into a real and an imaginary term, each
+product one rounding, because numpy's complex-by-complex multiply rounds
+differently with array layout and length.
 
 A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
-TOFFOLI, or a fused block of them) also carries a lookup: each subspace
-index's flipped operand bits and whether it is negated.  In a sparse pass a
-signed permutation scatters through its table's lookup, in one indexed add,
-whether it is a lone gate, a block or a chain of them; every other table
-scatters term by term.  Each amplitude then lands once, exactly negated or
-not, on a +0 in its new place, so both scatters give the same bytes.
+TOFFOLI, or a fused block of them) also carries a lookup, through which a
+sparse pass moves it, a lone gate, a block or a chain of them, in one
+indexed add (:func:`_move`); every other table scatters term by term.  Each
+amplitude lands once, exactly negated or not, on a +0, so both scatters give
+the same bytes.
 
 Passes of :func:`run_circuit`, all noiseless, on registers of at least
-``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs.  One-qubit
-gates that are not signed permutations (H, RX, RY, RZ, Y) are held per
-qubit and move past gates on other qubits; when an instruction touches
-their qubit, or the pass ends, they go out as one 2x2 product, or as
-themselves when alone.  Each run of signed permutation gates on at most
-``FUSE_MAX_QUBITS`` qubits becomes one block: a signed permutation of its
-operand subspace, composed through its gates' lookups and cached by its
-gate sequence.  A held product goes out before the open run unless that run
-touches its qubit, in which case the run closes first.  Each stretch of
-consecutive signed permutation items (blocks, and lone X, Z, CNOT, CZ, SWAP
-and TOFFOLI gates) goes through :func:`apply_gate` as one chain, every
-other product or gate alone, each part with its own table.  A signed
-permutation keeps the support, so a chain is scanned once; on a sparse
-state its parts move the scanned rows through their lookups in turn and
-land them in one indexed add, and on a dense state the strided kernel
-applies them one at a time.  So a chain gives the bytes of its items, and a
-block those of its gates, applied one at a time.  A product rounds
+``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs
+(:func:`_fused`): one-qubit gates that are not signed permutations into
+2x2 products, and runs of signed permutation gates on at most
+``FUSE_MAX_QUBITS`` qubits into blocks, each a signed permutation of its
+operand subspace composed through its gates' lookups and cached by its gate
+sequence.  Each stretch of consecutive signed permutation items (blocks,
+and lone X, Z, CNOT, CZ, SWAP and TOFFOLI gates) goes through
+:func:`apply_gate` as one chain, scanned once, every other product or gate
+alone.  So a chain gives the bytes of its items, and a block those of its
+gates, applied one at a time.  A product rounds
 differently from its gates, and so do two non-permutation gates on
 different qubits that fusion has swapped: fused passes differ from program
 order in the last bits (at most 1.2e-16 per amplitude over random
@@ -83,9 +70,9 @@ trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory.
 
-One rule measures or resets a qubit, :func:`_collapse`, which flips each
-trajectory a ``prep_z`` read as 1 with the pass's ``zero_skip``: every
-pass calls it, and :func:`measure` and :func:`prep_z` are draws around it.
+One rule measures or resets a qubit, :func:`_collapse`, which calls no
+kernel and keeps a carried support: every pass calls it, and
+:func:`measure` and :func:`prep_z` are draws around it.
 
 Noisy passes live in ``trajectories``, which builds on this module; this
 module does not import it.
@@ -541,8 +528,8 @@ def apply_gate(
     pass.  On a dense state the strided kernel applies its parts one at a
     time.  MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
-    those trajectories of a batch; the others keep their amplitudes.  A
-    plain state is the single trajectory 0.
+    those trajectories of a batch, each named once (a plain state is the
+    single trajectory 0); the others keep their amplitudes.
 
     A state that carries its support (``state.support``, set only by a pass
     that owns the state) is not scanned: its support is what the scan
@@ -550,16 +537,16 @@ def apply_gate(
     pass over the whole state the support is the rows the pass wrote:
     :func:`_move`'s targets, each nonzero as its input is, or the nonzero
     rows among the term scatter's targets (:func:`_scattered`).  A strided
-    pass or a ``columns`` application carries none on, and a state that
-    came in without one leaves without one.
+    pass, or one over only some of a batch's trajectories, drops it, and a
+    state that came in without one leaves without one.
     """
-    if isinstance(g, list):
-        parts = [(part.qubits, _checked_table(part, state.n)) for part in g]
-        if any(table.moves is None for _, table in parts):
-            raise ValueError("a chain holds signed permutations only")
-    else:
-        parts = ((g.qubits, _checked_table(g, state.n)),)
-    whole = columns is None or len(columns) >= (state.batch or 1)
+    chain = isinstance(g, list)
+    parts = [(part.qubits, _checked_table(part, state.n)) for part in (g if chain else [g])]
+    if chain and any(table.moves is None for _, table in parts):
+        raise ValueError("a chain holds signed permutations only")
+    whole = columns is None or _names_every(columns, state.batch or 1)
+    if not whole and not len(columns):  # no trajectory
+        return state
     src = state.live if whole else state.live[:, columns]
     carried = state.support if whole else None
     state.support = None  # until a sparse pass over a carried support sets it
@@ -584,6 +571,14 @@ def apply_gate(
     if not whole:
         state.live[:, columns] = src
     return state
+
+
+def _names_every(columns, width: int) -> bool:
+    """Whether ``columns`` names all ``width`` trajectories; IndexError unless once each."""
+    named = np.asarray(columns).tolist()
+    if len(set(named)) < len(named) or named and not 0 <= min(named) <= max(named) < width:
+        raise IndexError(f"columns {named} must name distinct trajectories of {width}")
+    return len(named) == width
 
 
 def _checked_table(g: GateInstance | _Block, n: int) -> _Table:
@@ -748,13 +743,15 @@ def prep_z(state: StateVector, q: int, rng: np.random.Generator) -> StateVector:
     return state
 
 
-def _collapse(state: StateVector, g: GateInstance, uniforms, zero_skip: bool = True,
+def _collapse(state: StateVector, g: GateInstance, uniforms,
               in_order: bool = False) -> int | np.ndarray:
     """The one rule for a ``measure`` or ``prep_z`` instruction ``g``, with
     the given uniform draws, one per trajectory: outcome 1 where a draw is at
-    least the probability of 0.  A ``prep_z`` then flips each trajectory
-    that read 1, through :func:`apply_gate` with ``zero_skip``.  Returns the
-    outcomes.
+    least the probability of 0.  A ``prep_z`` then moves the qubit's 1 half
+    of each trajectory that read 1 onto its cleared 0 half, which gives an
+    X's bytes: a kernel adds each amplitude onto a +0, and a live buffer
+    holds no -0.0.  Returns the outcomes.  A state that carried its support
+    (see :func:`apply_gate`) is rescanned, so it leaves carrying it.
 
     A plain state sums the probability of 1 as numpy sums a whole array;
     ``in_order`` sums it in index order instead, as a batch's reduction
@@ -773,13 +770,15 @@ def _collapse(state: StateVector, g: GateInstance, uniforms, zero_skip: bool = T
     if np.any(total < 0.5):  # cannot happen while the normalization invariant holds
         raise RuntimeError(f"degenerate state: norm^2 = {total!r}")
     ones_seen = uniforms >= p0
-    state.support = None  # the collapse may clear rows
+    carried, state.support = state.support is not None, None  # the collapse may clear rows
     np.copyto(view[:, 0], 0, where=ones_seen)
     np.copyto(view[:, 1], 0, where=~ones_seen)
     live /= np.sqrt(np.where(ones_seen, p1, p0))
-    if g.kind is GateKind.PREP_Z and np.any(ones_seen):
-        apply_gate(state, GateInstance.prevalidated(GateKind.X, g.qubits), zero_skip=zero_skip,
-                   columns=np.flatnonzero(ones_seen))
+    if g.kind is GateKind.PREP_Z:  # X's bytes: each amplitude lands on a +0
+        np.copyto(view[:, 0], view[:, 1], where=ones_seen)
+        np.copyto(view[:, 1], 0, where=ones_seen)
+    if carried:
+        _carry(state, True)
     return ones_seen.astype(int) if state.batch else int(ones_seen)
 
 
@@ -867,9 +866,8 @@ def run_circuit(
         if isinstance(g, (list, _Block)) or g.kind.is_unitary:
             apply_gate(state, g, zero_skip=zero_skip)
             continue
-        bits = _collapse(state, g, rng.random(state.batch), zero_skip)
+        bits = _collapse(state, g, rng.random(state.batch))
         if g.kind is GateKind.MEASURE:
             transcript.append((g.qubits[0], bits))
-        _carry(state, zero_skip)
     state.support = None
     return state, transcript

@@ -19,8 +19,8 @@ from n = 14 on); those that never diverge make one group, of any width.
 One noiseless state is carried gate by gate, unfused, through each group's
 first erring gate in turn.  Each group starts from a copy of it
 (``StateVector.copy``, repeated into the group's columns), which takes
-its support along (see gates) up to its first collapse or gate on only
-some of its columns; the last group runs in the carried state itself
+its support along (see gates) up to its first gate on only some of its
+columns; the last group runs in the carried state itself
 when it is one trajectory or never diverges.  Paulis go through
 :func:`apply_gate` on the columns they hit; ``measure`` and ``prep_z``
 through the one collapse rule, ``gates._collapse``.
@@ -78,7 +78,9 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, width: int
             hits = np.flatnonzero(rng.random(width) < p)
             if hits.size:
                 rows.append((i, q, hits, rng.integers(3, size=hits.size)))
-    # narrow integers: the schedule is held for the whole pass
+    # narrow integers: the schedule is held for the whole pass, 1.2 KB under the
+    # model's 627,776 B in a 200-shot n = 6 pass (626,290-626,530 B traced);
+    # per-gate Python lists of errors, without _errors_by_gate, traced 629,464 B
     sizes = [hits.size for _, _, hits, _ in rows]
     at = np.repeat(np.array([i for i, *_ in rows], np.int32), sizes)
     qubit = np.repeat(np.array([q for _, q, *_ in rows], np.int8), sizes)
@@ -154,7 +156,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                     apply_gate(state, g, zero_skip=zero_skip)
                 else:
                     draws = uniforms[i][cols if state.batch else cols[0]]
-                    bits = _collapse(state, g, draws, zero_skip, in_order)
+                    bits = _collapse(state, g, draws, in_order)
                     if g.kind is GateKind.MEASURE:
                         outcomes[i][cols] = bits
                 if i == hit_at:

@@ -1,5 +1,6 @@
 """Mapping-function gate semantics, measurement, sampling, and noise."""
 
+import contextlib
 import functools
 import math
 
@@ -1224,6 +1225,39 @@ class TestTrajectoryBatch:
         np.testing.assert_allclose(state.live, np.repeat([[1], [0]], 64, axis=1), atol=1e-15)
         assert not state.dead.view(np.uint64).any()
 
+    @pytest.mark.parametrize("batch, columns", [
+        (2, [0, 0]), (2, [0, 5]), (2, [-1]), (None, [3]), (None, [0, 0]), (2, []), (None, [])])
+    def test_columns_name_distinct_trajectories_in_range(self, batch, columns):
+        # anything else raises before any amplitude changes; none changes nothing
+        state = StateVector(3, batch)
+        apply_gate(state, gate("h", 0))
+        before = state.live.tobytes()
+        with pytest.raises(IndexError) if columns else contextlib.nullcontext():
+            apply_gate(state, gate("x", 1), columns=np.array(columns, int))
+        assert state.live.tobytes() == before
+
+    @pytest.mark.parametrize("zero_skip", [True, False])
+    def test_a_reset_gives_the_bytes_of_a_measure_and_a_flip(self, zero_skip):
+        # the reference flips each trajectory that read 1 through the kernel
+        rng = np.random.default_rng(2626 + zero_skip)
+        for n in range(1, 15):
+            for batch in (None, int(rng.integers(2, 5))):
+                shape = (1 << n, batch or 1)
+                amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                amps[rng.random(1 << n) < (0.6 if n % 2 else 0.97)] = 0
+                amps[0] += 1  # no column left empty
+                amps /= np.linalg.norm(amps, axis=0)
+                for q in range(n):
+                    state = StateVector(n, batch)
+                    state.live[:] = amps if batch else amps[:, 0]
+                    reference, uniforms = state.copy(), rng.random(batch)
+                    bits = gates._collapse(state, GateInstance(GateKind.PREP_Z, (q,)), uniforms)
+                    gates._collapse(reference, GateInstance(GateKind.MEASURE, (q,)), uniforms)
+                    if np.any(bits):
+                        apply_gate(reference, GateInstance(GateKind.X, (q,)), zero_skip=zero_skip,
+                                   columns=np.flatnonzero(bits))
+                    assert state.live.tobytes() == reference.live.tobytes(), (n, batch, q)
+
     def test_sample_reads_each_trajectory(self):
         state = StateVector(2, 6)
         state.live[:] = 0
@@ -1385,7 +1419,8 @@ class TestCarriedSupport:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_a_noiseless_pass_carries_the_rows_a_scan_would_find(self, monkeypatch, batch):
         # a shadow state that carries nothing takes every call the pass
-        # makes, each collapse with the pass's own draws
+        # makes, each collapse with the pass's own draws; a collapse calls
+        # no kernel, and its own carry is checked once both states collapsed
         failures, checks, shrunk, collapsing = [], [0], [0], [False]
         shadow = {}
         apply_original, collapse_original, carry_original = (
@@ -1401,9 +1436,9 @@ class TestCarriedSupport:
 
         def applied(state, g, **kwargs):
             before = None if state.support is None else state.support.size
+            if collapsing[0]:
+                failures.append((g, "a kernel inside a collapse"))
             apply_original(state, g, **kwargs)
-            if collapsing[0]:  # a prep_z flip: each state's collapse makes its own
-                return state
             apply_original(shadow["state"], g, **kwargs)
             if before is not None and state.support is not None and state.support.size < before:
                 shrunk[0] += 1
@@ -1422,7 +1457,8 @@ class TestCarriedSupport:
 
         def carried(state, zero_skip):
             carry_original(state, zero_skip)
-            check(state, "carry")
+            if not collapsing[0]:
+                check(state, "carry")
 
         monkeypatch.setattr(gates, "apply_gate", applied)
         monkeypatch.setattr(gates, "_collapse", collapsed)
@@ -1505,10 +1541,15 @@ class TestCarriedSupport:
         for batch in (None, 2):
             state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), batch=batch)
             assert state.support is None
-        # a copy carries an equal support; a collapse, a columns=
-        # application and a reset drop it
+        # a copy carries an equal support, and a collapse an exact one; a
+        # columns= application and a reset drop it
         state = StateVector(n, 2)
-        for drop in (lambda s: measure(s, 0, rng), lambda s: s.reset_ground(),
+        apply_gate(state, gate("h", 0))
+        for collapse in (measure, prep_z):
+            gates._carry(state, True)
+            collapse(state, 0, rng)
+            assert state.support is not None and TestCarriedSupport.exact(state)
+        for drop in (lambda s: s.reset_ground(),
                      lambda s: apply_gate(s, gate("x", 1), columns=np.array([1]))):
             gates._carry(state, True)
             assert state.support is not None

@@ -547,6 +547,19 @@ class TestNoisyTrajectories:
                     persist=False)
         assert len(scans) <= 64
 
+    def test_a_group_keeps_its_support_through_a_collapse(self, monkeypatch):
+        # a prep_z before gate 10 and a measure before gate 20: each group
+        # state rescans once after its collapse; one scanned before each of
+        # its later gates took 4,208 scans here
+        scans = []
+        original = gates._scan
+        monkeypatch.setattr(gates, "_scan", lambda src: scans.append(1) or original(src))
+        ops = self.random_ops(14, 30)
+        ops.insert(20, gate("measure", 1))
+        ops.insert(10, gate("prep_z", 2))
+        run_program(make_program(14, ops), shots=200, seed=1, noise_p=0.01, persist=False)
+        assert len(scans) <= 300
+
     def test_each_batch_is_freed_before_it_is_sampled(self, monkeypatch):
         monkeypatch.setattr(trajectories, "TRAJECTORY_AMPLITUDES", 16)  # 4 shots a batch
         batches, arrays = [], []  # weak references to each batch's arrays
