@@ -13,20 +13,21 @@ into scratch the state owns, so no pass over such a register allocates a
 temporary of its size; it applies a smaller register, and a signed
 permutation, in place (see :func:`_strided`).
 
-Without zero-skipping every basis state goes through a sparse pass.  With it,
-registers of at least ``SCAN_MIN_QUBITS`` qubits are scanned for nonzero
-amplitudes and scattered while at most ``SCATTER_MAX_FRACTION`` of them are
-nonzero (measured crossovers of the kernels); other gates are strided, and
-a larger support marks the state dense, which skips the scan until
-``reset_ground``.  A pass carries the support of every state it makes in
-``state.support``: a pass of :func:`run_circuit` scans its state once at
-the start, a noisy pass scans the noiseless state it carries once, and its
-groups' copies of it (``StateVector.copy``) take that support along.  A
-sparse pass returns the rows it wrote, which are the rows the next scan
-would find, and a ``measure`` or ``prep_z`` rescans a state that carried
-one, so every kernel choice, ``dense`` flag and byte stays what scanning
-gives.  A state that no pass owns, such as one that ``qaccel bench`` times,
-is scanned before every gate.
+Every pass zero-skips: registers of at least ``SCAN_MIN_QUBITS`` qubits are
+scanned for nonzero amplitudes and scattered while at most
+``SCATTER_MAX_FRACTION`` of them are nonzero (measured crossovers of the
+kernels); other gates are strided, and a larger support marks the state
+dense, which skips the scan until ``reset_ground``.  Only
+``apply_gate(..., zero_skip=False)`` reaches the no-skip reference, which
+sends every basis state through the scatter.  A pass carries the support of
+every state it makes in ``state.support``: a pass of :func:`run_circuit`
+scans its state once at the start, a noisy pass scans the noiseless state
+it carries once, and its groups' copies of it (``StateVector.copy``) take
+that support along.  A sparse pass returns the rows it wrote, which are the
+rows the next scan would find, and a ``measure`` or ``prep_z`` rescans a
+state that carried one, so every kernel choice, ``dense`` flag and byte
+stays what scanning gives.  A state that no pass owns, such as one that
+``qaccel bench`` times, is scanned before every gate.
 
 Both kernels give bit-identical output: every output amplitude starts at +0
 and gets its terms in the same order, whether in place or in a chunk of
@@ -60,8 +61,8 @@ gates, applied one at a time.  A product rounds
 differently from its gates, and so do two non-permutation gates on
 different qubits that fusion has swapped: fused passes differ from program
 order in the last bits (at most 1.2e-16 per amplitude over random
-13-16-qubit circuits).  Zero-skip and no-skip passes fuse alike and stay
-byte-identical.  Noisy passes stay unfused.
+13-16-qubit circuits).  A fused pass's items give the same bytes through
+either kernel choice.  Noisy passes stay unfused.
 
 A batch of trajectories (see statecore) adds a trailing axis that both
 kernels carry along: the strided views gain it as their last axis, and the
@@ -530,6 +531,7 @@ def apply_gate(
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch, each named once (a plain state is the
     single trajectory 0); the others keep their amplitudes.
+    ``zero_skip=False`` is the no-skip reference: every basis state scattered.
 
     A state that carries its support (``state.support``, set only by a pass
     that owns the state) is not scanned: its support is what the scan
@@ -574,9 +576,12 @@ def apply_gate(
 
 
 def _names_every(columns, width: int) -> bool:
-    """Whether ``columns`` names all ``width`` trajectories; IndexError unless once each."""
-    named = np.asarray(columns).tolist()
-    if len(set(named)) < len(named) or named and not 0 <= min(named) <= max(named) < width:
+    """Whether ``columns`` names all ``width`` trajectories; IndexError unless
+    integer trajectory numbers, each once (a boolean mask is not one)."""
+    array = np.asarray(columns)
+    named = array.tolist()
+    if (array.ndim != 1 or named and array.dtype.kind not in "iu" or len(set(named)) < len(named)
+            or named and not 0 <= min(named) <= max(named) < width):
         raise IndexError(f"columns {named} must name distinct trajectories of {width}")
     return len(named) == width
 
@@ -612,12 +617,11 @@ def _scan(src) -> np.ndarray:
     return _occupied(src).nonzero()[0]
 
 
-def _carry(state: StateVector, zero_skip: bool) -> None:
+def _carry(state: StateVector) -> None:
     """Make ``state``, which the calling pass owns, carry its support from
     here on (see :func:`apply_gate`): one scan, where the next gate would
     scan, marking a dense state.  The pass clears it before it hands the state back."""
-    if zero_skip:
-        state.support = _scatter_rows(state, state.live, zero_skip)
+    state.support = _scatter_rows(state, state.live, True)
 
 
 def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
@@ -778,7 +782,7 @@ def _collapse(state: StateVector, g: GateInstance, uniforms,
         np.copyto(view[:, 0], view[:, 1], where=ones_seen)
         np.copyto(view[:, 1], 0, where=ones_seen)
     if carried:
-        _carry(state, True)
+        _carry(state)
     return ones_seen.astype(int) if state.batch else int(ones_seen)
 
 
@@ -806,20 +810,14 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str,
 _PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
 
 
-def apply_depolarizing(
-    state: StateVector,
-    g: GateInstance,
-    cfg: NoiseConfig,
-    rng: np.random.Generator,
-    *,
-    zero_skip: bool = True,
-) -> StateVector:
+def apply_depolarizing(state: StateVector, g: GateInstance, cfg: NoiseConfig,
+                       rng: np.random.Generator) -> StateVector:
     """Ideal gate followed by independent depolarizing on each operand qubit.
 
     Each operand draws which trajectories it hits, then one Pauli per hit
     trajectory, and applies each Pauli to its trajectories in one call.
     """
-    apply_gate(state, g, zero_skip=zero_skip)
+    apply_gate(state, g)
     if cfg.p <= 0.0:
         return state
     for q in g.qubits:
@@ -829,8 +827,7 @@ def apply_depolarizing(
             for i, kind in enumerate(_PAULIS):
                 columns = hits[picks == i]
                 if columns.size:
-                    apply_gate(state, GateInstance(kind, (q,)), zero_skip=zero_skip,
-                               columns=columns)
+                    apply_gate(state, GateInstance(kind, (q,)), columns=columns)
     return state
 
 
@@ -839,7 +836,6 @@ def run_circuit(
     instructions: Iterable[GateInstance],
     *,
     rng: np.random.Generator | None = None,
-    zero_skip: bool = True,
     batch: int | None = None,
 ) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
     """Execute a gate sequence from the ground state without noise, as
@@ -860,11 +856,11 @@ def run_circuit(
         instructions = [item for signed, items in itertools.groupby(_fused(instructions), _signed)
                         for item in ([list(items)] if signed else items)]
     state = StateVector(n, batch)
-    _carry(state, zero_skip)
+    _carry(state)
     transcript: list[tuple[int, int]] = []
     for g in instructions:
         if isinstance(g, (list, _Block)) or g.kind.is_unitary:
-            apply_gate(state, g, zero_skip=zero_skip)
+            apply_gate(state, g)
             continue
         bits = _collapse(state, g, rng.random(state.batch))
         if g.kind is GateKind.MEASURE:

@@ -78,9 +78,12 @@ class BenchResult:
 
 
 def linear_fit(x, y) -> FitResult:
-    """Least-squares line with R^2 and the intercept's standard error."""
+    """Least-squares line with R^2 and the intercept's standard error;
+    ValueError unless x holds at least two distinct values."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.unique(x).size < 2:
+        raise ValueError(f"a line needs two distinct x values, got {x.tolist()}")
     n = x.size
     xbar, ybar = x.mean(), y.mean()
     sxx = float(((x - xbar) ** 2).sum())
@@ -143,8 +146,8 @@ def _epr_chain(n: int) -> list[GateInstance]:
 def bench_qubit_scaling(n_min: int, n_max: int) -> BenchResult:
     """Time the EPR chain as the register grows, with zero-skip on and off;
     fit log2(time) against n and record the per-point skip/no-skip ratio."""
-    if n_min > n_max:
-        raise ValueError(f"n_min {n_min} exceeds n_max {n_max}")
+    if n_min >= n_max:  # one register size fits no line
+        raise ValueError(f"n_min {n_min} must be below n_max {n_max}")
     if n_min < 2:
         raise ValueError(f"n_min must be >= 2, got {n_min}")
     check_capacity(n_max)  # before the first, smallest register is timed
@@ -179,8 +182,8 @@ def bench_qubit_scaling(n_min: int, n_max: int) -> BenchResult:
 def bench_depth_scaling(gate_counts=(100, 300, 1000, 3000, 10000)) -> BenchResult:
     """Time 2-qubit circuits of g repeated gates; one linear fit per kind."""
     values = list(gate_counts)
-    if not values or any(g < 1 for g in values):
-        raise ValueError("gate counts must be positive")
+    if len(set(values)) < 2 or any(g < 1 for g in values):
+        raise ValueError(f"gate counts must be positive, two distinct at least: {values}")
     series: dict[str, list[float]] = {}
     fits: dict[str, FitResult] = {}
     state = StateVector(2)

@@ -20,10 +20,10 @@ One noiseless state is carried gate by gate, unfused, through each group's
 first erring gate in turn.  Each group starts from a copy of it
 (``StateVector.copy``, repeated into the group's columns), which takes
 its support along (see gates) up to its first gate on only some of its
-columns; the last group runs in the carried state itself
-when it is one trajectory or never diverges.  Paulis go through
-:func:`apply_gate` on the columns they hit; ``measure`` and ``prep_z``
-through the one collapse rule, ``gates._collapse``.
+columns; the last group runs in the carried state itself when it is one
+trajectory or never diverges.  Gates, and Paulis on the columns they hit,
+go through :func:`apply_gate`, zero-skipping as every pass does;
+``measure`` and ``prep_z`` through the one collapse rule, ``gates._collapse``.
 
 The pass returns the batch's amplitudes in column order, each column the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
@@ -55,10 +55,10 @@ from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 UFUNC_BUFFER = 256
 
 #: Amplitudes in one batch of a noisy run (2^n x trajectories per batch).  On
-#: 200-shot runs at p = 0.01 of the 32 perfbench ``run_noisy`` programs (9
-#: qubits, 2-core VM, best of 4 rounds) 2^13 took 86 ms an op, 2^14 65 ms, 2^15
-#: 61 ms and 2^16 to 2^18 47-54 ms, against 634 ms for one pass per shot.  The
-#: batch width orders the draws: another value changes every seeded record.
+#: 200-shot p = 0.01 runs of the 32 perfbench ``run_noisy`` programs (9 qubits,
+#: seed 1, 2-core VM, best of 4 rounds) the grouped pass took 82 ms an op at
+#: 2^13, 71 at 2^14, 60 at 2^15 and 46-52 at 2^16 to 2^18; one pass a shot, 647.
+#: The batch width orders the draws: another value changes every seeded record.
 TRAJECTORY_AMPLITUDES = 1 << 16
 
 
@@ -110,7 +110,7 @@ def _errors_by_gate(errors: tuple, column: np.ndarray):
 
 
 def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
-               zero_skip: bool, width: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+               width: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """A batch of ``width`` trajectories at a depolarizing rate p > 0: the
     error schedule first, then the trajectories in groups of one chunk, each
     from its divergence point.  Returns the batch's ``(2^n, width)``
@@ -124,7 +124,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
     carried, done, first = StateVector(n), 0, 0  # noiseless, through instructions[:done]
-    _carry(carried, zero_skip)
+    _carry(carried)
     finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
@@ -137,7 +137,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             # carried through the group's first erring gate, or up to its first measure
             reach = begin + (begin < end and instructions[begin].kind.is_unitary)
             for g in instructions[done:reach]:
-                apply_gate(carried, g, zero_skip=zero_skip)
+                apply_gate(carried, g)
             done = reach
             if first == width and (cols.size == 1 or begin == end):
                 state, carried = carried, None  # the last group runs in the carried state
@@ -153,7 +153,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 if i < reach:
                     pass  # the erring gate, run in the carried state
                 elif g.kind.is_unitary:
-                    apply_gate(state, g, zero_skip=zero_skip)
+                    apply_gate(state, g)
                 else:
                     draws = uniforms[i][cols if state.batch else cols[0]]
                     bits = _collapse(state, g, draws, in_order)
@@ -162,7 +162,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 if i == hit_at:
                     for (q, kind), columns in hits.items():
                         apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),
-                                   zero_skip=zero_skip, columns=np.array(columns))
+                                   columns=columns)
                     hit_at, hits = next(paulis, (end, None))
             finals.append((cols, state.live.reshape(state.dim, -1)))
             del state  # its dead buffer is freed before the next group's are made
@@ -188,5 +188,5 @@ def batches(n: int, instructions: list, rng: np.random.Generator, p: float, shot
     width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> n))
     check_capacity(n, width)
     # no name holds a yielded batch, so the caller's last reference frees it
-    return (noisy_pass(n, instructions, rng, p, True, min(width, shots - start))[0]
+    return (noisy_pass(n, instructions, rng, p, min(width, shots - start))[0]
             for start in range(0, shots, width))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from qaccel import gates
 from qaccel.cqasm import Kernel, Program
 from qaccel.gates import GateInstance, GateKind, run_circuit
+from qaccel.statecore import StateVector
 
 UNITARY_1Q = (
     GateKind.X,
@@ -41,9 +43,21 @@ def make_program(n, instructions, name=None) -> Program:
 
 
 def engine_state(n, instructions, zero_skip=True) -> np.ndarray:
-    """Final amplitude vector of the mapping-function engine."""
-    state, _ = run_circuit(n, instructions, zero_skip=zero_skip)
+    """Final amplitude vector of the mapping-function engine's pass, or,
+    with ``zero_skip=False``, of its no-skip replay (:func:`reference_pass`)."""
+    state = run_circuit(n, instructions)[0] if zero_skip else reference_pass(n, instructions)
     return state.live.copy()
+
+
+def reference_pass(n, instructions, batch=None) -> StateVector:
+    """``run_circuit``'s pass over unitary gates, replayed through the no-skip
+    reference: the items it applies (``gates._fused`` of the gates at
+    ``gates.SCAN_MIN_QUBITS`` qubits or more, else the gates themselves),
+    each through ``gates.apply_gate(..., zero_skip=False)``."""
+    state = StateVector(n, batch)
+    for item in gates._fused(instructions) if n >= gates.SCAN_MIN_QUBITS else instructions:
+        gates.apply_gate(state, item, zero_skip=False)
+    return state
 
 
 def random_state(rng, n) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import engine_state, random_circuit
+from helpers import engine_state, random_circuit, reference_pass
 from qaccel import gates, statecore, trajectories
 from qaccel.gates import (
     GateInstance,
@@ -244,22 +244,6 @@ class TestZeroSkip:
             with_skip = engine_state(n, ops, zero_skip=True)
             without = engine_state(n, ops, zero_skip=False)
             assert with_skip.tobytes() == without.tobytes()
-
-    def test_a_no_skip_pass_is_no_skip_throughout(self, monkeypatch):
-        # prep_z's flip, too, takes the pass's zero_skip
-        seen = []
-        original = gates._scatter_rows
-
-        def recorded(state, src, zero_skip, nonzero=None):
-            seen.append(zero_skip)
-            return original(state, src, zero_skip, nonzero)
-
-        monkeypatch.setattr(gates, "_scatter_rows", recorded)
-        ops = [gate("h", 0), gate("h", 1), gate("h", 2), gate("cnot", 0, 5), gate("prep_z", 0),
-               gate("x", 7)]
-        for seed in range(4):
-            run_circuit(13, ops, rng=np.random.default_rng(seed), zero_skip=False)
-        assert seen and not any(seen)
 
     def test_bit_identical_on_sparse_states(self):
         # permutation-heavy circuits keep exact zeros around
@@ -502,9 +486,10 @@ class TestFusion:
                 ops = [gate("h", q) for q in range(n - 3)] + ops
             items = list(gates._fused(ops))
             finals = []
-            for zero_skip in (True, False):
+            for zero_skip in (True, False):  # the pass, then its no-skip replay
                 del applied[:]
-                state, _ = run_circuit(n, ops, zero_skip=zero_skip, batch=batch)
+                state = (run_circuit(n, ops, batch=batch)[0] if zero_skip
+                         else reference_pass(n, ops, batch))
                 if not self.products(items):
                     in_order = self.stepwise(n, self.expand(items), zero_skip, batch)
                     assert state.live.tobytes() == in_order.live.tobytes()
@@ -529,8 +514,8 @@ class TestFusion:
             ops = self.permutation_heavy(rng, n, 30)
             items = list(gates._fused(ops))
             finals = []
-            for zero_skip in (True, False):
-                state, _ = run_circuit(n, ops, zero_skip=zero_skip)
+            for zero_skip in (True, False):  # the pass, then its no-skip replay
+                state = run_circuit(n, ops)[0] if zero_skip else reference_pass(n, ops)
                 if not self.products(items):
                     in_order = self.stepwise(n, self.expand(items), zero_skip).live
                     assert state.live.tobytes() == in_order.tobytes()
@@ -669,7 +654,7 @@ class TestFusion:
         for n in (13, 14, 15, 16):
             ops = random_circuit(rng, n, max_gates=60, min_gates=40)
             products += len(self.products(gates._fused(ops)))
-            finals = [run_circuit(n, ops, zero_skip=zero_skip)[0].live for zero_skip in (True, False)]
+            finals = [engine_state(n, ops, zero_skip) for zero_skip in (True, False)]
             assert finals[0].tobytes() == finals[1].tobytes()
             assert np.abs(finals[0] - self.stepwise(n, ops, True).live).max() <= 1e-12
         monkeypatch.setattr(gates, "SCAN_MIN_QUBITS", 3)
@@ -677,7 +662,7 @@ class TestFusion:
             n = int(rng.integers(3, 11))
             ops = random_circuit(rng, n, max_gates=40)
             products += len(self.products(gates._fused(ops)))
-            finals = [run_circuit(n, ops, zero_skip=zero_skip)[0].live for zero_skip in (True, False)]
+            finals = [engine_state(n, ops, zero_skip) for zero_skip in (True, False)]
             assert finals[0].tobytes() == finals[1].tobytes()
             assert np.abs(simulate_instructions(n, ops) - finals[0]).max() <= 1e-9
         assert products > 40
@@ -817,7 +802,7 @@ class TestFusion:
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
-        trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, True, 2)
+        trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, 2)
         assert applied and not any(isinstance(g, (list, gates._Block)) for g in applied)
         del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
@@ -1109,7 +1094,7 @@ class TestDepolarizing:
         total = 0.0
         runs = 1000
         for _ in range(runs):
-            live, _ = trajectories.noisy_pass(3, circuit, rng, 0.01, True, 1)
+            live, _ = trajectories.noisy_pass(3, circuit, rng, 0.01, 1)
             total += fidelity(ideal, live[:, 0])
         assert total / runs < 1.0
 
@@ -1198,7 +1183,7 @@ class TestTrajectoryBatch:
                 for q in g.qubits:
                     if draws.random() < 0.3:
                         apply_gate(expected, GateInstance(PAULIS[int(draws.integers(3))], (q,)))
-            live, _ = trajectories.noisy_pass(n, ops, np.random.default_rng(seed), 0.3, True, 1)
+            live, _ = trajectories.noisy_pass(n, ops, np.random.default_rng(seed), 0.3, 1)
             assert live[:, 0].tobytes() == expected.live.tobytes()
 
     def test_depolarizing_draws_each_trajectory_on_its_own(self):
@@ -1226,14 +1211,17 @@ class TestTrajectoryBatch:
         assert not state.dead.view(np.uint64).any()
 
     @pytest.mark.parametrize("batch, columns", [
-        (2, [0, 0]), (2, [0, 5]), (2, [-1]), (None, [3]), (None, [0, 0]), (2, []), (None, [])])
+        (2, np.array([0, 0])), (2, np.array([0, 5])), (2, np.array([-1])), (None, np.array([3])),
+        (None, np.array([0, 0])), (2, np.array([], int)), (None, np.array([])),
+        (2, np.array([True, False])), (2, np.array([0.0, 1.0]))])
     def test_columns_name_distinct_trajectories_in_range(self, batch, columns):
-        # anything else raises before any amplitude changes; none changes nothing
+        # anything else, a boolean mask or float numbers too, raises before
+        # any amplitude changes; none changes nothing
         state = StateVector(3, batch)
         apply_gate(state, gate("h", 0))
         before = state.live.tobytes()
-        with pytest.raises(IndexError) if columns else contextlib.nullcontext():
-            apply_gate(state, gate("x", 1), columns=np.array(columns, int))
+        with pytest.raises(IndexError) if len(columns) else contextlib.nullcontext():
+            apply_gate(state, gate("x", 1), columns=columns)
         assert state.live.tobytes() == before
 
     @pytest.mark.parametrize("zero_skip", [True, False])
@@ -1268,10 +1256,11 @@ class TestTrajectoryBatch:
 
 
 
-def _per_gate_pass(n, instructions, rng, noise, zero_skip, batch):
+def _per_gate_pass(n, instructions, rng, noise, batch):
     """The noisy pass as it was before trajectories were grouped, kept here
     as the reference: each gate applied to the whole batch and then its
-    depolarizing draws, with measure and prep_z acting where they stand."""
+    depolarizing draws, with measure and prep_z acting where they stand.
+    Every gate and Pauli goes through ``gates.apply_gate``."""
     state = StateVector(n, batch)
     transcript = []
     for g in instructions:
@@ -1282,9 +1271,9 @@ def _per_gate_pass(n, instructions, rng, noise, zero_skip, batch):
             bits, _ = measure(state, g.qubits[0], rng)
             flipped = np.flatnonzero(bits)
             if flipped.size:
-                apply_gate(state, GateInstance(GateKind.X, g.qubits), columns=flipped)
+                gates.apply_gate(state, GateInstance(GateKind.X, g.qubits), columns=flipped)
         else:
-            apply_depolarizing(state, g, noise, rng, zero_skip=zero_skip)
+            apply_depolarizing(state, g, noise, rng)
     return state, transcript
 
 
@@ -1305,10 +1294,15 @@ class TestGroupedNoisyPass:
 
     @staticmethod
     def assert_same(n, ops, p, zero_skip, batch, seed):
+        """The pass against the per-gate pass, whose gates and Paulis go
+        through the no-skip reference unless ``zero_skip``."""
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        live, transcript = trajectories.noisy_pass(n, ops, ours, p, zero_skip, batch)
-        expected, expected_transcript = _per_gate_pass(n, ops, reference, NoiseConfig(p),
-                                                       zero_skip, batch)
+        live, transcript = trajectories.noisy_pass(n, ops, ours, p, batch)
+        with pytest.MonkeyPatch.context() as patch:
+            if not zero_skip:
+                patch.setattr(gates, "apply_gate", functools.partial(apply_gate, zero_skip=False))
+            expected, expected_transcript = _per_gate_pass(n, ops, reference, NoiseConfig(p),
+                                                           batch)
         case = (n, batch, p, zero_skip, [g.kind.mnemonic for g in ops])
         assert live.shape == expected.live.shape, case
         assert live.tobytes() == expected.live.tobytes(), case
@@ -1371,7 +1365,7 @@ class TestGroupedNoisyPass:
 
         monkeypatch.setattr(trajectories, "apply_gate", counted)
         ops = random_circuit(np.random.default_rng(9), 9, max_gates=40, min_gates=40)
-        trajectories.noisy_pass(9, ops, np.random.default_rng(3), 0.005, True, 128)
+        trajectories.noisy_pass(9, ops, np.random.default_rng(3), 0.005, 128)
         # the per-gate pass applies every gate to all 128 columns
         assert sum(calls) < 0.75 * 128 * len(ops)
         assert max(calls) == 32
@@ -1455,8 +1449,8 @@ class TestCarriedSupport:
             check(state, (g.kind.mnemonic, g.qubits[0]))
             return bits
 
-        def carried(state, zero_skip):
-            carry_original(state, zero_skip)
+        def carried(state):
+            carry_original(state)
             if not collapsing[0]:
                 check(state, "carry")
 
@@ -1546,12 +1540,12 @@ class TestCarriedSupport:
         state = StateVector(n, 2)
         apply_gate(state, gate("h", 0))
         for collapse in (measure, prep_z):
-            gates._carry(state, True)
+            gates._carry(state)
             collapse(state, 0, rng)
             assert state.support is not None and TestCarriedSupport.exact(state)
         for drop in (lambda s: s.reset_ground(),
                      lambda s: apply_gate(s, gate("x", 1), columns=np.array([1]))):
-            gates._carry(state, True)
+            gates._carry(state)
             assert state.support is not None
             assert np.array_equal(state.copy().support, state.support)
             drop(state)

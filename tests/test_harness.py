@@ -404,7 +404,7 @@ class TestNoisyTrajectories:
                               noise_p=p, persist=False).histogram
         rng, reference = np.random.default_rng(1234), Counter()
         for _ in range(shots):  # one fresh trajectory and one readout per shot
-            trajectory, _ = trajectories.noisy_pass(2, self.OPS, rng, p, True, 1)
+            trajectory, _ = trajectories.noisy_pass(2, self.OPS, rng, p, 1)
             reference.update(sample(probabilities(trajectory), 1, rng))
         keys = sorted(set(batched) | set(reference))
         assert len(keys) == 4
@@ -455,9 +455,9 @@ class TestNoisyTrajectories:
         widths = []
         original = trajectories.noisy_pass
 
-        def recorded(n, instructions, rng, p, zero_skip, batch):
+        def recorded(n, instructions, rng, p, batch):
             widths.append(batch)
-            return original(n, instructions, rng, p, zero_skip, batch)
+            return original(n, instructions, rng, p, batch)
 
         monkeypatch.setattr(trajectories, "noisy_pass", recorded)
         outcome = run_program(program, shots=10, seed=1, noise_p=0.05, persist=False)
@@ -513,10 +513,10 @@ class TestNoisyTrajectories:
         width = min(200, trajectories.TRAJECTORY_AMPLITUDES >> n)
         ops = cls.random_ops(n, n)
         # tables, layouts and imports, the Paulis' too
-        trajectories.noisy_pass(n, ops, np.random.default_rng(2), 0.01, True, width)
+        trajectories.noisy_pass(n, ops, np.random.default_rng(2), 0.01, width)
         tracemalloc.start()
         try:
-            trajectories.noisy_pass(n, ops, np.random.default_rng(1), 0.01, True, width)
+            trajectories.noisy_pass(n, ops, np.random.default_rng(1), 0.01, width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -669,6 +669,43 @@ class TestCliExitCodes:
         assert "physical memory" in capsys.readouterr().err
         assert main(["bench", "qubits", "--n-max", "31"]) == 3
         assert capsys.readouterr().err.startswith("capacity error: qubit count 31 ")
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "qubits", "--n-min", "5", "--n-max", "5"],
+        ["bench", "depth", "--counts", "100"],
+        ["bench", "depth", "--counts", "100,100"]], ids=["qubits", "depth", "depth-repeated"])
+    def test_a_bench_with_one_x_value_exits_one_before_timing(self, argv, capsys, monkeypatch):
+        # a line through one x value has no slope: once a NaN fit and exit 0
+        def untimed(fns):
+            raise AssertionError("a point was timed")
+
+        monkeypatch.setattr("qaccel.harness.bench._median_times_ns", untimed)
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error: ") and "nan" not in printed.out + printed.err
+
+    def test_a_noisy_run_whose_widest_batch_does_not_fit_exits_three(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # the 8-qubit register fits alone but not as a batch of 200 trajectories,
+        # which trajectories.batches admits before any noisy pass
+        physical = 1 << 20
+        assert (estimate_peak_memory(MemoryParams(8)) < physical
+                < estimate_peak_memory(MemoryParams(8, batch=200)))
+
+        def unreached(*args):
+            raise AssertionError("a noisy pass ran")
+
+        monkeypatch.setattr(trajectories, "noisy_pass", unreached)
+        monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: physical)
+        qasm = tmp_path / "eight.qasm"
+        qasm.write_text("version 1.0\nqubits 8\n" + "".join(f"h q[{q}]\n" for q in range(8)))
+        store = tmp_path / "runs.jsonl"
+        argv = ["run", str(qasm), "--shots", "200", "--seed", "1", "--store", str(store)]
+        assert main(argv + ["--noise-p", "0.01"]) == 3
+        assert capsys.readouterr().err.startswith("capacity error: 8 qubits x 200 trajectories")
+        assert not store.exists()
+        assert main(argv) == 0
+        assert len(store.read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("n, physical, message", [
         (31, None, "qubit count 31 outside"), (20, 1 << 20, "physical memory")],
@@ -991,6 +1028,11 @@ class TestBenches:
         for fit in result.fits.values():
             assert fit.model == "linear"
             assert fit.slope > 0
+
+    def test_linear_fit_needs_two_distinct_x_values(self):
+        for x in ([], [3], [3, 3]):
+            with pytest.raises(ValueError):
+                linear_fit(x, [1.0] * len(x))
 
     def test_linear_fit_recovers_exact_line(self):
         fit = linear_fit([1, 2, 3, 4], [3, 5, 7, 9])

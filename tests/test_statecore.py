@@ -221,7 +221,7 @@ class TestBufferInvariants:
         state = StateVector(n)
         for q in range(n if dense else 3):
             apply_gate(state, gate("h", q))
-        gates._carry(state, True)
+        gates._carry(state)
         assert state.dense == dense and (state.support is None) == dense
         before = state.live.tobytes()
         for width in (None, 3):
