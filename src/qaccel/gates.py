@@ -3,9 +3,10 @@
 Each unitary kind has a matrix on its operand qubits (a 2x2; a 4x4 or 8x8
 permutation or diagonal), kept as nonzero (row, column, coefficient) terms
 built once per (kind, angle).  A gate writes into the dead buffer (see
-statecore).  The strided kernel adds ``coefficient * input[column]`` into
-``output[row]`` over strided views, one axis per operand; the scatter
-takes only the nonzero inputs and adds each term's share by index arrays.
+statecore).  The strided kernel writes or adds ``coefficient *
+input[column]`` into ``output[row]`` over strided views, one axis per
+operand; the scatter takes only the nonzero inputs and adds each term's
+share by index arrays.
 
 The strided kernel walks a register of more than
 ``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, writing each product
@@ -29,13 +30,18 @@ state that carried one, so every kernel choice, ``dense`` flag and byte
 stays what scanning gives.  A state that no pass owns, such as one that
 ``qaccel bench`` times, is scanned before every gate.
 
-Both kernels give bit-identical output: every output amplitude starts at +0
-and gets its terms in the same order, whether in place or in a chunk of
-scratch, so a skipped zero input only drops the addition of a signed zero.
-After a scatter the old input buffer is cleared only at the rows the scan
-listed (all rows, as a slice, for the no-skip reference); its other rows
-hold +0 already, since no kernel output, and so no live buffer, is ever
--0.0 (see statecore).  The strided kernel's input is cleared whole.
+Both kernels give bit-identical output: every output amplitude gets its
+terms in the same order, the first onto +0, whether in place or in a chunk
+of scratch, so a skipped zero input only drops the addition of a signed
+zero.  The scatter adds onto a +0 output; the strided kernel writes each
+output's first term as ``0.0 + product`` (its table's write plan, see
+:func:`_table`), so its output may hold anything beforehand.  After a
+scatter the old input buffer is cleared only at the rows the scan listed
+(all rows, as a slice, for the no-skip reference); its other rows hold +0
+already, since no kernel output, and so no live buffer, is ever -0.0 (see
+statecore).  A strided pass clears nothing: its state, dense or below
+``SCAN_MIN_QUBITS`` qubits, takes no sparse pass until ``reset_ground``
+clears both buffers, and the no-skip reference clears its output first.
 Complex coefficients are split into a real and an imaginary term, each
 product one rounding, because numpy's complex-by-complex multiply rounds
 differently with array layout and length.
@@ -279,8 +285,11 @@ _STEPS = (np.s_[::1], np.s_[::-1])
 
 
 class _Table(NamedTuple):
-    views: tuple[tuple[tuple, tuple, complex], ...]  # (output key, input key, coefficient)
-    cares: np.ndarray  # per term: the operand bits it fixes,
+    # the strided kernel's write plan: (output key, input key, term, whether
+    # it writes its output rows rather than adding to them), in term order
+    views: tuple[tuple[tuple, tuple, int, bool], ...]
+    coefs: tuple[float | complex, ...]  # per term: its coefficient,
+    cares: np.ndarray  # the operand bits it fixes,
     cols: np.ndarray  # their input values,
     flips: np.ndarray  # and the operand bits it flips
     # a signed permutation's lookup: per subspace index, the operand bits
@@ -293,7 +302,13 @@ def _table(m: np.ndarray) -> _Table:
     entry split into a real and an imaginary term so each product is one
     rounding, and terms that act alike on an operand bit merged so that it
     stays a free axis; a signed permutation (real, one +-1 per column) also
-    gets its lookup."""
+    gets its lookup.
+
+    The write plan gives each term's view, or, where a term reaches output
+    rows of which an earlier term reached only some, a view per row: the
+    first view to reach a row writes it, every later one adds to it.  A
+    unitary has a nonzero entry in every row, so the plan writes every
+    output row once, before any addition to it."""
     k, terms = m.shape[0].bit_length() - 1, []
     for row, col in zip(*np.nonzero(m)):
         for part in (float(m[row, col].real), complex(0.0, m[row, col].imag)):
@@ -306,13 +321,23 @@ def _table(m: np.ndarray) -> _Table:
         return tuple((value >> j) & 1 if care >> j & 1 else _STEPS[flip >> j & 1]
                      for j in reversed(range(k)))
 
-    views = tuple((key(c, r), key(c, v, r ^ v), coef) for c, r, v, coef in terms)
+    views, written = [], [False] * (1 << k)
+    for term, (care, row, col, _) in enumerate(terms):
+        reached = [x for x in range(1 << k) if (x ^ row) & care == 0]
+        fresh = [not written[x] for x in reached]
+        if all(fresh) or not any(fresh):
+            views.append((key(care, row), key(care, col, row ^ col), term, fresh[0]))
+        else:  # split by row: output row x reads input row x ^ flip
+            views += [(key(-1, x), key(-1, x ^ row ^ col), term, new)
+                      for x, new in zip(reached, fresh)]
+        for x in reached:
+            written[x] = True
     cares, rows, cols = (np.array([term[i] for term in terms]) for i in range(3))
     moves, nonzero = None, m != 0
     if not m.imag.any() and (nonzero.sum(axis=0) == 1).all() and (abs(m[nonzero]) == 1).all():
         negate = m.real.sum(axis=0) < 0
         moves = (np.arange(m.shape[1]) ^ nonzero.argmax(axis=0), negate if negate.any() else None)
-    return _Table(views, cares, cols, rows ^ cols, moves)
+    return _Table(tuple(views), tuple(coef for *_, coef in terms), cares, cols, rows ^ cols, moves)
 
 
 def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
@@ -340,16 +365,16 @@ def _gate_table(kind: GateKind, angle: float | None) -> _Table:
     A rotation whose half angle has a nonzero cosine and sine has the terms
     of its kind's probe table, in the same order, each the same real or
     imaginary part, plus or minus the cosine or the sine.  So its table is
-    the probe's with each coefficient evaluated at its own angle: 3.4-3.9
-    us, against 36-45 us to build it (timeit, 2-core VM).
+    the probe's, write plan included, with each coefficient evaluated at
+    its own angle: 3.4-3.9 us, against 36-45 us to build it (timeit, 2-core
+    VM).
     """
     half = (math.cos(angle / 2.0), math.sin(angle / 2.0)) if kind.takes_angle else (0.0,)
     if not all(half):
         return _table(_matrix(kind, angle))
     probe, recipe = _probe(kind)
-    views = tuple((out_key, in_key, complex(0.0, sign * half[i]) if imag else sign * half[i])
-                  for (out_key, in_key, _), (i, sign, imag) in zip(probe.views, recipe))
-    return _Table(views, probe.cares, probe.cols, probe.flips, None)
+    return probe._replace(coefs=tuple(complex(0.0, sign * half[i]) if imag else sign * half[i]
+                                      for i, sign, imag in recipe))
 
 
 #: The half-angle cosine and sine of a rotation's probe table: no part of
@@ -364,7 +389,7 @@ def _probe(kind: GateKind) -> tuple[_Table, tuple[tuple[int, float, bool], ...]]
     it is an imaginary part."""
     table = _table(np.asarray(_MATRICES[kind](*_PROBE), complex))
     recipe = []
-    for *_, coef in table.views:
+    for coef in table.coefs:
         x = coef.imag if isinstance(coef, complex) else coef
         recipe.append((_PROBE.index(abs(x)), 1.0 if x > 0 else -1.0, isinstance(coef, complex)))
     return table, tuple(recipe)
@@ -403,7 +428,9 @@ def _strided(src, dst, qubits: tuple[int, ...], table: _Table,
     term applied to one chunk before the next, with products written into
     the third row; where the lowest operand leaves contiguous runs of 2 to
     ``COPY_MIN_RUN`` amplitudes, each chunk is copied into the first row,
-    operand axes first, and built in the zeroed second row.
+    operand axes first, and built in the second.  The table's write plan
+    writes every amplitude of ``dst`` once before adding to it, so ``dst``
+    and the second row may hold anything beforehand.
     """
     shape, order, _ = _layout(qubits)
     if src.ndim > 1:
@@ -432,27 +459,28 @@ def _strided(src, dst, qubits: tuple[int, ...], table: _Table,
             chunk = s[key]
             a, o = (row[:chunk.size].reshape(chunk.shape) for row in (copy_in, out))
             np.copyto(a, chunk)
-            o.fill(0)
             _add_terms(a, o, table, product)
             d[key] = o
 
 
 def _add_terms(s, d, table: _Table, product: np.ndarray | None = None) -> None:
-    """Add each term's input view, times its coefficient, into its output
-    view, in table order.  A product is written into ``product`` when given,
-    else into a new array.  A coefficient of -1 subtracts instead, which
-    gives the same bytes: x - y is x + (-y), and -y differs from -1 * y only
-    in the sign of a zero, which adding to an output (never -0.0) cannot
-    show."""
-    for out_key, in_key, coef in table.views:
-        view = s[in_key]
+    """Follow the table's write plan: each view's input, times its term's
+    coefficient, written into its output view as ``0.0 + product`` where it
+    writes, else added to it, in plan order.  That gives the bytes of adding
+    every term onto +0, whatever ``d`` held.  A product is written into
+    ``product`` when given, else into a new array.  A coefficient of -1
+    subtracts instead, which gives the same bytes: x - y is x + (-y), and
+    -y differs from -1 * y only in the sign of a zero, which adding to +0
+    or to a sum onto +0 (never -0.0) cannot show."""
+    for out_key, in_key, term, writes in table.views:
+        view, coef, out = s[in_key], table.coefs[term], d[out_key]
         if coef == -1:
-            d[out_key] -= view
+            np.subtract(0.0 if writes else out, view, out=out)
             continue
         if coef != 1:
             view = (coef * view if product is None else
                     np.multiply(coef, view, out=product[:view.size].reshape(view.shape)))
-        d[out_key] += view
+        np.add(0.0 if writes else out, view, out=out)
 
 
 def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
@@ -460,8 +488,7 @@ def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarr
     to their targets (distinct within a term), as the strided kernel does;
     the index arrays select whole rows, so a batch moves every trajectory."""
     spread = _layout(qubits)[2]
-    coefs = (coef for *_, coef in table.views)
-    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], coefs):
+    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
         sources = nonzero[(nonzero & care) == col]
         dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
 
@@ -556,7 +583,10 @@ def apply_gate(
     # the strided kernel takes a chain a part at a time; a sparse pass
     # moves it whole, in one pass
     for qubits, table in parts if rows is None else parts[:1]:
-        dst = state.dead if whole else np.zeros_like(src)
+        # the strided kernel writes every output once, a scatter adds onto +0
+        dst = state.dead if whole else (np.empty_like if rows is None else np.zeros_like)(src)
+        if not zero_skip:  # after a strided pass the dead buffer holds that pass's input
+            dst.fill(0)
         if rows is None:
             _strided(src, dst, qubits, table, state.scratch)
         elif table.moves is None:

@@ -129,6 +129,9 @@ def run_program(
     _, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
     NoiseConfig(noise_p)  # a rate outside [0, 1] fails before any pass
+    if noise_p:  # the widest batch is admitted here, before any pass; nothing is drawn yet
+        shot_rng = np.random.default_rng(shot_seq)
+        noisy = trajectories.batches(executed.n, unitary, shot_rng, noise_p, shots)
 
     ideal = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))[0].live
     if not noise_p:
@@ -140,8 +143,7 @@ def run_program(
         final_states = _top_states(ideal, probs, executed.n, top_k)
     else:
         histogram, width = {}, 0
-        shot_rng = np.random.default_rng(shot_seq)
-        for batch in trajectories.batches(executed.n, unitary, shot_rng, noise_p, shots):
+        for batch in noisy:
             if not width:  # the first and widest batch: its trajectory 0 is the recorded state
                 width = batch.shape[1]
                 run_fidelity = fidelity(ideal, batch[:, 0])

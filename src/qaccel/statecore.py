@@ -2,12 +2,17 @@
 
 Amplitudes are complex numbers stored as (real, imaginary) pairs of doubles.
 A state holds two 2^n amplitude buffers; one is live (the input to the next
-gate), the other receives the gate's output, and a parity flag toggles their
-roles after every gate so no copy-back is ever required.  After a gate the
-old input buffer is cleared: whole, or after a sparse pass only the rows a
-scan found nonzero.  The rest already holds +0 bit for bit, because live
-buffers never hold -0.0: kernels start every output at +0, ``measure``
-writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
+gate), the other, the dead buffer, receives the gate's output, and a parity
+flag toggles their roles after every gate so no copy-back is ever required.
+The dead buffer is +0, bit for bit, wherever a sparse pass may write into it
+(see gates).  A new, copied or reset state's is all +0.  A sparse pass
+clears the rows it scanned in its old input, and the rest already holds +0,
+because live buffers never hold -0.0: every kernel output is a sum onto +0,
+``measure`` writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0
+as +0.0.  A strided pass writes every output once and leaves its input as
+it was: the state it ran on, marked ``dense`` or below the scan's size,
+takes no sparse pass until :meth:`StateVector.reset_ground`, and the no-skip
+reference clears its own output first.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
@@ -163,8 +168,9 @@ class StateVector:
     """An n-qubit register held in two alternating amplitude buffers.
 
     ``parity`` names the live buffer: 0 means the even buffer holds the
-    current amplitudes, 1 means the odd buffer does.  Between gates the
-    non-live buffer is kept all +0, bit for bit.  ``dense`` records that
+    current amplitudes, 1 means the odd buffer does.  The non-live buffer
+    is +0, bit for bit, wherever a sparse pass may write into it (see the
+    module docstring).  ``dense`` records that
     zero-skipping found most amplitudes nonzero, so the engine stops
     scanning for zeros until :meth:`reset_ground`.  ``support``, like
     ``dense`` a kernel hint, is None or, while a pass that owns the state
@@ -205,19 +211,20 @@ class StateVector:
 
     @property
     def dead(self) -> np.ndarray:
-        """The scratch buffer the next gate will write into (all +0)."""
+        """The buffer the next gate will write into: +0 wherever a sparse
+        pass may write into it; after a strided pass, that pass's input."""
         return self.buf_odd if self.parity == 0 else self.buf_even
 
     def toggle_after_gate(self, rows: np.ndarray | None = None) -> None:
-        """Zero the old input buffer and make the output buffer live.
+        """Make the output buffer live.
 
-        ``rows``, the rows a scan found nonzero in the old input, limits the
-        zeroing to them; every other row of it is already +0.
+        After a sparse pass, ``rows`` are the rows it scanned in the old
+        input; they are zeroed there (all rows, as a slice, when it scanned
+        every row), and every other row of it is already +0.  After a
+        strided pass ``rows`` is None and the old input is left as it is.
         """
-        if rows is None or rows.size == self.dim:
-            self.live[:] = 0
-        else:
-            self.live[rows] = 0
+        if rows is not None:
+            self.live[np.s_[:] if rows.size == self.dim else rows] = 0
         self.parity ^= 1
 
     def reset_ground(self) -> None:

@@ -2,12 +2,13 @@
 
 import contextlib
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import engine_state, random_circuit, reference_pass
+from helpers import dead_buffer_holds, engine_state, random_circuit, reference_pass
 from qaccel import gates, statecore, trajectories
 from qaccel.gates import (
     GateInstance,
@@ -300,7 +301,7 @@ class TestKernels:
         state = StateVector(n)
         for g in ops:
             apply_gate(state, g, zero_skip=zero_skip)
-            assert not state.dead.view(np.uint64).any()
+            assert dead_buffer_holds(state, zero_skip)
         return state.live.copy()
 
     @staticmethod
@@ -352,7 +353,7 @@ class TestKernels:
                     state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                     for g in ops:
                         apply_gate(state, g, zero_skip=zero_skip)
-                        assert not state.dead.view(np.uint64).any()
+                        assert dead_buffer_holds(state, zero_skip)
                 assert log == (self.sparse_kernels(ops) if kernel == "scatter"
                                else ["strided"] * len(ops))
                 parts = state.live.view(np.float64)
@@ -382,7 +383,7 @@ class TestKernels:
                         state.live[:] = live
                         for g in applied:
                             apply_gate(state, g, zero_skip=zero_skip)
-                            assert not state.dead.view(np.uint64).any()
+                            assert dead_buffer_holds(state, zero_skip)
                             assert not has_negative_zero(state)
                     runs.append(state.live.tobytes())
             assert runs.count(runs[0]) == len(runs)
@@ -495,7 +496,7 @@ class TestFusion:
                     assert state.live.tobytes() == in_order.live.tobytes()
                 reference = self.stepwise(n, ops, zero_skip, batch)
                 assert np.abs(state.live - reference.live).max() <= 1e-12
-                assert not state.dead.view(np.uint64).any()
+                assert dead_buffer_holds(state, zero_skip)
                 assert applied and all(k <= gates.FUSE_MAX_QUBITS for k, _ in applied)
                 finals.append(state.live.tobytes())
                 if zero_skip:
@@ -638,7 +639,7 @@ class TestFusion:
                         state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                     for item in items:
                         apply_gate(fused, item, zero_skip=zero_skip)
-                        assert not fused.dead.view(np.uint64).any()
+                        assert dead_buffer_holds(fused, zero_skip)
                     for g in ops:
                         apply_gate(stepwise, g, zero_skip=zero_skip)
                     assert fused.live.tobytes() == stepwise.live.tobytes()
@@ -693,7 +694,7 @@ class TestFusion:
                 state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                 for item in items:
                     apply_gate(state, item, zero_skip=zero_skip)
-                    assert not state.dead.view(np.uint64).any()
+                    assert dead_buffer_holds(state, zero_skip)
                 finals.append(state.live.tobytes())
             assert finals[0] == finals[1]
 
@@ -731,7 +732,7 @@ class TestFusion:
                         assert all(len(args[2]) <= gates.FUSE_MAX_QUBITS for _, args in log[1:])
                     else:
                         assert [name for name, _ in log] == ["_scatter_rows", "_move"]
-                    assert not chained.dead.view(np.uint64).any()
+                    assert dead_buffer_holds(chained, zero_skip)
                     for item in chain:
                         apply_gate(stepwise, item, zero_skip=zero_skip)
                     assert chained.live.tobytes() == stepwise.live.tobytes()
@@ -834,8 +835,8 @@ class TestGateTables:
 
     @staticmethod
     def same(a, b):
-        assert [(o, i, type(c), repr(c)) for o, i, c in a.views] == [
-            (o, i, type(c), repr(c)) for o, i, c in b.views]
+        assert a.views == b.views
+        assert [(type(c), repr(c)) for c in a.coefs] == [(type(c), repr(c)) for c in b.coefs]
         for x, y in zip((a.cares, a.cols, a.flips), (b.cares, b.cols, b.flips)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert (a.moves is None) == (b.moves is None)
@@ -863,14 +864,16 @@ class TestGateTables:
 
 
 def whole_register_strided(src, dst, qubits, table, scratch):
-    """The strided kernel as one pass over the whole register per term, each
-    product a fresh array: the reference the chunked kernel must match."""
+    """The strided kernel as one pass over the whole register per view, each
+    product a fresh array, every view added onto an output zeroed first: the
+    reference the chunked kernel and its write plan must match."""
     shape, order, _ = gates._layout(qubits)
     if src.ndim > 1:
         shape, order = shape + src.shape[1:], order + (len(shape),)
     s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
-    for out_key, in_key, coef in table.views:
-        view = d[out_key]
+    dst.fill(0)
+    for out_key, in_key, term, _ in table.views:
+        coef, view = table.coefs[term], d[out_key]
         view += s[in_key] if coef == 1 else coef * s[in_key]
 
 
@@ -921,7 +924,7 @@ class TestChunkedKernel:
                     state = StateVector(n, batch)
                     for item in items:
                         apply_gate(state, item, zero_skip=zero_skip)
-                        assert not state.dead.view(np.uint64).any()
+                        assert dead_buffer_holds(state, zero_skip)
                 finals.append(state.live.tobytes())
             assert finals.count(finals[0]) == len(finals)
         assert max(widths) == gates.FUSE_MAX_QUBITS
@@ -942,6 +945,166 @@ class TestChunkedKernel:
             with monkeypatch.context() as patch:
                 patch.setattr(statecore, "CHUNK_AMPLITUDES", chunk)
                 test(patch, *args)
+
+
+class TestWritePlan:
+    """Each table's write plan, which lets the strided kernel write into a
+    dead buffer that holds anything, since each pass writes every output
+    once before adding to it."""
+
+    KINDS = [kind for kind in GateKind if kind.is_unitary]
+
+    @classmethod
+    def items(cls, rng, n, count):
+        """Every unitary kind alone at a random angle, then ``count`` random
+        gates as a noiseless pass fuses them (products, blocks and lone
+        gates), then each stretch of their signed items as one chain; the
+        operands drawn from the low, middle and top qubits."""
+        pool = sorted({0, 1, 2, 3, n // 2 - 1, n // 2, n - 3, n - 2, n - 1})
+
+        def draw(kind):
+            qubits = tuple(int(q) for q in rng.choice(pool, size=kind.arity, replace=False))
+            angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if kind.takes_angle else None
+            return GateInstance(kind, qubits, angle)
+
+        fused = list(gates._fused(draw(cls.KINDS[int(rng.integers(len(cls.KINDS)))])
+                                  for _ in range(count)))
+        chains = [list(run) for signed, run in itertools.groupby(fused, gates._signed) if signed]
+        return [draw(kind) for kind in cls.KINDS] + fused + [c for c in chains if len(c) > 1]
+
+    @staticmethod
+    def reached(key, k):
+        """The subspace indices a ``k``-operand view key names, in the order
+        of the view's elements, so an output key's and its input key's pair
+        up."""
+        rows = [0]
+        for j, index in zip(reversed(range(k)), key):
+            bits = [index] if isinstance(index, int) else [0, 1][index]
+            rows = [row | bit << j for row in rows for bit in bits]
+        return rows
+
+    @classmethod
+    def tables(cls, rng):
+        angles = [0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi] + list(rng.uniform(-20, 20, 20))
+        for kind in cls.KINDS:
+            for angle in angles if kind.takes_angle else [None]:
+                yield gates._matrix(kind, angle), gates._gate_table(kind, angle)
+        for item in cls.items(rng, 9, 200):
+            if isinstance(item, gates._Block) and item.table.moves is None:
+                m = gates._matrix(item.gates[0].kind, item.gates[0].angle)
+                for g in item.gates[1:]:  # as gates._product multiplies them
+                    m = gates._matrix(g.kind, g.angle) @ m
+                yield m, item.table
+            elif isinstance(item, gates._Block):  # a signed block: its matrix from its lookup
+                flips, negate = item.table.moves
+                m = np.zeros((flips.size, flips.size))
+                m[np.arange(flips.size) ^ flips, np.arange(flips.size)] = (
+                    1 if negate is None else np.where(negate, -1, 1))
+                yield m, item.table
+
+    def test_every_output_row_is_written_once_before_any_term_adds_to_it(self):
+        rng = np.random.default_rng(2727)
+        widths = set()  # operand counts, negative for signed permutations
+        for m, table in self.tables(rng):
+            k = m.shape[0].bit_length() - 1
+            widths.add(k if table.moves is None else -k)
+            written, planned = set(), np.zeros_like(m, complex)
+            terms = [term for _, _, term, _ in table.views]
+            assert terms == sorted(terms) and set(terms) == set(range(len(table.coefs)))
+            for out_key, in_key, term, writes in table.views:
+                rows = self.reached(out_key, k)
+                assert len(rows) == len(set(rows))
+                assert written.isdisjoint(rows) if writes else written.issuperset(rows)
+                written.update(rows)
+                planned[rows, self.reached(in_key, k)] += table.coefs[term]
+            assert written == set(range(1 << k))
+            # the plan holds each entry once: its real part, then its imaginary part
+            assert planned.tobytes() == (np.asarray(m, complex) + 0.0).tobytes()
+        assert widths == {1, -1, -2, -3, -4, -5, -6}
+
+    @pytest.mark.parametrize("n, batch", [(5, None), (5, 3), (9, None), (9, 3), (15, None),
+                                          (15, 3), (16, None), (17, None)])
+    def test_a_strided_pass_onto_nan_gives_the_bytes_of_one_onto_zero(self, monkeypatch, n,
+                                                                        batch):
+        # the dead buffer, the scratch and a column pass's output hold NaN
+        # before each strided pass, against the same pass onto +0 and the
+        # no-skip reference, byte for byte
+        TestKernels.force(monkeypatch, "strided")
+        paths = set()  # per chunk of terms: whether it was copied
+        original, empty_like = gates._add_terms, np.empty_like
+
+        def spied(s, d, table, product=None):
+            if product is not None:
+                paths.add(s.flags.c_contiguous)
+            original(s, d, table, product)
+
+        def nan_like(a):
+            out = empty_like(a)
+            out.fill(complex(np.nan, np.nan))
+            return out
+
+        monkeypatch.setattr(gates, "_add_terms", spied)
+        rng = np.random.default_rng(2828 + n + (batch or 0))
+        shape = (1 << n, batch or 1)
+        live = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(1 << n)
+        live[rng.random(1 << n) < 0.25] = -0.0  # signed zeros among the inputs
+        live = live if batch else live[:, 0]
+        columns = [None] if batch is None else [None, np.array([2, 0])]
+        for item in self.items(rng, n, 40 if n < 15 else 20):
+            for cols in columns:
+                runs = []
+                for fill in (np.nan, 0.0, None):  # None: the reference
+                    state = StateVector(n, batch)
+                    state.live[:] = live
+                    with monkeypatch.context() as patch:
+                        if fill is not None:
+                            state.dead.fill(complex(fill, fill))
+                            if state.scratch is not None:
+                                state.scratch.fill(complex(fill, fill))
+                            if np.isnan(fill):
+                                patch.setattr(np, "empty_like", nan_like)
+                        apply_gate(state, item, zero_skip=fill is not None, columns=cols)
+                    runs.append(state.live.tobytes())
+                assert runs[0] == runs[1] == runs[2], (item, cols)
+        assert paths == ({False, True} if n >= 15 else set())
+
+    def test_one_state_through_every_kernel_and_a_reset(self, monkeypatch):
+        # sparse, dense, no-skip reference, reset_ground, sparse again: each
+        # phase against a fresh state run gate by gate through the reference
+        log = []
+        for name in ("_scatter", "_move", "_strided"):
+            original = getattr(gates, name)
+
+            def spied(*args, _name=name, _original=original):
+                log.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(gates, name, spied)
+        n, rng = 15, np.random.default_rng(2929)
+        sparse = [gate("h", 0), gate("cnot", 0, 7), gate("ry", 14, angle=0.7),
+                  gate("toffoli", 0, 14, 3), gate("rz", 3, angle=-1.1), gate("swap", 7, 12)]
+        dense = [gate("h", q) for q in range(n)] + random_circuit(rng, n, 20, 20)
+        reference = random_circuit(rng, n, 10, 10)
+        state, done = StateVector(n), []
+        for ops, zero_skip, kernels in ((sparse, True, {"_scatter", "_move"}),
+                                        (dense, True, {"_scatter", "_strided"}),
+                                        (reference, False, {"_scatter", "_move"}),
+                                        (None, None, set()),
+                                        (sparse, True, {"_scatter", "_move"})):
+            del log[:]
+            if ops is None:
+                state.reset_ground()
+                done = []
+                continue
+            for g in ops:
+                apply_gate(state, g, zero_skip=zero_skip)
+                assert dead_buffer_holds(state, zero_skip)
+            done += ops
+            assert set(log) == kernels and state.dense == (ops is not sparse)
+            stepwise = StateVector(n)
+            for g in done:
+                apply_gate(stepwise, g, zero_skip=False)
+            assert state.live.tobytes() == stepwise.live.tobytes()
 
 
 class TestMeasurement:
@@ -1130,7 +1293,7 @@ class TestTrajectoryBatch:
                         apply_gate(batch, pauli, zero_skip=zero_skip, columns=columns)
                         for j in columns:
                             apply_gate(singles[j], pauli, zero_skip=zero_skip)
-            assert not batch.dead.view(np.uint64).any()
+            assert dead_buffer_holds(batch, zero_skip)
         return batch, singles
 
     @staticmethod
@@ -1203,12 +1366,13 @@ class TestTrajectoryBatch:
         rng = np.random.default_rng(6)
         state = StateVector(1, 64)
         apply_gate(state, gate("h", 0))
+        dead = state.dead.tobytes()  # the strided pass's input, which no collapse touches
         bits, _ = measure(state, 0, rng)
         assert bits.shape == (64,) and 0 < bits.sum() < 64
         np.testing.assert_allclose(state.live, [1 - bits, bits], atol=1e-15)
         prep_z(state, 0, rng)
         np.testing.assert_allclose(state.live, np.repeat([[1], [0]], 64, axis=1), atol=1e-15)
-        assert not state.dead.view(np.uint64).any()
+        assert state.dead.tobytes() == dead
 
     @pytest.mark.parametrize("batch, columns", [
         (2, np.array([0, 0])), (2, np.array([0, 5])), (2, np.array([-1])), (None, np.array([3])),

@@ -687,7 +687,7 @@ class TestCliExitCodes:
     def test_a_noisy_run_whose_widest_batch_does_not_fit_exits_three(self, tmp_path, capsys,
                                                                       monkeypatch):
         # the 8-qubit register fits alone but not as a batch of 200 trajectories,
-        # which trajectories.batches admits before any noisy pass
+        # which trajectories.batches admits before any pass, the ideal one too
         physical = 1 << 20
         assert (estimate_peak_memory(MemoryParams(8)) < physical
                 < estimate_peak_memory(MemoryParams(8, batch=200)))
@@ -695,7 +695,14 @@ class TestCliExitCodes:
         def unreached(*args):
             raise AssertionError("a noisy pass ran")
 
+        ideal_passes = []
+
+        def counted(*args, **kwargs):
+            ideal_passes.append(args)
+            return run_circuit(*args, **kwargs)
+
         monkeypatch.setattr(trajectories, "noisy_pass", unreached)
+        monkeypatch.setattr(runner, "run_circuit", counted)
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: physical)
         qasm = tmp_path / "eight.qasm"
         qasm.write_text("version 1.0\nqubits 8\n" + "".join(f"h q[{q}]\n" for q in range(8)))
@@ -703,9 +710,9 @@ class TestCliExitCodes:
         argv = ["run", str(qasm), "--shots", "200", "--seed", "1", "--store", str(store)]
         assert main(argv + ["--noise-p", "0.01"]) == 3
         assert capsys.readouterr().err.startswith("capacity error: 8 qubits x 200 trajectories")
-        assert not store.exists()
+        assert not store.exists() and not ideal_passes
         assert main(argv) == 0
-        assert len(store.read_text().splitlines()) == 1
+        assert len(store.read_text().splitlines()) == 1 and len(ideal_passes) == 1
 
     @pytest.mark.parametrize("n, physical, message", [
         (31, None, "qubit count 31 outside"), (20, 1 << 20, "physical memory")],

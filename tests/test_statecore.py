@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import dead_buffer_holds, random_circuit
 from qaccel import gate, gates, statecore
 from qaccel.errors import CapacityError
 from qaccel.gates import apply_gate
@@ -192,14 +192,20 @@ class TestInspection:
 
 class TestBufferInvariants:
     def test_norm_and_dead_buffer_after_random_gates(self):
-        rng = np.random.default_rng(11)
+        # strided passes, which leave their input in the dead buffer, and
+        # no-skip reference passes, which clear it, in random order
+        rng, skips = np.random.default_rng(11), np.random.default_rng(12)
         for _ in range(25):
             n = int(rng.integers(1, 6))
             state = alloc_state(n)
             for g in random_circuit(rng, n, max_gates=12):
-                apply_gate(state, g)
+                zero_skip = bool(skips.integers(2))
+                apply_gate(state, g, zero_skip=zero_skip)
                 assert abs(state.norm_squared() - 1.0) <= 1e-9
-                assert not state.dead.view(np.uint64).any()
+                assert dead_buffer_holds(state, zero_skip)
+            assert not state.copy().dead.view(np.uint64).any()
+            state.reset_ground()
+            assert not state.dead.view(np.uint64).any()
 
     def test_reset_ground(self):
         state = alloc_state(2)
