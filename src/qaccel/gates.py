@@ -2,11 +2,11 @@
 
 Each unitary kind has a matrix on its operand qubits (a 2x2; a 4x4 or 8x8
 permutation or diagonal), kept as nonzero (row, column, coefficient) terms
-built once per (kind, angle).  A gate writes into the dead buffer (see
-statecore).  The strided kernel writes or adds ``coefficient *
-input[column]`` into ``output[row]`` over strided views, one axis per
-operand; the scatter takes only the nonzero inputs and adds each term's
-share by index arrays.
+built once per (kind, angle).  The strided kernel writes or adds
+``coefficient * input[column]`` into ``output[row]`` over strided views,
+one axis per operand, from the live buffer into the dead one (see
+statecore); the scatter takes only the nonzero inputs, clears their rows
+and adds each term's share back onto the live buffer by index arrays.
 
 The strided kernel walks a register of more than
 ``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, writing each product
@@ -33,18 +33,16 @@ stays what scanning gives.  A state that no pass owns, such as one that
 Both kernels give bit-identical output: every output amplitude gets its
 terms in the same order, the first onto +0, whether in place or in a chunk
 of scratch, so a skipped zero input only drops the addition of a signed
-zero.  The scatter adds onto a +0 output; the strided kernel writes each
+zero.  The scatter adds onto +0 rows: the rows it gathered and cleared, and
+rows outside them, which hold +0 already, since no kernel output, and so no
+live buffer, is ever -0.0 (see statecore).  The strided kernel writes each
 output's first term as ``0.0 + product`` (its table's write plan, see
-:func:`_table`), so its output may hold anything beforehand.  After a
-scatter the old input buffer is cleared only at the rows the scan listed
-(all rows, as a slice, for the no-skip reference); its other rows hold +0
-already, since no kernel output, and so no live buffer, is ever -0.0 (see
-statecore).  A strided pass clears nothing: its state, dense or below
-``SCAN_MIN_QUBITS`` qubits, takes no sparse pass until ``reset_ground``
-clears both buffers, and the no-skip reference clears its output first.
-Complex coefficients are split into a real and an imaginary term, each
-product one rounding, because numpy's complex-by-complex multiply rounds
-differently with array layout and length.
+:func:`_table`), so its output may hold anything beforehand.  Only the
+strided kernel writes the dead buffer, and no pass reads what it held, so
+no kernel choice or ``dense`` flag decides a byte.  Complex coefficients
+are split into a real and an imaginary term, each product one rounding,
+because numpy's complex-by-complex multiply rounds differently with array
+layout and length.
 
 A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
 TOFFOLI, or a fused block of them) also carries a lookup, through which a
@@ -483,31 +481,34 @@ def _add_terms(s, d, table: _Table, product: np.ndarray | None = None) -> None:
         np.add(0.0 if writes else out, view, out=out)
 
 
-def _scatter(src, dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
-    """Sparse kernel: each term, in order, moves the given inputs it selects
-    to their targets (distinct within a term), as the strided kernel does;
-    the index arrays select whole rows, so a batch moves every trajectory."""
+def _scatter(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
+    """Sparse kernel, in place: the given rows are gathered and cleared, then
+    each term, in order, adds its share of the inputs it selects onto their
+    +0 targets (distinct within a term), as the strided kernel does; the
+    index arrays select whole rows, so a batch moves every trajectory."""
     spread = _layout(qubits)[2]
+    inputs = amps[nonzero]
+    amps[nonzero] = 0
     for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
-        sources = nonzero[(nonzero & care) == col]
-        dst[sources ^ flip] += src[sources] if coef == 1 else coef * src[sources]
+        picked = (nonzero & care) == col
+        amps[nonzero[picked] ^ flip] += inputs[picked] if coef == 1 else coef * inputs[picked]
 
 
-def _scattered(dst, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
-    """The nonzero rows of ``dst`` after :func:`_scatter` wrote the table's
-    terms from ``nonzero`` into it, all +0 before: every term writes only
-    inputs moved by its flip, so these are the nonzero rows among the
-    inputs moved by each distinct flip.  Repeats go by a sort, not by
-    ``np.unique``, whose hash path raised the perfbench ``align`` peak RSS
-    from 49.0 to 50.4 MiB and its calibration scale from 1.24 to 1.68
-    (medians of 6 runs each, 2-core VM)."""
+def _scattered(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``amps`` after :func:`_scatter` moved the rows
+    ``nonzero`` through the table's terms: every term writes only inputs
+    moved by its flip, and every other row is +0, so these are the nonzero
+    rows among the inputs moved by each distinct flip.  Repeats go by a
+    sort, not by ``np.unique``, whose hash path raised the perfbench
+    ``align`` peak RSS from 49.0 to 50.4 MiB and its calibration scale from
+    1.24 to 1.68 (medians of 6 runs each, 2-core VM)."""
     flips = set(_layout(qubits)[2][table.flips].tolist())
     if len(flips) == 1:
         rows = nonzero ^ flips.pop()
     else:  # a row may be reached by several flips
         rows = np.sort(np.concatenate([nonzero ^ flip for flip in flips]))
         rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
-    return rows[_occupied(dst[rows])]
+    return rows[_occupied(amps[rows])]
 
 
 def _occupied(amps) -> np.ndarray:
@@ -516,18 +517,18 @@ def _occupied(amps) -> np.ndarray:
     return occupied if amps.ndim == 1 else occupied.any(axis=1)
 
 
-def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]],
+def _move(amps, parts: Sequence[tuple[tuple[int, ...], _Table]],
           nonzero: np.ndarray) -> np.ndarray:
-    """Sparse kernel of signed permutations, given as (qubits, table) parts
-    applied in order: the given inputs go through each part's lookup in
-    turn, negated where it says so, and are added to their last targets in
-    one indexed add; the index arrays select whole rows, so a batch moves
-    every trajectory.  This gives the bytes of the parts applied one at a
-    time: a negation is exact, and adding an input to the +0 it lands on
-    changes only a -0.0 part, to +0, whether once or after every part.
-    Returns the rows written, each input's last target: distinct, and
-    nonzero wherever its input is."""
-    moved, rows = src[nonzero], nonzero
+    """Sparse kernel of signed permutations, in place, given as (qubits,
+    table) parts applied in order: the given rows are gathered and cleared,
+    go through each part's lookup in turn, negated where it says so, and
+    are added onto their +0 last targets in one indexed add; the index
+    arrays select whole rows, so a batch moves every trajectory.  This gives
+    the bytes of the parts applied one at a time: a negation is exact, and
+    adding an input to the +0 it lands on changes only a -0.0 part, to +0,
+    whether once or after every part.  Returns the rows written, each
+    input's last target: distinct, and nonzero wherever its input is."""
+    moved, rows = amps[nonzero], nonzero
     for qubits, table in parts:
         flips, negate = table.moves
         local = _gather(rows, qubits)
@@ -535,7 +536,8 @@ def _move(src, dst, parts: Sequence[tuple[tuple[int, ...], _Table]],
             negate = negate[local]
             moved[negate] = -moved[negate]
         rows = rows ^ _layout(qubits)[2][flips][local]
-    dst[rows] += moved
+    amps[nonzero] = 0
+    amps[rows] += moved
     return rows
 
 
@@ -548,8 +550,9 @@ def apply_gate(
 ) -> StateVector:
     """Apply one unitary gate, a block of fused gates, or a chain (a list
     of signed permutation gates and blocks, applied in order), through
-    their tables and the kernel :func:`_scatter_rows` picks; toggles the
-    buffer parity once per pass.
+    their tables and the kernel :func:`_scatter_rows` picks.  A sparse pass
+    updates the live buffer in place; a strided pass writes the dead one
+    and makes it live.
 
     A chain is scanned once: a signed permutation keeps the support, so the
     scan holds for every part, and a sparse chain is one :func:`_move`
@@ -557,8 +560,9 @@ def apply_gate(
     time.  MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch, each named once (a plain state is the
-    single trajectory 0); the others keep their amplitudes.
-    ``zero_skip=False`` is the no-skip reference: every basis state scattered.
+    single trajectory 0); the others keep their amplitudes, and the pass
+    runs on a copy of those columns.  ``zero_skip=False`` is the no-skip
+    reference: every basis state scattered.
 
     A state that carries its support (``state.support``, set only by a pass
     that owns the state) is not scanned: its support is what the scan
@@ -580,26 +584,21 @@ def apply_gate(
     carried = state.support if whole else None
     state.support = None  # until a sparse pass over a carried support sets it
     rows = _scatter_rows(state, src, zero_skip, carried)  # None: the strided kernel
-    # the strided kernel takes a chain a part at a time; a sparse pass
-    # moves it whole, in one pass
-    for qubits, table in parts if rows is None else parts[:1]:
-        # the strided kernel writes every output once, a scatter adds onto +0
-        dst = state.dead if whole else (np.empty_like if rows is None else np.zeros_like)(src)
-        if not zero_skip:  # after a strided pass the dead buffer holds that pass's input
-            dst.fill(0)
-        if rows is None:
+    if rows is None:  # one pass per part, each writing every output once
+        for qubits, table in parts:
+            dst = state.dead if whole else np.empty_like(src)
             _strided(src, dst, qubits, table, state.scratch)
-        elif table.moves is None:
-            _scatter(src, dst, qubits, table, rows)
-            if carried is not None:
-                state.support = _scattered(dst, qubits, table, rows)
-        else:  # signed permutations scatter through their lookups
-            moved = _move(src, dst, parts, rows)
-            if carried is not None:
-                state.support = moved
-        if whole:
-            state.toggle_after_gate(rows)  # dst is now the live buffer
-        src = dst
+            if whole:
+                state.toggle_after_gate()  # dst is now the live buffer
+            src = dst
+    elif parts[0][1].moves is None:
+        _scatter(src, *parts[0], rows)
+        if carried is not None:
+            state.support = _scattered(src, *parts[0], rows)
+    else:  # signed permutations, a chain in one pass, move through their lookups
+        moved = _move(src, parts, rows)
+        if carried is not None:
+            state.support = moved
     if not whole:
         state.live[:, columns] = src
     return state
@@ -687,9 +686,9 @@ def _block(gates: tuple[GateInstance, ...]) -> _Block:
     lands on its destination with its sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
-    tags = np.zeros(index.size)
-    _move(index + 1.0, tags, [(tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle))
-                              for g in gates], index)
+    tags = index + 1.0
+    _move(tags, [(tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle))
+                 for g in gates], index)
     m = np.zeros((index.size, index.size))
     m[index, abs(tags).astype(int) - 1] = np.sign(tags)
     return _Block(gates, qubits, _table(m))

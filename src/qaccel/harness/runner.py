@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import trajectories
 from ..cqasm import Program, emit, parse
-from ..gates import GateKind, NoiseConfig, check_shots, run_circuit, sample
+from ..gates import GateKind, check_shots, run_circuit, sample
 from ..mapper import (MappingReport, Topology, build_topology, initial_placement, route,
                       schedule_asap, topology_size)
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
@@ -128,8 +128,7 @@ def run_program(
     # child 0 is unused; keeping four children keeps seeded histograms stable across versions
     _, actual_seq, shot_seq, sample_seq = seed_root.spawn(4)
     unitary = [g for g in executed.instructions if g.kind is not GateKind.MEASURE]
-    NoiseConfig(noise_p)  # a rate outside [0, 1] fails before any pass
-    if noise_p:  # the widest batch is admitted here, before any pass; nothing is drawn yet
+    if noise_p:  # the rate and the widest batch are checked here, before any pass or draw
         shot_rng = np.random.default_rng(shot_seq)
         noisy = trajectories.batches(executed.n, unitary, shot_rng, noise_p, shots)
 

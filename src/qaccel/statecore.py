@@ -2,17 +2,12 @@
 
 Amplitudes are complex numbers stored as (real, imaginary) pairs of doubles.
 A state holds two 2^n amplitude buffers; one is live (the input to the next
-gate), the other, the dead buffer, receives the gate's output, and a parity
-flag toggles their roles after every gate so no copy-back is ever required.
-The dead buffer is +0, bit for bit, wherever a sparse pass may write into it
-(see gates).  A new, copied or reset state's is all +0.  A sparse pass
-clears the rows it scanned in its old input, and the rest already holds +0,
-because live buffers never hold -0.0: every kernel output is a sum onto +0,
-``measure`` writes +0 and :meth:`StateVector.from_amplitudes` stores -0.0
-as +0.0.  A strided pass writes every output once and leaves its input as
-it was: the state it ran on, marked ``dense`` or below the scan's size,
-takes no sparse pass until :meth:`StateVector.reset_ground`, and the no-skip
-reference clears its own output first.
+gate).  A sparse pass updates it in place (see gates); a strided pass
+writes every row of the other, the dead buffer, and a parity flag toggles
+their roles, so no copy-back is ever required.  No pass reads what the dead
+buffer held.  A live buffer never holds -0.0: every kernel output is a sum
+onto +0, ``measure`` writes +0 and :meth:`StateVector.from_amplitudes`
+stores -0.0 as +0.0.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is
@@ -130,8 +125,8 @@ def estimate_peak_memory(params: MemoryParams) -> int:
     ``CHUNK_AMPLITUDES`` amplitudes, its products: one more buffer), and
     what a zero-skip scan holds: a flag per amplitude, and a flag and an 8-byte index per
     basis state.  A noiseless run's readout holds less.  The no-skip reference, which
-    scatters every basis state, needs up to about 4.5 buffers of index
-    arrays on top."""
+    gathers and scatters every basis state in place, needs up to about 4 buffers
+    on top (4.06 traced for H, RY and RZ on a dense register at n = 16 and 18)."""
     size = params.batch << params.n
     scratch = size if size <= CHUNK_AMPLITUDES else 3 * CHUNK_AMPLITUDES
     scan = size + (9 << params.n)
@@ -168,15 +163,13 @@ class StateVector:
     """An n-qubit register held in two alternating amplitude buffers.
 
     ``parity`` names the live buffer: 0 means the even buffer holds the
-    current amplitudes, 1 means the odd buffer does.  The non-live buffer
-    is +0, bit for bit, wherever a sparse pass may write into it (see the
-    module docstring).  ``dense`` records that
+    current amplitudes, 1 means the odd buffer does; the dead one holds
+    nothing a pass reads.  ``dense``, a kernel hint, records that
     zero-skipping found most amplitudes nonzero, so the engine stops
-    scanning for zeros until :meth:`reset_ground`.  ``support``, like
-    ``dense`` a kernel hint, is None or, while a pass that owns the state
-    carries it, the rows a zero-skip scan would find nonzero (see gates);
-    a reset and a new state carry none, and a :meth:`copy` carries both
-    hints.  With ``batch=B`` the buffers are ``(2^n, B)``, one column per
+    scanning for zeros until :meth:`reset_ground`.  ``support``, also a
+    kernel hint, is None or, while a pass that owns the state carries it,
+    the rows a zero-skip scan would find nonzero (see gates); a reset and a
+    new state carry none, and a :meth:`copy` carries both hints.  With ``batch=B`` the buffers are ``(2^n, B)``, one column per
     trajectory; ``batch`` is None for a plain ``(2^n,)`` state, which acts
     as a single trajectory.  Every state is made, as new, a copy or from
     amplitudes, through one body, :meth:`_hold`.
@@ -194,8 +187,8 @@ class StateVector:
     def _hold(self, live: np.ndarray, scratch: np.ndarray | None = None) -> "StateVector":
         """Make this a state with no hints holding ``live``, a ``(2^n,)`` or
         ``(2^n, B)`` array, without a copy; its dead buffer a calloc'd +0
-        array, whose pages stay unmapped until a gate writes them; its
-        scratch ``scratch``, or new scratch where the register needs some."""
+        array, whose pages stay unmapped until a strided pass writes them;
+        its scratch ``scratch``, or new scratch where the register needs some."""
         self.dim = live.shape[0]
         self.n = self.dim.bit_length() - 1
         self.batch = live.shape[1] if live.ndim > 1 else None
@@ -211,26 +204,17 @@ class StateVector:
 
     @property
     def dead(self) -> np.ndarray:
-        """The buffer the next gate will write into: +0 wherever a sparse
-        pass may write into it; after a strided pass, that pass's input."""
+        """The buffer the next strided pass writes every row of; it holds
+        nothing a pass reads."""
         return self.buf_odd if self.parity == 0 else self.buf_even
 
-    def toggle_after_gate(self, rows: np.ndarray | None = None) -> None:
-        """Make the output buffer live.
-
-        After a sparse pass, ``rows`` are the rows it scanned in the old
-        input; they are zeroed there (all rows, as a slice, when it scanned
-        every row), and every other row of it is already +0.  After a
-        strided pass ``rows`` is None and the old input is left as it is.
-        """
-        if rows is not None:
-            self.live[np.s_[:] if rows.size == self.dim else rows] = 0
+    def toggle_after_gate(self) -> None:
+        """Make the dead buffer live once a strided pass has written it."""
         self.parity ^= 1
 
     def reset_ground(self) -> None:
-        """Return to |0...0> with even parity, reusing the allocated buffers."""
+        """Return to |0...0> with even parity, writing only the buffer made live."""
         self.buf_even[:] = 0
-        self.buf_odd[:] = 0
         self.buf_even[0] = 1.0
         self.parity = 0
         self.dense = False
@@ -254,7 +238,10 @@ class StateVector:
         """A state of this one's live bytes, each trajectory repeated into
         ``width`` columns when given, with both kernel hints (a byte copy has
         the rows a scan would find) and this state's scratch, if it has
-        some: a kernel uses scratch only while it runs."""
+        some: a kernel uses scratch only while it runs.  A ``width`` is
+        admitted as a batch is."""
+        if width is not None:
+            check_capacity(self.n, width)
         live = self.live.copy() if width is None else np.repeat(
             self.live.reshape(self.dim, -1), width, axis=1)
         dup = StateVector.__new__(StateVector)._hold(live, self.scratch)

@@ -1,7 +1,7 @@
 """Noisy runs: shots as batches of trajectories, each run from where it diverges.
 
-:func:`batches` owns a noisy run's shot loop: it checks operands and the
-widest batch's capacity once, then yields one :func:`noisy_pass`'s
+:func:`batches` owns a noisy run's shot loop: it checks the rate, operands
+and the widest batch's capacity once, then yields one :func:`noisy_pass`'s
 ``(2^n, width)`` amplitudes after another, the widest first, each of
 ``TRAJECTORY_AMPLITUDES >> n`` trajectories, at least one and at most the
 shots left.  It keeps no reference to a batch it has yielded.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import _PAULIS, GateInstance, GateKind, _carry, _collapse, apply_gate
+from .gates import _PAULIS, GateInstance, GateKind, NoiseConfig, _carry, _collapse, apply_gate
 from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
 
 #: numpy's ufunc buffer, in elements, while a noisy pass runs its groups.
@@ -180,8 +180,9 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
 def batches(n: int, instructions: list, rng: np.random.Generator, p: float, shots: int):
     """A run's ``shots`` noisy trajectories at a depolarizing rate p > 0, as
     the ``(2^n, width)`` amplitudes of one :func:`noisy_pass` after another,
-    the widest first, each drawing from ``rng`` in turn.  Operands and the
-    widest batch's capacity are checked here, once, before any draw."""
+    the widest first, each drawing from ``rng`` in turn.  The rate, operands
+    and widest batch's capacity are checked here, in that order, before any draw."""
+    NoiseConfig(p)
     for g in instructions:
         if any(q >= n for q in g.qubits):
             raise IndexError(f"operands {g.qubits} out of range for {n} qubits")

@@ -60,17 +60,6 @@ def reference_pass(n, instructions, batch=None) -> StateVector:
     return state
 
 
-def dead_buffer_holds(state, zero_skip=True) -> bool:
-    """Whether ``state``'s dead buffer keeps the double buffer's invariant
-    after a pass: all +0, bit for bit, after a sparse pass, which clears the
-    rows it scanned (every row, for the no-skip reference); after a strided
-    pass, which writes every output once, anything.  A zero-skipping pass is
-    strided on a dense state and below ``gates.SCAN_MIN_QUBITS`` qubits, and
-    no sparse pass follows it there until ``reset_ground``."""
-    strided = zero_skip and (state.dense or state.n < gates.SCAN_MIN_QUBITS)
-    return strided or not state.dead.view(np.uint64).any()
-
-
 def random_state(rng, n) -> np.ndarray:
     """Haar-ish random normalized amplitude vector."""
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)

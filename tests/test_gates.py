@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dead_buffer_holds, engine_state, random_circuit, reference_pass
+from helpers import engine_state, random_circuit, reference_pass
 from qaccel import gates, statecore, trajectories
 from qaccel.gates import (
     GateInstance,
@@ -301,7 +301,6 @@ class TestKernels:
         state = StateVector(n)
         for g in ops:
             apply_gate(state, g, zero_skip=zero_skip)
-            assert dead_buffer_holds(state, zero_skip)
         return state.live.copy()
 
     @staticmethod
@@ -353,7 +352,6 @@ class TestKernels:
                     state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                     for g in ops:
                         apply_gate(state, g, zero_skip=zero_skip)
-                        assert dead_buffer_holds(state, zero_skip)
                 assert log == (self.sparse_kernels(ops) if kernel == "scatter"
                                else ["strided"] * len(ops))
                 parts = state.live.view(np.float64)
@@ -383,7 +381,6 @@ class TestKernels:
                         state.live[:] = live
                         for g in applied:
                             apply_gate(state, g, zero_skip=zero_skip)
-                            assert dead_buffer_holds(state, zero_skip)
                             assert not has_negative_zero(state)
                     runs.append(state.live.tobytes())
             assert runs.count(runs[0]) == len(runs)
@@ -496,7 +493,6 @@ class TestFusion:
                     assert state.live.tobytes() == in_order.live.tobytes()
                 reference = self.stepwise(n, ops, zero_skip, batch)
                 assert np.abs(state.live - reference.live).max() <= 1e-12
-                assert dead_buffer_holds(state, zero_skip)
                 assert applied and all(k <= gates.FUSE_MAX_QUBITS for k, _ in applied)
                 finals.append(state.live.tobytes())
                 if zero_skip:
@@ -639,7 +635,6 @@ class TestFusion:
                         state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                     for item in items:
                         apply_gate(fused, item, zero_skip=zero_skip)
-                        assert dead_buffer_holds(fused, zero_skip)
                     for g in ops:
                         apply_gate(stepwise, g, zero_skip=zero_skip)
                     assert fused.live.tobytes() == stepwise.live.tobytes()
@@ -674,9 +669,10 @@ class TestFusion:
         assert list(gates._fused(ops)) == [gates._block(tuple(ops[:cap])), ops[cap]]
 
     @pytest.mark.parametrize("batch", [None, 2])
-    def test_negative_zero_inputs_keep_the_dead_buffer_clear(self, batch):
-        # a sparse pass clears only the rows its scan found nonzero, which is
-        # exact because the zero entries, -0.0 in amps, are stored as +0.0
+    def test_negative_zero_inputs_give_the_no_skip_bytes(self, batch):
+        # a sparse pass clears and refills only the rows its scan found
+        # nonzero, which is exact because the zero entries, -0.0 in amps, are
+        # stored as +0.0
         rng = np.random.default_rng(1415 + (batch or 0))
         for n in (13, 14, 15):
             columns = []
@@ -694,7 +690,6 @@ class TestFusion:
                 state.live[:] = columns[0] if batch is None else np.stack(columns, axis=1)
                 for item in items:
                     apply_gate(state, item, zero_skip=zero_skip)
-                    assert dead_buffer_holds(state, zero_skip)
                 finals.append(state.live.tobytes())
             assert finals[0] == finals[1]
 
@@ -732,7 +727,6 @@ class TestFusion:
                         assert all(len(args[2]) <= gates.FUSE_MAX_QUBITS for _, args in log[1:])
                     else:
                         assert [name for name, _ in log] == ["_scatter_rows", "_move"]
-                    assert dead_buffer_holds(chained, zero_skip)
                     for item in chain:
                         apply_gate(stepwise, item, zero_skip=zero_skip)
                     assert chained.live.tobytes() == stepwise.live.tobytes()
@@ -924,7 +918,6 @@ class TestChunkedKernel:
                     state = StateVector(n, batch)
                     for item in items:
                         apply_gate(state, item, zero_skip=zero_skip)
-                        assert dead_buffer_holds(state, zero_skip)
                 finals.append(state.live.tobytes())
             assert finals.count(finals[0]) == len(finals)
         assert max(widths) == gates.FUSE_MAX_QUBITS
@@ -1068,6 +1061,73 @@ class TestWritePlan:
                 assert runs[0] == runs[1] == runs[2], (item, cols)
         assert paths == ({False, True} if n >= 15 else set())
 
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_a_sparse_pass_onto_nan_gives_the_bytes_of_one_onto_zero(self, monkeypatch, batch):
+        # a term scatter, a lookup and a chain, on every column of a batch
+        # or on some, the no-skip reference and a collapse update the live
+        # buffer in place: onto a dead buffer of NaN, which they leave as it
+        # is, each gives the bytes of the same pass onto +0 and of the
+        # reference, byte for byte
+        TestKernels.force(monkeypatch, "scatter")
+        n, rng = 9, np.random.default_rng(3030 + (batch or 0))
+        live = signed_zero_live(rng, n, 1 << (n - 3), batch)
+        uniforms = rng.random(batch)
+        collapses = [GateInstance.prevalidated(kind, (q,))
+                     for kind in (GateKind.MEASURE, GateKind.PREP_Z) for q in (0, n - 1)]
+        columns = [None] if batch is None else [None, np.array([2, 0])]
+        for item in self.items(rng, n, 40) + collapses:
+            for cols in columns:
+                runs = []
+                for fill, zero_skip in ((np.nan, True), (0.0, True), (np.nan, False)):
+                    state = StateVector(n, batch)
+                    state.live[:] = live
+                    state.dead.fill(complex(fill, fill))
+                    dead = state.dead.tobytes()
+                    if item in collapses:
+                        gates._collapse(state, item, uniforms)
+                    else:
+                        apply_gate(state, item, zero_skip=zero_skip, columns=cols)
+                    assert state.dead.tobytes() == dead and state.parity == 0
+                    runs.append(state.live.tobytes())
+                assert runs[0] == runs[1] == runs[2], (item, cols)
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_a_sparse_pass_after_a_strided_one_gives_the_bytes_of_one_onto_zero(self, batch):
+        # a strided pass leaves its input in what becomes the dead buffer;
+        # sparse passes on that state, once it is marked sparse again by
+        # hand or reset, onto the buffer as left or filled with NaN give the
+        # bytes of the same passes on a new state and of the reference
+        n = gates.SCAN_MIN_QUBITS
+        spread = [gate("h", q) for q in range(n)] + [gate("rz", 2, angle=0.3)]
+        sparse = [gate("ry", 3, angle=0.7), gate("toffoli", 0, 3, 12),
+                  [gates._block((gate("x", 5), gate("cnot", 5, 9))), gate("swap", 9, 1)]]
+        for setup in ("sparse by hand", "reset_ground"):
+            # back to two basis states, still strided, or reset
+            before = spread + spread[:n] if setup == "sparse by hand" else []
+            runs = []
+            for fill in (None, np.nan, 0.0, "reference"):
+                state = StateVector(n, batch)
+                if fill == "reference":
+                    for g in before:
+                        apply_gate(state, g, zero_skip=False)
+                else:
+                    for g in spread + before[len(spread):]:
+                        apply_gate(state, g)
+                    assert state.dense
+                    if setup == "reset_ground":
+                        state.reset_ground()
+                    state.dense = False
+                    assert state.dead.any()  # the strided passes' bytes
+                    if fill is not None:
+                        state.dead.fill(complex(fill, fill))
+                    dead = state.dead.tobytes()
+                for item in sparse:
+                    apply_gate(state, item, zero_skip=fill != "reference")
+                if fill != "reference":
+                    assert not state.dense and state.dead.tobytes() == dead
+                runs.append(state.live.tobytes())
+            assert runs.count(runs[0]) == len(runs), setup
+
     def test_one_state_through_every_kernel_and_a_reset(self, monkeypatch):
         # sparse, dense, no-skip reference, reset_ground, sparse again: each
         # phase against a fresh state run gate by gate through the reference
@@ -1098,7 +1158,6 @@ class TestWritePlan:
                 continue
             for g in ops:
                 apply_gate(state, g, zero_skip=zero_skip)
-                assert dead_buffer_holds(state, zero_skip)
             done += ops
             assert set(log) == kernels and state.dense == (ops is not sparse)
             stepwise = StateVector(n)
@@ -1293,7 +1352,6 @@ class TestTrajectoryBatch:
                         apply_gate(batch, pauli, zero_skip=zero_skip, columns=columns)
                         for j in columns:
                             apply_gate(singles[j], pauli, zero_skip=zero_skip)
-            assert dead_buffer_holds(batch, zero_skip)
         return batch, singles
 
     @staticmethod
@@ -1515,6 +1573,13 @@ class TestGroupedNoisyPass:
         ours, untouched = np.random.default_rng(8), np.random.default_rng(8)
         with pytest.raises(IndexError, match="out of range"):
             trajectories.batches(3, [gate("h", 0), gate("cnot", 0, 3)], ours, 0.1, 4)
+        assert ours.random() == untouched.random()
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_a_rate_outside_zero_to_one_raises_first_and_before_any_draw(self, p):
+        ours, untouched = np.random.default_rng(8), np.random.default_rng(8)
+        with pytest.raises(ValueError, match="depolarizing probability"):
+            trajectories.batches(3, [gate("h", 0), gate("cnot", 0, 3)], ours, p, 4)
         assert ours.random() == untouched.random()
 
     def test_groups_start_at_their_first_error(self, monkeypatch):
