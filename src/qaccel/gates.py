@@ -45,18 +45,18 @@ because numpy's complex-by-complex multiply rounds differently with array
 layout and length.
 
 A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
-TOFFOLI, or a fused block of them) also carries a lookup, through which a
-sparse pass moves it, a lone gate, a block or a chain of them, in one
-indexed add (:func:`_move`); every other table scatters term by term.  Each
-amplitude lands once, exactly negated or not, on a +0, so both scatters give
-the same bytes.
+TOFFOLI, or a fused block of them) is ``signed``: a sparse pass moves it, a
+lone gate, a block or a chain of them, through its terms in one indexed add
+(:func:`_move`); every other table scatters term by term.  Each amplitude
+lands once, exactly negated or not, on a +0, so both scatters give the same
+bytes from the same terms.
 
 Passes of :func:`run_circuit`, all noiseless, on registers of at least
 ``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs
 (:func:`_fused`): one-qubit gates that are not signed permutations into
 2x2 products, and runs of signed permutation gates on at most
 ``FUSE_MAX_QUBITS`` qubits into blocks, each a signed permutation of its
-operand subspace composed through its gates' lookups and cached by its gate
+operand subspace composed through its gates' terms and cached by its gate
 sequence.  Each stretch of consecutive signed permutation items (blocks,
 and lone X, Z, CNOT, CZ, SWAP and TOFFOLI gates) goes through
 :func:`apply_gate` as one chain, scanned once, every other product or gate
@@ -210,7 +210,7 @@ SCATTER_MAX_FRACTION = 1 / 16
 #: Noiseless passes on registers of at least SCAN_MIN_QUBITS qubits fuse each
 #: run of signed permutation gates on at most this many qubits into one
 #: block.  A stretch of blocks and lone signed gates goes through one scan
-#: and, on a sparse state, one lookup pass as a chain (see apply_gate), so
+#: and, on a sparse state, one ``_move`` pass as a chain (see apply_gate), so
 #: the cap now sizes only the blocks the strided kernel applies, one pass
 #: each, on a dense state.  The figures below were measured before chains,
 #: when a run stopped at the cap and each block cost a scan of its own, and
@@ -290,17 +290,15 @@ class _Table(NamedTuple):
     cares: np.ndarray  # the operand bits it fixes,
     cols: np.ndarray  # their input values,
     flips: np.ndarray  # and the operand bits it flips
-    # a signed permutation's lookup: per subspace index, the operand bits
-    # moving it flips and where it is negated (None: nowhere); else None
-    moves: tuple[np.ndarray, np.ndarray | None] | None
+    signed: bool  # whether the matrix is a signed permutation (see _move)
 
 
 def _table(m: np.ndarray) -> _Table:
     """An operand-subspace matrix's nonzero entries as terms, each complex
     entry split into a real and an imaginary term so each product is one
     rounding, and terms that act alike on an operand bit merged so that it
-    stays a free axis; a signed permutation (real, one +-1 per column) also
-    gets its lookup.
+    stays a free axis.  A unitary whose every entry is +1 or -1 is a signed
+    permutation, marked ``signed``: one term moves each of its columns.
 
     The write plan gives each term's view, or, where a term reaches output
     rows of which an earlier term reached only some, a view per row: the
@@ -331,11 +329,8 @@ def _table(m: np.ndarray) -> _Table:
         for x in reached:
             written[x] = True
     cares, rows, cols = (np.array([term[i] for term in terms]) for i in range(3))
-    moves, nonzero = None, m != 0
-    if not m.imag.any() and (nonzero.sum(axis=0) == 1).all() and (abs(m[nonzero]) == 1).all():
-        negate = m.real.sum(axis=0) < 0
-        moves = (np.arange(m.shape[1]) ^ nonzero.argmax(axis=0), negate if negate.any() else None)
-    return _Table(tuple(views), tuple(coef for *_, coef in terms), cares, cols, rows ^ cols, moves)
+    coefs = tuple(coef for *_, coef in terms)
+    return _Table(tuple(views), coefs, cares, cols, rows ^ cols, all(c in (1, -1) for c in coefs))
 
 
 def _matrix(kind: GateKind, angle: float | None) -> np.ndarray:
@@ -396,7 +391,7 @@ def _probe(kind: GateKind) -> tuple[_Table, tuple[tuple[int, float, bool], ...]]
 #: The kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP and
 #: TOFFOLI.
 _SIGNED = frozenset(kind for kind in _MATRICES
-                    if not kind.takes_angle and _gate_table(kind, None).moves is not None)
+                    if not kind.takes_angle and _gate_table(kind, None).signed)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -434,7 +429,7 @@ def _strided(src, dst, qubits: tuple[int, ...], table: _Table,
     if src.ndim > 1:
         shape, order = shape + src.shape[1:], order + (len(shape),)
     s, d = src.reshape(shape).transpose(order), dst.reshape(shape).transpose(order)
-    if scratch is None or src.size <= scratch.shape[1] or table.moves is not None:
+    if scratch is None or src.size <= scratch.shape[1] or table.signed:
         _add_terms(s, d, table)
         return
     copy_in, out, product = scratch
@@ -521,7 +516,8 @@ def _move(amps, parts: Sequence[tuple[tuple[int, ...], _Table]],
           nonzero: np.ndarray) -> np.ndarray:
     """Sparse kernel of signed permutations, in place, given as (qubits,
     table) parts applied in order: the given rows are gathered and cleared,
-    go through each part's lookup in turn, negated where it says so, and
+    go through each part's terms in turn (each row picked by one term, by
+    its bits before the part, and flipped or negated as that term says), and
     are added onto their +0 last targets in one indexed add; the index
     arrays select whole rows, so a batch moves every trajectory.  This gives
     the bytes of the parts applied one at a time: a negation is exact, and
@@ -530,12 +526,16 @@ def _move(amps, parts: Sequence[tuple[tuple[int, ...], _Table]],
     input's last target: distinct, and nonzero wherever its input is."""
     moved, rows = amps[nonzero], nonzero
     for qubits, table in parts:
-        flips, negate = table.moves
-        local = _gather(rows, qubits)
-        if negate is not None:
-            negate = negate[local]
-            moved[negate] = -moved[negate]
-        rows = rows ^ _layout(qubits)[2][flips][local]
+        terms = _layout(qubits)[2][[table.cares, table.cols, table.flips]].tolist()
+        before = rows
+        for care, col, flip, coef in zip(*terms, table.coefs):
+            if flip or coef < 0:
+                picked = (before & care) == col
+                if flip:  # into a copy, made once per part, as later terms pick by before
+                    rows = before.copy() if rows is before else rows
+                    rows[picked] ^= flip
+                if coef < 0:
+                    moved[picked] = -moved[picked]
     amps[nonzero] = 0
     amps[rows] += moved
     return rows
@@ -556,8 +556,9 @@ def apply_gate(
 
     A chain is scanned once: a signed permutation keeps the support, so the
     scan holds for every part, and a sparse chain is one :func:`_move`
-    pass.  On a dense state the strided kernel applies its parts one at a
-    time.  MEASURE and PREP_Z are not gate applications and must go through
+    pass through its parts' terms.  On a dense state the strided kernel
+    applies its parts one at a time.  An empty chain changes nothing.
+    MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch, each named once (a plain state is the
     single trajectory 0); the others keep their amplitudes, and the pass
@@ -575,10 +576,10 @@ def apply_gate(
     """
     chain = isinstance(g, list)
     parts = [(part.qubits, _checked_table(part, state.n)) for part in (g if chain else [g])]
-    if chain and any(table.moves is None for _, table in parts):
+    if chain and not all(table.signed for _, table in parts):
         raise ValueError("a chain holds signed permutations only")
     whole = columns is None or _names_every(columns, state.batch or 1)
-    if not whole and not len(columns):  # no trajectory
+    if not parts or not whole and not len(columns):  # no gate, or no trajectory
         return state
     src = state.live if whole else state.live[:, columns]
     carried = state.support if whole else None
@@ -591,11 +592,11 @@ def apply_gate(
             if whole:
                 state.toggle_after_gate()  # dst is now the live buffer
             src = dst
-    elif parts[0][1].moves is None:
+    elif not parts[0][1].signed:
         _scatter(src, *parts[0], rows)
         if carried is not None:
             state.support = _scattered(src, *parts[0], rows)
-    else:  # signed permutations, a chain in one pass, move through their lookups
+    else:  # signed permutations, a chain in one pass, move through their terms
         moved = _move(src, parts, rows)
         if carried is not None:
             state.support = moved
@@ -653,15 +654,6 @@ def _carry(state: StateVector) -> None:
     state.support = _scatter_rows(state, state.live, True)
 
 
-def _gather(index: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Each index's bits at ``qubits`` as a subspace index (``qubits[j]``
-    becomes bit j)."""
-    local = np.zeros_like(index)
-    for j, q in enumerate(qubits):
-        local |= (index >> q & 1) << j
-    return local
-
-
 class _Block(NamedTuple):
     """Gates fused into one operation on the subspace of their qubits: a
     product of one-qubit gates on one qubit, or a signed permutation."""
@@ -682,7 +674,7 @@ FUSED_BLOCKS_KEPT = 256
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
     """Compose signed permutation gates, in order, on the subspace of their
     qubits: each subspace index, tagged with itself plus one, moves through
-    every gate's lookup in one :func:`_move` pass, as amplitudes do, and
+    every gate's terms in one :func:`_move` pass, as amplitudes do, and
     lands on its destination with its sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
@@ -753,8 +745,8 @@ def _fused(instructions: Iterable[GateInstance]):
 
 
 def _signed(item: GateInstance | _Block) -> bool:
-    """Whether a :func:`_fused` item is a signed permutation with a lookup."""
-    return item.table.moves is not None if isinstance(item, _Block) else item.kind in _SIGNED
+    """Whether a :func:`_fused` item is a signed permutation."""
+    return item.table.signed if isinstance(item, _Block) else item.kind in _SIGNED
 
 
 def measure(

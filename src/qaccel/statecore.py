@@ -125,8 +125,9 @@ def estimate_peak_memory(params: MemoryParams) -> int:
     ``CHUNK_AMPLITUDES`` amplitudes, its products: one more buffer), and
     what a zero-skip scan holds: a flag per amplitude, and a flag and an 8-byte index per
     basis state.  A noiseless run's readout holds less.  The no-skip reference, which
-    gathers and scatters every basis state in place, needs up to about 4 buffers
-    on top (4.06 traced for H, RY and RZ on a dense register at n = 16 and 18)."""
+    gathers and scatters every basis state in place, needs about 4 buffers on top, at
+    most 4.25 (traced on a dense register at n = 16 and 18: 4.06 for H, RY and RZ,
+    3.06 for X, CNOT, SWAP and TOFFOLI, 2.56 for Z and CZ)."""
     size = params.batch << params.n
     scratch = size if size <= CHUNK_AMPLITUDES else 3 * CHUNK_AMPLITUDES
     scan = size + (9 << params.n)

@@ -24,7 +24,7 @@ from qaccel.gates import (
 )
 from qaccel.metrics import fidelity
 from qaccel.statecore import StateVector, alloc_state
-from qaccel.tensor_oracle import base_unitary, simulate_instructions
+from qaccel.tensor_oracle import base_unitary, gate_matrix, simulate_instructions
 
 S = 1 / math.sqrt(2)
 
@@ -53,6 +53,18 @@ def keep_signed_zeros(amps):
     nonzero = amps != 0
     live[nonzero] = amps[nonzero]
     return live
+
+
+def block_matrix(block):
+    """A fused block's matrix on its subspace, built apart from its table:
+    the product of its gates' ``base_unitary`` matrices, each placed on the
+    block's qubits by the dense oracle."""
+    k = len(block.qubits)
+    m = np.eye(1 << k)
+    for g in block.gates:
+        placed = GateInstance(g.kind, tuple(map(block.qubits.index, g.qubits)), g.angle)
+        m = gate_matrix(placed, k) @ m
+    return m
 
 
 def has_negative_zero(state):
@@ -277,7 +289,7 @@ class TestKernels:
     @classmethod
     def force(cls, monkeypatch, kernel, log=None):
         """Make zero-skip choose ``kernel``; returns live call counts per
-        kernel, counting the lookup scatter ``_move`` as the scatter.
+        kernel, counting the signed move ``_move`` as the scatter.
         ``log``, when given, gets each kernel call's function name."""
         calls = dict.fromkeys(cls.KERNELS, 0)
         for name, counted_as in (("scatter", "scatter"), ("move", "scatter"),
@@ -305,7 +317,7 @@ class TestKernels:
 
     @staticmethod
     def sparse_kernels(ops):
-        """The sparse kernel each gate should get: the lookup scatter for the
+        """The sparse kernel each gate should get: the signed move for the
         signed permutation kinds, the term scatter for every other kind."""
         return ["move" if g.kind.mnemonic in TestFusion.SIGNED_KINDS else "scatter" for g in ops]
 
@@ -328,7 +340,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("batch", [None, 2])
     def test_sparse_kinds_match_strided_on_signed_zero_inputs(self, monkeypatch, batch):
-        # the six signed permutation kinds go to the lookup scatter and every
+        # the six signed permutation kinds go to the signed move and every
         # other gate to the term scatter, byte for byte against the strided
         # kernel and the no-skip reference on states built with -0.0 entries
         rng = np.random.default_rng(1010 + (batch or 0))
@@ -461,7 +473,7 @@ class TestFusion:
     def products(items):
         """The fused one-qubit products among ``_fused`` items (those whose
         matrix is not a signed permutation)."""
-        return [i for i in items if isinstance(i, gates._Block) and i.table.moves is None]
+        return [i for i in items if isinstance(i, gates._Block) and not i.table.signed]
 
     @staticmethod
     def expand(items):
@@ -577,11 +589,11 @@ class TestFusion:
                 if isinstance(item, gates._Block):
                     assert len(item.gates) > 1 and len(item.qubits) <= gates.FUSE_MAX_QUBITS
                     signed = {g.kind.mnemonic in self.SIGNED_KINDS for g in item.gates}
-                    if signed == {True}:  # a block of signed kinds has a lookup
-                        assert item.table.moves is not None
-                    else:  # a product has one exactly when its matrix is a signed permutation
+                    if signed == {True}:  # a block of signed kinds is signed
+                        assert item.table.signed
+                    else:  # a product is signed exactly when its matrix is a signed permutation
                         assert signed == {False} and len(item.qubits) == 1
-                        assert (item.table.moves is not None) == self.is_signed_permutation(
+                        assert item.table.signed == self.is_signed_permutation(
                             functools.reduce(lambda m, g: base_unitary(g) @ m, item.gates,
                                              np.eye(2)))
 
@@ -591,13 +603,13 @@ class TestFusion:
         return bool(not m.imag.any() and (nonzero.sum(axis=0) == 1).all()
                     and (np.abs(m[nonzero]) == 1).all())
 
-    def test_a_product_that_is_a_signed_permutation_has_a_lookup(self, monkeypatch):
+    def test_a_product_that_is_a_signed_permutation_is_signed(self, monkeypatch):
         y, h = gate("y", 0), gate("h", 0)
         identity, = gates._fused([y, y])  # Y.Y = I exactly
-        assert identity.gates == (y, y) and identity.table.moves is not None
+        assert identity.gates == (y, y) and identity.table.signed
         rotation, = gates._fused([h, y])
-        assert rotation.gates == (h, y) and rotation.table.moves is None
-        # so a sparse pass moves it through its lookup, in one chain with the
+        assert rotation.gates == (h, y) and not rotation.table.signed
+        # so a sparse pass moves it through its terms, in one chain with the
         # X before it, with the bytes of X, Y then Y
         log = []
         TestKernels.force(monkeypatch, "scatter", log)
@@ -626,7 +638,7 @@ class TestFusion:
                 ops = self.signed_circuit(rng, n, 60)
                 items = list(gates._fused(ops))
                 assert self.expand(items) == ops
-                negated += sum(isinstance(i, gates._Block) and i.table.moves[1] is not None
+                negated += sum(isinstance(i, gates._Block) and min(i.table.coefs) < 0
                                for i in items)
                 finals = []
                 for zero_skip in (True, False):
@@ -696,7 +708,7 @@ class TestFusion:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_a_chain_gives_the_bytes_of_its_items_one_at_a_time(self, monkeypatch, batch):
         # a chain wider than a block, on states with -0.0 parts: one scan,
-        # then one lookup pass on a sparse state, or one strided pass per
+        # then one move pass on a sparse state, or one strided pass per
         # part, none wider than a block, on a dense one
         log = []
         for name in ("_scatter_rows", "_move", "_strided"):
@@ -737,9 +749,9 @@ class TestFusion:
 
     @classmethod
     def signed(cls, item):
-        """Whether a ``_fused`` item is a signed permutation with a lookup."""
+        """Whether a ``_fused`` item is a signed permutation."""
         if isinstance(item, gates._Block):
-            return item.table.moves is not None
+            return item.table.signed
         return item.kind.mnemonic in cls.SIGNED_KINDS
 
     @classmethod
@@ -812,6 +824,20 @@ class TestFusion:
             apply_gate(state, [gate("x", 0), gate("measure", 1)])
         assert state.live[0] == 1 and state.parity == 0
 
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_an_empty_chain_is_a_no_op(self, n, batch):
+        # as columns=[] is: the bytes and both kernel hints stay as they were,
+        # on a state that no pass owns and on one that carries its support
+        for carried in (False, True):
+            ops = [gate("h", 0), gate("cnot", 0, 1), gate("x", 3)]
+            state = run_circuit(n, ops, batch=batch)[0]
+            if carried:
+                gates._carry(state)
+            before = state.live.tobytes(), state.dense, state.support
+            assert apply_gate(state, []) is state
+            assert (state.live.tobytes(), state.dense, state.support) == before
+
     def test_block_out_of_range_raises(self):
         with pytest.raises(IndexError):
             run_circuit(13, [gate("x", 0), gate("cnot", 0, 13)])
@@ -833,7 +859,40 @@ class TestGateTables:
         assert [(type(c), repr(c)) for c in a.coefs] == [(type(c), repr(c)) for c in b.coefs]
         for x, y in zip((a.cares, a.cols, a.flips), (b.cares, b.cols, b.flips)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        assert (a.moves is None) == (b.moves is None)
+        assert a.signed == b.signed
+
+    def test_a_signed_tables_terms_send_each_column_where_its_matrix_does(self):
+        # what _move relies on: the terms of a signed permutation's table
+        # partition its subspace columns, and the one term that picks a
+        # column flips it to the row the matrix sends it to, with its sign
+        rng = np.random.default_rng(2929)
+        kinds = [gates.MNEMONICS[kind] for kind in TestFusion.SIGNED_KINDS]
+        assert set(kinds) == gates._SIGNED
+        y = gate("y", 0)
+        identity, = gates._fused([y, y])  # Y.Y = I exactly
+        cases = [(base_unitary(GateInstance(kind, tuple(range(kind.arity)))),
+                  gates._gate_table(kind, None)) for kind in kinds]
+        cases.append((base_unitary(y) @ base_unitary(y), identity.table))
+        widths = set()
+        for _ in range(60):
+            pool = rng.choice(9, size=int(rng.integers(1, gates.FUSE_MAX_QUBITS + 1)),
+                              replace=False)
+            fits = [kind for kind in kinds if kind.arity <= pool.size]
+            block = gates._block(tuple(
+                GateInstance(kind, tuple(int(q) for q in rng.choice(pool, kind.arity, False)))
+                for kind in (fits[int(i)] for i in rng.integers(len(fits), size=8))))
+            widths.add(len(block.qubits))
+            cases.append((block_matrix(block), block.table))
+        assert widths == set(range(1, gates.FUSE_MAX_QUBITS + 1))
+        for m, table in cases:
+            assert table.signed
+            terms = list(zip(table.cares.tolist(), table.cols.tolist(), table.flips.tolist(),
+                             table.coefs))
+            for column in range(m.shape[1]):
+                (flip, coef), = [(flip, coef) for care, col, flip, coef in terms
+                                 if column & care == col]
+                assert coef in (1.0, -1.0) and m[column ^ flip, column] == coef
+                assert np.count_nonzero(m[:, column]) == 1
 
     def test_rotation_tables_match_a_full_build(self):
         rng = np.random.default_rng(77)
@@ -983,24 +1042,20 @@ class TestWritePlan:
             for angle in angles if kind.takes_angle else [None]:
                 yield gates._matrix(kind, angle), gates._gate_table(kind, angle)
         for item in cls.items(rng, 9, 200):
-            if isinstance(item, gates._Block) and item.table.moves is None:
+            if isinstance(item, gates._Block) and not item.table.signed:
                 m = gates._matrix(item.gates[0].kind, item.gates[0].angle)
                 for g in item.gates[1:]:  # as gates._product multiplies them
                     m = gates._matrix(g.kind, g.angle) @ m
                 yield m, item.table
-            elif isinstance(item, gates._Block):  # a signed block: its matrix from its lookup
-                flips, negate = item.table.moves
-                m = np.zeros((flips.size, flips.size))
-                m[np.arange(flips.size) ^ flips, np.arange(flips.size)] = (
-                    1 if negate is None else np.where(negate, -1, 1))
-                yield m, item.table
+            elif isinstance(item, gates._Block):  # a signed block, from the oracle's matrices
+                yield block_matrix(item), item.table
 
     def test_every_output_row_is_written_once_before_any_term_adds_to_it(self):
         rng = np.random.default_rng(2727)
         widths = set()  # operand counts, negative for signed permutations
         for m, table in self.tables(rng):
             k = m.shape[0].bit_length() - 1
-            widths.add(k if table.moves is None else -k)
+            widths.add(-k if table.signed else k)
             written, planned = set(), np.zeros_like(m, complex)
             terms = [term for _, _, term, _ in table.views]
             assert terms == sorted(terms) and set(terms) == set(range(len(table.coefs)))
@@ -1063,7 +1118,7 @@ class TestWritePlan:
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_a_sparse_pass_onto_nan_gives_the_bytes_of_one_onto_zero(self, monkeypatch, batch):
-        # a term scatter, a lookup and a chain, on every column of a batch
+        # a term scatter, a signed move and a chain, on every column of a batch
         # or on some, the no-skip reference and a collapse update the live
         # buffer in place: onto a dead buffer of NaN, which they leave as it
         # is, each gives the bytes of the same pass onto +0 and of the

@@ -153,6 +153,25 @@ class TestMemoryModel:
                 ratio = estimate_matrix_memory(params) / estimate_vector_memory(params)
                 assert ratio == 2**n
 
+    @pytest.mark.parametrize("kind, qubits, angle", [
+        ("x", (5,), None), ("z", (5,), None), ("cnot", (2, 9), None),
+        ("toffoli", (1, 7, 12), None), ("h", (5,), None), ("ry", (5,), 0.7)])
+    def test_the_no_skip_reference_holds_about_four_buffers_more(self, kind, qubits, angle):
+        # estimate_peak_memory's docstring: at most 4.25 buffers of 16 * 2^n
+        # bytes on top of the state, on a dense register
+        n, g = 14, gate(kind, *qubits, angle=angle)
+        state = StateVector(n)
+        for q in range(n):
+            apply_gate(state, gate("h", q))
+        apply_gate(state, g, zero_skip=False)  # its table and layout
+        tracemalloc.start()
+        try:
+            apply_gate(state, g, zero_skip=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * (16 << n)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             MemoryParams(0)
