@@ -45,11 +45,10 @@ because numpy's complex-by-complex multiply rounds differently with array
 layout and length.
 
 A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
-TOFFOLI, or a fused block of them) is ``signed``: a sparse pass moves it, a
-lone gate, a block or a chain of them, through its terms in one indexed add
-(:func:`_move`); every other table scatters term by term.  Each amplitude
-lands once, exactly negated or not, on a +0, so both scatters give the same
-bytes from the same terms.
+TOFFOLI, or a fused block of them) is ``signed``: a sparse pass moves it
+through its terms in one indexed add (:func:`_move`); every other table
+scatters term by term.  Each amplitude lands once, exactly negated or not,
+on a +0, so both scatters give the same bytes from the same terms.
 
 Passes of :func:`run_circuit`, all noiseless, on registers of at least
 ``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs
@@ -57,11 +56,8 @@ Passes of :func:`run_circuit`, all noiseless, on registers of at least
 2x2 products, and runs of signed permutation gates on at most
 ``FUSE_MAX_QUBITS`` qubits into blocks, each a signed permutation of its
 operand subspace composed through its gates' terms and cached by its gate
-sequence.  Each stretch of consecutive signed permutation items (blocks,
-and lone X, Z, CNOT, CZ, SWAP and TOFFOLI gates) goes through
-:func:`apply_gate` as one chain, scanned once, every other product or gate
-alone.  So a chain gives the bytes of its items, and a block those of its
-gates, applied one at a time.  A product rounds
+sequence.  Each item goes through :func:`apply_gate` on its own, and a
+block gives the bytes of its gates applied one at a time.  A product rounds
 differently from its gates, and so do two non-permutation gates on
 different qubits that fusion has swapped: fused passes differ from program
 order in the last bits (at most 1.2e-16 per amplitude over random
@@ -94,7 +90,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -209,22 +205,16 @@ SCATTER_MAX_FRACTION = 1 / 16
 
 #: Noiseless passes on registers of at least SCAN_MIN_QUBITS qubits fuse each
 #: run of signed permutation gates on at most this many qubits into one
-#: block.  A stretch of blocks and lone signed gates goes through one scan
-#: and, on a sparse state, one ``_move`` pass as a chain (see apply_gate), so
-#: the cap now sizes only the blocks the strided kernel applies, one pass
-#: each, on a dense state.  The figures below were measured before chains,
-#: when a run stopped at the cap and each block cost a scan of its own, and
-#: before Z and CZ joined the blocks.  Over the 32 perfbench ``align``
-#: instances of seed 1 (17 qubits; median in-process CPU time, 2-core VM, 3
-#: to 6 rounds) an op took 237-279 ms unfused, 147-163 ms at a cap of 4,
-#: 91-103 at 5, 73-84 at 6, 63-74 at 7 and 61-71 at 8; one instance's 514
-#: gates became 306, 184, 143, 110 and 110 applications.  The cap is 6
-#: because the ``align`` benchmark's peak RSS stays flat there (47.9-48.0 MiB
-#: against 47.2-47.6 unfused), while a cap of 7 raised it to 51.0-51.2 MiB.
-#: That rise is glibc malloc keeping freed heap pages, not live data: at a
-#: cap of 8 the benchmark read 51.1 MiB, and 48.3-48.7 MiB with either
-#: MALLOC_MMAP_THRESHOLD_=131072 or MALLOC_TRIM_THRESHOLD_=0 set on its
-#: process, which make glibc map large blocks on their own or trim its heap.
+#: block, which a pass applies as one move on a sparse state, or as one
+#: strided pass on a dense one.  Over the 32 perfbench ``align`` instances of
+#: seed 1 (17 qubits; per cap the median over instances of each one's
+#: fastest of 3 in-process passes, CPU time, 4 alternating rounds, 2-core
+#: VM) an engine pass took 8.2-9.0 ms with no blocks, 6.9-7.0 at a cap of 4,
+#: 6.6-7.1 at 5, 6.0-6.3 at 6, 6.4-6.7 at 7 and 7.3-7.8 at 8; one
+#: instance's 514 gates became 298, 180, 137, 104 and 103 applications.  A
+#: cap of 7 also raised the ``align`` benchmark's peak RSS, when last
+#: measured, from 47.9-48.0 to 51.0-51.2 MiB: glibc malloc keeping freed
+#: heap pages, not live data.
 FUSE_MAX_QUBITS = 6
 
 #: The strided kernel copies each chunk of a larger register than one chunk
@@ -512,30 +502,25 @@ def _occupied(amps) -> np.ndarray:
     return occupied if amps.ndim == 1 else occupied.any(axis=1)
 
 
-def _move(amps, parts: Sequence[tuple[tuple[int, ...], _Table]],
-          nonzero: np.ndarray) -> np.ndarray:
-    """Sparse kernel of signed permutations, in place, given as (qubits,
-    table) parts applied in order: the given rows are gathered and cleared,
-    go through each part's terms in turn (each row picked by one term, by
-    its bits before the part, and flipped or negated as that term says), and
-    are added onto their +0 last targets in one indexed add; the index
-    arrays select whole rows, so a batch moves every trajectory.  This gives
-    the bytes of the parts applied one at a time: a negation is exact, and
-    adding an input to the +0 it lands on changes only a -0.0 part, to +0,
-    whether once or after every part.  Returns the rows written, each
-    input's last target: distinct, and nonzero wherever its input is."""
+def _move(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
+    """Sparse kernel of a signed permutation, in place: the given rows are
+    gathered and cleared, each picked by one term, by its bits, flipped or
+    negated as that term says, and added onto its +0 target in one indexed
+    add; the index arrays select whole rows, so a batch moves every
+    trajectory.  A negation is exact, and adding an input to the +0 it lands
+    on changes only a -0.0 part, to +0, as the term scatter does.  Returns
+    the rows written, each input's target: distinct, and nonzero wherever
+    its input is."""
+    terms = _layout(qubits)[2][[table.cares, table.cols, table.flips]].tolist()
     moved, rows = amps[nonzero], nonzero
-    for qubits, table in parts:
-        terms = _layout(qubits)[2][[table.cares, table.cols, table.flips]].tolist()
-        before = rows
-        for care, col, flip, coef in zip(*terms, table.coefs):
-            if flip or coef < 0:
-                picked = (before & care) == col
-                if flip:  # into a copy, made once per part, as later terms pick by before
-                    rows = before.copy() if rows is before else rows
-                    rows[picked] ^= flip
-                if coef < 0:
-                    moved[picked] = -moved[picked]
+    for care, col, flip, coef in zip(*terms, table.coefs):
+        if flip or coef < 0:
+            picked = (nonzero & care) == col
+            if flip:  # into a copy, made once, as later terms pick by the inputs' rows
+                rows = nonzero.copy() if rows is nonzero else rows
+                rows[picked] ^= flip
+            if coef < 0:
+                moved[picked] = -moved[picked]
     amps[nonzero] = 0
     amps[rows] += moved
     return rows
@@ -543,21 +528,15 @@ def _move(amps, parts: Sequence[tuple[tuple[int, ...], _Table]],
 
 def apply_gate(
     state: StateVector,
-    g: GateInstance | _Block | list[GateInstance | _Block],
+    g: GateInstance | _Block,
     *,
     zero_skip: bool = True,
     columns: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply one unitary gate, a block of fused gates, or a chain (a list
-    of signed permutation gates and blocks, applied in order), through
-    their tables and the kernel :func:`_scatter_rows` picks.  A sparse pass
-    updates the live buffer in place; a strided pass writes the dead one
-    and makes it live.
+    """Apply one unitary gate or block of fused gates through its table and
+    the kernel :func:`_scatter_rows` picks.  A sparse pass updates the live
+    buffer in place; a strided pass writes the dead one and makes it live.
 
-    A chain is scanned once: a signed permutation keeps the support, so the
-    scan holds for every part, and a sparse chain is one :func:`_move`
-    pass through its parts' terms.  On a dense state the strided kernel
-    applies its parts one at a time.  An empty chain changes nothing.
     MEASURE and PREP_Z are not gate applications and must go through
     :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
     those trajectories of a batch, each named once (a plain state is the
@@ -574,32 +553,28 @@ def apply_gate(
     pass, or one over only some of a batch's trajectories, drops it, and a
     state that came in without one leaves without one.
     """
-    chain = isinstance(g, list)
-    parts = [(part.qubits, _checked_table(part, state.n)) for part in (g if chain else [g])]
-    if chain and not all(table.signed for _, table in parts):
-        raise ValueError("a chain holds signed permutations only")
+    table = _checked_table(g, state.n)
     whole = columns is None or _names_every(columns, state.batch or 1)
-    if not parts or not whole and not len(columns):  # no gate, or no trajectory
+    if not whole and not len(columns):  # no trajectory
         return state
     src = state.live if whole else state.live[:, columns]
     carried = state.support if whole else None
     state.support = None  # until a sparse pass over a carried support sets it
     rows = _scatter_rows(state, src, zero_skip, carried)  # None: the strided kernel
-    if rows is None:  # one pass per part, each writing every output once
-        for qubits, table in parts:
-            dst = state.dead if whole else np.empty_like(src)
-            _strided(src, dst, qubits, table, state.scratch)
-            if whole:
-                state.toggle_after_gate()  # dst is now the live buffer
-            src = dst
-    elif not parts[0][1].signed:
-        _scatter(src, *parts[0], rows)
-        if carried is not None:
-            state.support = _scattered(src, *parts[0], rows)
-    else:  # signed permutations, a chain in one pass, move through their terms
-        moved = _move(src, parts, rows)
+    if rows is None:  # the strided kernel writes every output once
+        dst = state.dead if whole else np.empty_like(src)
+        _strided(src, dst, g.qubits, table, state.scratch)
+        if whole:
+            state.toggle_after_gate()  # dst is now the live buffer
+        src = dst
+    elif table.signed:  # a signed permutation moves through its terms
+        moved = _move(src, g.qubits, table, rows)
         if carried is not None:
             state.support = moved
+    else:
+        _scatter(src, g.qubits, table, rows)
+        if carried is not None:
+            state.support = _scattered(src, g.qubits, table, rows)
     if not whole:
         state.live[:, columns] = src
     return state
@@ -674,13 +649,13 @@ FUSED_BLOCKS_KEPT = 256
 def _block(gates: tuple[GateInstance, ...]) -> _Block:
     """Compose signed permutation gates, in order, on the subspace of their
     qubits: each subspace index, tagged with itself plus one, moves through
-    every gate's terms in one :func:`_move` pass, as amplitudes do, and
-    lands on its destination with its sign."""
+    every gate's terms, one :func:`_move` call per gate, as amplitudes do,
+    and lands on its destination with its sign."""
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
-    tags = index + 1.0
-    _move(tags, [(tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle))
-                 for g in gates], index)
+    tags, rows = index + 1.0, index
+    for g in gates:
+        rows = _move(tags, tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle), rows)
     m = np.zeros((index.size, index.size))
     m[index, abs(tags).astype(int) - 1] = np.sign(tags)
     return _Block(gates, qubits, _table(m))
@@ -742,11 +717,6 @@ def _fused(instructions: Iterable[GateInstance]):
     yield from release(list(held))
     if run:
         yield close()
-
-
-def _signed(item: GateInstance | _Block) -> bool:
-    """Whether a :func:`_fused` item is a signed permutation."""
-    return item.table.signed if isinstance(item, _Block) else item.kind in _SIGNED
 
 
 def measure(
@@ -872,15 +842,13 @@ def run_circuit(
     if n >= SCAN_MIN_QUBITS:
         # blocks and their tables built before the buffers exist: built
         # during the pass, they kept the heap from shrinking and raised the
-        # perfbench run_dense peak RSS by about 2 MiB.  Each stretch of
-        # signed permutation items becomes one chain, scanned once.
-        instructions = [item for signed, items in itertools.groupby(_fused(instructions), _signed)
-                        for item in ([list(items)] if signed else items)]
+        # perfbench run_dense peak RSS by about 2 MiB
+        instructions = list(_fused(instructions))
     state = StateVector(n, batch)
     _carry(state)
     transcript: list[tuple[int, int]] = []
     for g in instructions:
-        if isinstance(g, (list, _Block)) or g.kind.is_unitary:
+        if isinstance(g, _Block) or g.kind.is_unitary:
             apply_gate(state, g)
             continue
         bits = _collapse(state, g, rng.random(state.batch))

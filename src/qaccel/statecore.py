@@ -6,8 +6,8 @@ gate).  A sparse pass updates it in place (see gates); a strided pass
 writes every row of the other, the dead buffer, and a parity flag toggles
 their roles, so no copy-back is ever required.  No pass reads what the dead
 buffer held.  A live buffer never holds -0.0: every kernel output is a sum
-onto +0, ``measure`` writes +0 and :meth:`StateVector.from_amplitudes`
-stores -0.0 as +0.0.
+onto +0, ``gates._collapse``, the one rule that measures or resets a qubit,
+writes +0, and :meth:`StateVector.from_amplitudes` stores -0.0 as +0.0.
 
 A batch of B independent trajectories (noisy shots) keeps the same two
 buffers with a trailing trajectory axis, ``(2^n, B)``; a plain state is

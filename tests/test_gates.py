@@ -2,7 +2,6 @@
 
 import contextlib
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -375,18 +374,16 @@ class TestKernels:
     def test_signed_permutations_leave_no_negative_zero(self, monkeypatch, batch):
         # in a circuit of signed permutations only, the last gate writes every
         # output, so a kernel that copied its inputs (not adding them to +0)
-        # would keep their -0.0 parts; lone gates, blocks and chains alike
+        # would keep their -0.0 parts; lone gates and blocks alike
         rng = np.random.default_rng(2020 + (batch or 0))
         for _ in range(30):
             n = int(rng.integers(3, 10))
             live = signed_zero_live(rng, n, max(1, (1 << n) // 4), batch)
             ops = TestFusion.signed_circuit(rng, n, 30)
             items = list(gates._fused(ops))
-            cut = (len(items) + 1) // 2
-            chains = [chain for chain in (items[:cut], items[cut:]) if chain]
             runs = []
             for kernel, zero_skip in (("scatter", True), ("strided", True), ("scatter", False)):
-                for applied in (ops, items, chains):
+                for applied in (ops, items):
                     with monkeypatch.context() as patch:
                         self.force(patch, kernel)
                         state = StateVector(n, batch)
@@ -454,16 +451,15 @@ class TestFusion:
 
     @staticmethod
     def count_blocks(monkeypatch):
-        """Record each block that ``apply_gate`` applies, alone or in a
-        chain: its width, and whether the state was dense after it."""
+        """Record each block that ``apply_gate`` applies: its width, and
+        whether the state was dense after it."""
         applied = []
         original = gates.apply_gate
 
         def counted(state, g, **kwargs):
             original(state, g, **kwargs)
-            for part in g if isinstance(g, list) else [g]:
-                if isinstance(part, gates._Block):
-                    applied.append((len(part.qubits), state.dense))
+            if isinstance(g, gates._Block):
+                applied.append((len(g.qubits), state.dense))
             return state
 
         monkeypatch.setattr(gates, "apply_gate", counted)
@@ -609,15 +605,15 @@ class TestFusion:
         assert identity.gates == (y, y) and identity.table.signed
         rotation, = gates._fused([h, y])
         assert rotation.gates == (h, y) and not rotation.table.signed
-        # so a sparse pass moves it through its terms, in one chain with the
-        # X before it, with the bytes of X, Y then Y
+        # so a sparse pass moves it through its terms, as it moves the X
+        # before it, with the bytes of X, Y then Y
         log = []
         TestKernels.force(monkeypatch, "scatter", log)
         ops = [gate("ry", 0, angle=0.3), gate("x", 0), y, y]
         items = list(gates._fused(ops))
         assert items[:2] == ops[:2] and items[2].gates == (y, y)
         fused, _ = run_circuit(3, ops)
-        assert log == ["scatter", "move"]
+        assert log == ["scatter", "move", "move"]
         assert fused.live.tobytes() == self.stepwise(3, ops, True).live.tobytes()
 
     @pytest.mark.parametrize("batch", [None, 2])
@@ -705,72 +701,11 @@ class TestFusion:
                 finals.append(state.live.tobytes())
             assert finals[0] == finals[1]
 
-    @pytest.mark.parametrize("batch", [None, 2])
-    def test_a_chain_gives_the_bytes_of_its_items_one_at_a_time(self, monkeypatch, batch):
-        # a chain wider than a block, on states with -0.0 parts: one scan,
-        # then one move pass on a sparse state, or one strided pass per
-        # part, none wider than a block, on a dense one
-        log = []
-        for name in ("_scatter_rows", "_move", "_strided"):
-            original = getattr(gates, name)
-
-            def spied(*args, _name=name, _original=original):
-                log.append((_name, args))
-                return _original(*args)
-
-            monkeypatch.setattr(gates, name, spied)
-        rng = np.random.default_rng(1818 + (batch or 0))
-        for n in (13, 14, 15):
-            for support in (64, 1 << n):
-                live = signed_zero_live(rng, n, support, batch)
-                chain = list(gates._fused(self.signed_circuit(rng, n, 40)))
-                assert len({q for item in chain for q in item.qubits}) > gates.FUSE_MAX_QUBITS
-                assert any(isinstance(item, gates._Block) for item in chain)
-                finals = []
-                for zero_skip in (True, False):
-                    chained, stepwise = StateVector(n, batch), StateVector(n, batch)
-                    chained.live[:] = stepwise.live[:] = live
-                    del log[:]
-                    apply_gate(chained, chain, zero_skip=zero_skip)
-                    if zero_skip and support == 1 << n:
-                        assert [name for name, _ in log] == (
-                            ["_scatter_rows"] + ["_strided"] * len(chain))
-                        assert [args[2] for _, args in log[1:]] == [i.qubits for i in chain]
-                        assert all(len(args[2]) <= gates.FUSE_MAX_QUBITS for _, args in log[1:])
-                    else:
-                        assert [name for name, _ in log] == ["_scatter_rows", "_move"]
-                    for item in chain:
-                        apply_gate(stepwise, item, zero_skip=zero_skip)
-                    assert chained.live.tobytes() == stepwise.live.tobytes()
-                    assert chained.dense == stepwise.dense
-                    assert not has_negative_zero(chained)
-                    finals.append(chained.live.tobytes())
-                assert finals[0] == finals[1]
-
-    @classmethod
-    def signed(cls, item):
-        """Whether a ``_fused`` item is a signed permutation."""
-        if isinstance(item, gates._Block):
-            return item.table.signed
-        return item.kind.mnemonic in cls.SIGNED_KINDS
-
-    @classmethod
-    def calls(cls, items):
-        """The ``apply_gate`` calls of a noiseless pass over ``_fused`` items:
-        each stretch of signed permutation items as one chain (a list), each
-        other unitary item alone."""
-        calls, chain = [], None
-        for item in items:
-            if cls.signed(item):
-                if chain is None:
-                    chain = []
-                    calls.append(chain)
-                chain.append(item)
-                continue
-            chain = None
-            if isinstance(item, gates._Block) or item.kind.is_unitary:
-                calls.append(item)
-        return calls
+    @staticmethod
+    def calls(items):
+        """The ``apply_gate`` calls of a noiseless pass over ``_fused``
+        items: one per unitary item."""
+        return [item for item in items if isinstance(item, gates._Block) or item.kind.is_unitary]
 
     @staticmethod
     def spy_applied(monkeypatch):
@@ -787,56 +722,28 @@ class TestFusion:
         return applied
 
     def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
-        # every fused application runs through the public entry point, each
-        # stretch of signed permutation items as one chain
+        # every fused application runs through the public entry point, one
+        # item per call
         applied = self.spy_applied(monkeypatch)
         rng = np.random.default_rng(1313)
-        chains = 0
         for _ in range(6):
             ops = random_circuit(rng, 13, max_gates=60, min_gates=40)
             ops.insert(int(rng.integers(len(ops))), gate("measure", int(rng.integers(13))))
             del applied[:]
             run_circuit(13, ops, rng=np.random.default_rng(0))
             calls = self.calls(gates._fused(ops))
-            assert any(isinstance(part, gates._Block)
-                       for c in calls for part in (c if isinstance(c, list) else [c]))
-            chains += sum(isinstance(c, list) and len(c) > 1 for c in calls)
-            assert [isinstance(c, list) for c in applied] == [isinstance(c, list) for c in calls]
-            assert [self.expand(c if isinstance(c, list) else [c]) for c in applied] == [
-                self.expand(c if isinstance(c, list) else [c]) for c in calls]
-        assert chains
+            assert any(isinstance(c, gates._Block) for c in calls)
+            assert [type(c) for c in applied] == [type(c) for c in calls]
+            assert [self.expand([c]) for c in applied] == [self.expand([c]) for c in calls]
 
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
         trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, 2)
-        assert applied and not any(isinstance(g, (list, gates._Block)) for g in applied)
+        assert applied and not any(isinstance(g, gates._Block) for g in applied)
         del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
-        assert any(isinstance(g, list) and any(isinstance(part, gates._Block) for part in g)
-                   for g in applied)
-
-    def test_a_chain_takes_signed_permutations_only(self):
-        state = StateVector(13)
-        with pytest.raises(ValueError):
-            apply_gate(state, [gate("x", 0), gate("h", 1)])
-        with pytest.raises(ValueError):
-            apply_gate(state, [gate("x", 0), gate("measure", 1)])
-        assert state.live[0] == 1 and state.parity == 0
-
-    @pytest.mark.parametrize("batch", [None, 2])
-    @pytest.mark.parametrize("n", [5, 13])
-    def test_an_empty_chain_is_a_no_op(self, n, batch):
-        # as columns=[] is: the bytes and both kernel hints stay as they were,
-        # on a state that no pass owns and on one that carries its support
-        for carried in (False, True):
-            ops = [gate("h", 0), gate("cnot", 0, 1), gate("x", 3)]
-            state = run_circuit(n, ops, batch=batch)[0]
-            if carried:
-                gates._carry(state)
-            before = state.live.tobytes(), state.dense, state.support
-            assert apply_gate(state, []) is state
-            assert (state.live.tobytes(), state.dense, state.support) == before
+        assert any(isinstance(g, gates._Block) for g in applied)
 
     def test_block_out_of_range_raises(self):
         with pytest.raises(IndexError):
@@ -1010,8 +917,7 @@ class TestWritePlan:
     def items(cls, rng, n, count):
         """Every unitary kind alone at a random angle, then ``count`` random
         gates as a noiseless pass fuses them (products, blocks and lone
-        gates), then each stretch of their signed items as one chain; the
-        operands drawn from the low, middle and top qubits."""
+        gates); the operands drawn from the low, middle and top qubits."""
         pool = sorted({0, 1, 2, 3, n // 2 - 1, n // 2, n - 3, n - 2, n - 1})
 
         def draw(kind):
@@ -1019,10 +925,9 @@ class TestWritePlan:
             angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if kind.takes_angle else None
             return GateInstance(kind, qubits, angle)
 
-        fused = list(gates._fused(draw(cls.KINDS[int(rng.integers(len(cls.KINDS)))])
-                                  for _ in range(count)))
-        chains = [list(run) for signed, run in itertools.groupby(fused, gates._signed) if signed]
-        return [draw(kind) for kind in cls.KINDS] + fused + [c for c in chains if len(c) > 1]
+        fused = gates._fused(draw(cls.KINDS[int(rng.integers(len(cls.KINDS)))])
+                             for _ in range(count))
+        return [draw(kind) for kind in cls.KINDS] + list(fused)
 
     @staticmethod
     def reached(key, k):
@@ -1118,7 +1023,7 @@ class TestWritePlan:
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_a_sparse_pass_onto_nan_gives_the_bytes_of_one_onto_zero(self, monkeypatch, batch):
-        # a term scatter, a signed move and a chain, on every column of a batch
+        # a term scatter and a signed move, on every column of a batch
         # or on some, the no-skip reference and a collapse update the live
         # buffer in place: onto a dead buffer of NaN, which they leave as it
         # is, each gives the bytes of the same pass onto +0 and of the
@@ -1155,7 +1060,7 @@ class TestWritePlan:
         n = gates.SCAN_MIN_QUBITS
         spread = [gate("h", q) for q in range(n)] + [gate("rz", 2, angle=0.3)]
         sparse = [gate("ry", 3, angle=0.7), gate("toffoli", 0, 3, 12),
-                  [gates._block((gate("x", 5), gate("cnot", 5, 9))), gate("swap", 9, 1)]]
+                  gates._block((gate("x", 5), gate("cnot", 5, 9))), gate("swap", 9, 1)]
         for setup in ("sparse by hand", "reset_ground"):
             # back to two basis states, still strided, or reset
             before = spread + spread[:n] if setup == "sparse by hand" else []
@@ -1501,6 +1406,20 @@ class TestTrajectoryBatch:
             apply_gate(state, gate("x", 1), columns=columns)
         assert state.live.tobytes() == before
 
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_an_empty_column_list_is_a_no_op(self, n, batch):
+        # the bytes and both kernel hints stay as they were, on a state that
+        # no pass owns and on one that carries its support
+        for carried in (False, True):
+            ops = [gate("h", 0), gate("cnot", 0, 1), gate("x", 3)]
+            state = run_circuit(n, ops, batch=batch)[0]
+            if carried:
+                gates._carry(state)
+            before = state.live.tobytes(), state.dense, state.support
+            assert apply_gate(state, gate("h", 2), columns=np.array([], int)) is state
+            assert (state.live.tobytes(), state.dense, state.support) == before
+
     @pytest.mark.parametrize("zero_skip", [True, False])
     def test_a_reset_gives_the_bytes_of_a_measure_and_a_flip(self, zero_skip):
         # the reference flips each trajectory that read 1 through the kernel
@@ -1669,7 +1588,7 @@ class TestCarriedSupport:
     @classmethod
     def program(cls, rng, n, dense):
         """Held one-qubit products, stretches of signed permutations (blocks
-        and chains), a measure and a prep_z, rows cancelled to 0, and, when
+        and lone gates), a measure and a prep_z, rows cancelled to 0, and, when
         ``dense``, an H layer that makes the state dense before the rest."""
         ops = cls.cancelling(0, 1)
         for _ in range(3):

@@ -18,7 +18,9 @@ from qaccel.genomics import (
     nucleotides_to_bits,
     sequence_bits,
 )
-from qaccel.gates import GateInstance, GateKind, run_circuit
+from qaccel import gates
+from qaccel.gates import GateInstance, GateKind, apply_gate, run_circuit
+from qaccel.statecore import StateVector
 from qaccel.tensor_oracle import dense_simulate, simulate_instructions
 
 TOY = AlignmentInstance("0110", "01", iterations=1)
@@ -262,3 +264,40 @@ class TestAlign:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             align(TOY, 0, np.random.default_rng(0))
+
+
+#: Final states of noiseless ``align`` engine passes, by sha256 of the live
+#: buffer (numpy 2.4.6 on x86-64): two instances of the perfbench ``align``
+#: shape, a 5-bit read in a 32-bit reference on 17 qubits, and a 13-qubit
+#: one run as a batch of two trajectories.
+ENGINE_PASSES = [
+    (("00100011010100110101000111100001", "11010"), None, "14158d27ae78311673378cd1700fc7d69796f3fb895a8e419e05d2f6b2f64e7f"),
+    (("11101000110000010110000010001000", "10001"), None, "f0fe4a8c8a63c0e87d174279456bc22729fa81748a5a7485b08242debb1976c8"),
+    (("1111011000111010", "1101"), 2, "eae01ba52ab60f0ec9ed57fa55203abdf27767a8754b00b7ace828aa9044c347"),
+]
+
+
+class TestAlignEnginePass:
+    @staticmethod
+    def signed(item):
+        """Whether a ``_fused`` item is a signed permutation."""
+        return item.table.signed if isinstance(item, gates._Block) else item.kind in gates._SIGNED
+
+    @pytest.mark.parametrize("args,batch,digest", ENGINE_PASSES,
+                             ids=["align-17-a", "align-17-b", "align-13-batch"])
+    def test_final_state_bytes_are_unchanged(self, args, batch, digest):
+        program = build_alignment_circuit(AlignmentInstance(*args))
+        state, _ = run_circuit(program.n, program.instructions, batch=batch)
+        assert hashlib.sha256(state.live.tobytes()).hexdigest() == digest
+        # the fused items, applied one at a time, give the pass's bytes, and
+        # the pass moves a stretch of two or more signed items through a
+        # sparse state
+        replay, stretch, longest = StateVector(program.n, batch), 0, 0
+        for item in gates._fused(program.instructions):
+            occupied = (replay.live != 0).reshape(replay.dim, -1).any(axis=1).sum()
+            sparse = occupied <= gates.SCATTER_MAX_FRACTION * replay.dim
+            stretch = stretch + 1 if sparse and self.signed(item) else 0
+            longest = max(longest, stretch)
+            apply_gate(replay, item)
+        assert replay.live.tobytes() == state.live.tobytes()
+        assert longest >= 2
