@@ -59,10 +59,8 @@ class Program:
         if len(names) != len(set(names)):
             raise ValueError("kernel names must be unique")
         for g in self.instructions:
-            if any(q >= self.n for q in g.qubits):
-                raise ValueError(
-                    f"operand {max(g.qubits)} out of range for {self.n} qubits"
-                )
+            if max(g.qubits) >= self.n:
+                raise ValueError(f"operand {max(g.qubits)} out of range for {self.n} qubits")
 
     @cached_property
     def instructions(self) -> tuple[GateInstance, ...]:

@@ -5,30 +5,25 @@ permutation or diagonal), kept as nonzero (row, column, coefficient) terms
 built once per (kind, angle).  The strided kernel writes or adds
 ``coefficient * input[column]`` into ``output[row]`` over strided views,
 one axis per operand, from the live buffer into the dead one (see
-statecore); the scatter takes only the nonzero inputs, clears their rows
-and adds each term's share back onto the live buffer by index arrays.
-
-The strided kernel walks a register of more than
-``statecore.CHUNK_AMPLITUDES`` amplitudes in chunks, writing each product
-into scratch the state owns, so no pass over such a register allocates a
-temporary of its size; it applies a smaller register, and a signed
-permutation, in place (see :func:`_strided`).
+statecore), a register of more than ``statecore.CHUNK_AMPLITUDES``
+amplitudes chunk by chunk through the state's scratch (:func:`_strided`).
+The scatter takes only the nonzero inputs, clears their rows and adds each
+term's share back onto the live buffer by index arrays; a table whose
+matrix is a signed permutation (X, Z, CNOT, CZ, SWAP, TOFFOLI, or a fused
+block of them) is ``signed`` and moves through its terms in one indexed add
+instead (:func:`_move`), each amplitude landing once, exactly negated or
+not, on a +0.
 
 Every pass zero-skips: registers of at least ``SCAN_MIN_QUBITS`` qubits are
 scanned for nonzero amplitudes and scattered while at most
 ``SCATTER_MAX_FRACTION`` of them are nonzero (measured crossovers of the
 kernels); other gates are strided, and a larger support marks the state
-dense, which skips the scan until ``reset_ground``.  Only
-``apply_gate(..., zero_skip=False)`` reaches the no-skip reference, which
-sends every basis state through the scatter.  A pass carries the support of
-every state it makes in ``state.support``: a pass of :func:`run_circuit`
-scans its state once at the start, a noisy pass scans the noiseless state
-it carries once, and its groups' copies of it (``StateVector.copy``) take
-that support along.  A sparse pass returns the rows it wrote, which are the
-rows the next scan would find, and a ``measure`` or ``prep_z`` rescans a
-state that carried one, so every kernel choice, ``dense`` flag and byte
-stays what scanning gives.  A state that no pass owns, such as one that
-``qaccel bench`` times, is scanned before every gate.
+dense, which skips the scan until ``reset_ground``.  A pass carries the
+support of every state it makes instead of scanning it (see
+:func:`apply_gate`); a state that no pass owns, such as one that ``qaccel
+bench`` times, is scanned before every gate.  Only ``apply_gate(...,
+zero_skip=False)`` reaches the no-skip reference, which sends every basis
+state through the scatter.
 
 Both kernels give bit-identical output: every output amplitude gets its
 terms in the same order, the first onto +0, whether in place or in a chunk
@@ -44,43 +39,28 @@ are split into a real and an imaginary term, each product one rounding,
 because numpy's complex-by-complex multiply rounds differently with array
 layout and length.
 
-A table whose matrix is a signed permutation (X, Z, CNOT, CZ, SWAP,
-TOFFOLI, or a fused block of them) is ``signed``: a sparse pass moves it
-through its terms in one indexed add (:func:`_move`); every other table
-scatters term by term.  Each amplitude lands once, exactly negated or not,
-on a +0, so both scatters give the same bytes from the same terms.
-
-Passes of :func:`run_circuit`, all noiseless, on registers of at least
-``SCAN_MIN_QUBITS`` qubits fuse gates before either kernel runs
-(:func:`_fused`): one-qubit gates that are not signed permutations into
-2x2 products, and runs of signed permutation gates on at most
-``FUSE_MAX_QUBITS`` qubits into blocks, each a signed permutation of its
-operand subspace composed through its gates' terms and cached by its gate
-sequence.  Each item goes through :func:`apply_gate` on its own, and a
-block gives the bytes of its gates applied one at a time.  A product rounds
-differently from its gates, and so do two non-permutation gates on
-different qubits that fusion has swapped: fused passes differ from program
-order in the last bits (at most 1.2e-16 per amplitude over random
-13-16-qubit circuits).  A fused pass's items give the same bytes through
-either kernel choice.  Noisy passes stay unfused.
+A pass lowers its instructions once (:func:`_lowered`), checking every
+operand and looking up every table, and then calls :func:`apply_gate` once
+per item.  Passes of :func:`run_circuit`, all noiseless, on registers of at
+least ``SCAN_MIN_QUBITS`` qubits fuse gates as they lower them
+(:func:`_fused`): one-qubit gates that are not signed permutations into 2x2
+products, and runs of signed permutation gates on at most
+``FUSE_MAX_QUBITS`` qubits into blocks, each composed through its gates'
+terms and cached by their mnemonics and operands.  A block gives the bytes of
+its gates applied one at a time.  A product rounds differently from its
+gates, and so do two non-permutation gates on different qubits that fusion
+has swapped: fused passes differ from program order in the last bits (at
+most 1.2e-16 per amplitude over random 13-16-qubit circuits).  Noisy
+passes, in ``trajectories``, which builds on this module, stay unfused.
 
 A batch of trajectories (see statecore) adds a trailing axis that both
 kernels carry along: the strided views gain it as their last axis, and the
 scatter's index arrays select whole rows, scanned as nonzero when any
 trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
-measurement and ``prep_z`` draw and act per trajectory.
-
-One rule measures or resets a qubit, :func:`_collapse`, which calls no
-kernel and keeps a carried support: every pass calls it, and
-:func:`measure` and :func:`prep_z` are draws around it.
-
-Noisy passes live in ``trajectories``, which builds on this module; this
-module does not import it.
-
-:func:`sample` draws readouts from a probability array (see
-``statecore.probabilities``), so a caller that computed one for its own use
-samples from that same array.
+measurement and ``prep_z`` draw and act per trajectory; one rule measures or
+resets a qubit, :func:`_collapse`, and :func:`sample` draws readouts from a
+probability array.
 """
 
 from __future__ import annotations
@@ -128,7 +108,7 @@ class GateKind(enum.Enum):
 MNEMONICS: Mapping[str, GateKind] = {kind.mnemonic: kind for kind in GateKind}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateInstance:
     """One instruction: a gate kind, its operand qubits, and an optional angle.
 
@@ -167,9 +147,12 @@ class GateInstance:
         non-negative ints of the kind's arity, ``angle`` a finite float where
         the kind takes one and None elsewhere (a checked gate's own fields,
         say, with its operands renamed one to one).  About 0.7 us against
-        2.7-3.3 us for a checked one (timeit, 2-core VM)."""
+        2.0-2.2 us for a checked one (timeit, 2-core VM).  Slotted, a gate
+        takes 56 bytes, against 240-344 with an instance dict."""
         g = object.__new__(cls)
-        g.__dict__.update(kind=kind, qubits=qubits, angle=angle)
+        object.__setattr__(g, "kind", kind)
+        object.__setattr__(g, "qubits", qubits)
+        object.__setattr__(g, "angle", angle)
         return g
 
 
@@ -378,9 +361,9 @@ def _probe(kind: GateKind) -> tuple[_Table, tuple[tuple[int, float, bool], ...]]
     return table, tuple(recipe)
 
 
-#: The kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP and
-#: TOFFOLI.
-_SIGNED = frozenset(kind for kind in _MATRICES
+#: The mnemonics (strings, whose hash Python caches, unlike an enum member's)
+#: of the kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP, TOFFOLI.
+_SIGNED = frozenset(kind.mnemonic for kind in _MATRICES
                     if not kind.takes_angle and _gate_table(kind, None).signed)
 
 
@@ -397,6 +380,12 @@ def _layout(qubits: tuple[int, ...]) -> tuple[tuple, tuple, np.ndarray]:
                        for i in range(1 << len(qubits))])
     spread.flags.writeable = False
     return shape, order, spread
+
+
+def _terms(qubits: tuple[int, ...], table: _Table) -> list[list[int]]:
+    """The sparse kernels' form of a table's terms on ``qubits``: the register
+    bits each term fixes, their input values and the bits it flips, as ints."""
+    return _layout(qubits)[2][[table.cares, table.cols, table.flips]].tolist()
 
 
 def _strided(src, dst, qubits: tuple[int, ...], table: _Table,
@@ -466,28 +455,27 @@ def _add_terms(s, d, table: _Table, product: np.ndarray | None = None) -> None:
         np.add(0.0 if writes else out, view, out=out)
 
 
-def _scatter(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> None:
+def _scatter(amps, terms: list[list[int]], coefs: tuple, nonzero: np.ndarray) -> None:
     """Sparse kernel, in place: the given rows are gathered and cleared, then
     each term, in order, adds its share of the inputs it selects onto their
     +0 targets (distinct within a term), as the strided kernel does; the
     index arrays select whole rows, so a batch moves every trajectory."""
-    spread = _layout(qubits)[2]
     inputs = amps[nonzero]
     amps[nonzero] = 0
-    for care, col, flip, coef in zip(*spread[[table.cares, table.cols, table.flips]], table.coefs):
+    for care, col, flip, coef in zip(*terms, coefs):
         picked = (nonzero & care) == col
         amps[nonzero[picked] ^ flip] += inputs[picked] if coef == 1 else coef * inputs[picked]
 
 
-def _scattered(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
+def _scattered(amps, terms: list[list[int]], nonzero: np.ndarray) -> np.ndarray:
     """The nonzero rows of ``amps`` after :func:`_scatter` moved the rows
-    ``nonzero`` through the table's terms: every term writes only inputs
-    moved by its flip, and every other row is +0, so these are the nonzero
-    rows among the inputs moved by each distinct flip.  Repeats go by a
-    sort, not by ``np.unique``, whose hash path raised the perfbench
-    ``align`` peak RSS from 49.0 to 50.4 MiB and its calibration scale from
-    1.24 to 1.68 (medians of 6 runs each, 2-core VM)."""
-    flips = set(_layout(qubits)[2][table.flips].tolist())
+    ``nonzero`` through the terms: every term writes only inputs moved by
+    its flip, and every other row is +0, so these are the nonzero rows among
+    the inputs moved by each distinct flip.  Repeats go by a sort, not by
+    ``np.unique``, whose hash path raised the perfbench ``align`` peak RSS
+    from 49.0 to 50.4 MiB and its calibration scale from 1.24 to 1.68
+    (medians of 6 runs each, 2-core VM)."""
+    flips = set(terms[2])
     if len(flips) == 1:
         rows = nonzero ^ flips.pop()
     else:  # a row may be reached by several flips
@@ -502,18 +490,17 @@ def _occupied(amps) -> np.ndarray:
     return occupied if amps.ndim == 1 else occupied.any(axis=1)
 
 
-def _move(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> np.ndarray:
+def _move(amps, terms: list[list[int]], coefs: tuple, nonzero: np.ndarray) -> np.ndarray:
     """Sparse kernel of a signed permutation, in place: the given rows are
-    gathered and cleared, each picked by one term, by its bits, flipped or
-    negated as that term says, and added onto its +0 target in one indexed
-    add; the index arrays select whole rows, so a batch moves every
-    trajectory.  A negation is exact, and adding an input to the +0 it lands
-    on changes only a -0.0 part, to +0, as the term scatter does.  Returns
-    the rows written, each input's target: distinct, and nonzero wherever
-    its input is."""
-    terms = _layout(qubits)[2][[table.cares, table.cols, table.flips]].tolist()
+    gathered and cleared, each picked by one term (see :func:`_terms`), by
+    its bits, flipped or negated as that term says, and added onto its +0
+    target in one indexed add; the index arrays select whole rows, so a
+    batch moves every trajectory.  A negation is exact, and adding an input
+    to the +0 it lands on changes only a -0.0 part, to +0, as the term
+    scatter does.  Returns the rows written, each input's target: distinct,
+    and nonzero wherever its input is."""
     moved, rows = amps[nonzero], nonzero
-    for care, col, flip, coef in zip(*terms, table.coefs):
+    for care, col, flip, coef in zip(*terms, coefs):
         if flip or coef < 0:
             picked = (nonzero & care) == col
             if flip:  # into a copy, made once, as later terms pick by the inputs' rows
@@ -526,35 +513,40 @@ def _move(amps, qubits: tuple[int, ...], table: _Table, nonzero: np.ndarray) -> 
     return rows
 
 
-def apply_gate(
-    state: StateVector,
-    g: GateInstance | _Block,
-    *,
-    zero_skip: bool = True,
-    columns: np.ndarray | None = None,
-) -> StateVector:
-    """Apply one unitary gate or block of fused gates through its table and
+def apply_gate(state: StateVector, g: GateInstance | _Gate | _Block, *, zero_skip: bool = True,
+               columns: np.ndarray | None = None) -> StateVector:
+    """Apply one unitary gate, or one item of a pass, through its table and
     the kernel :func:`_scatter_rows` picks.  A sparse pass updates the live
     buffer in place; a strided pass writes the dead one and makes it live.
 
-    MEASURE and PREP_Z are not gate applications and must go through
-    :func:`measure` and :func:`prep_z`.  ``columns`` limits the gate to
-    those trajectories of a batch, each named once (a plain state is the
-    single trajectory 0); the others keep their amplitudes, and the pass
-    runs on a copy of those columns.  ``zero_skip=False`` is the no-skip
+    A ``GateInstance`` is checked on every call: its operands against the
+    register (IndexError), that it is a gate application (ValueError;
+    MEASURE and PREP_Z go through :func:`measure` and :func:`prep_z`), and
+    ``columns``; a pass's items, ``_Gate`` and ``_Block``, were checked when
+    it lowered them.  ``columns`` limits the gate to those trajectories of a
+    batch, each named once (a plain state is the single trajectory 0); the
+    others keep their amplitudes.  ``zero_skip=False`` is the no-skip
     reference: every basis state scattered.
 
-    A state that carries its support (``state.support``, set only by a pass
-    that owns the state) is not scanned: its support is what the scan
-    would return, and the kernel is picked from it alike.  After a sparse
-    pass over the whole state the support is the rows the pass wrote:
-    :func:`_move`'s targets, each nonzero as its input is, or the nonzero
-    rows among the term scatter's targets (:func:`_scattered`).  A strided
-    pass, or one over only some of a batch's trajectories, drops it, and a
-    state that came in without one leaves without one.
+    A state that carries its support (``state.support``: a pass that owns
+    the state starts it with :func:`_ground`, and copies take it along) is
+    not scanned: its support is what the scan would return.  After a sparse
+    pass over the whole state it is the rows the pass wrote: :func:`_move`'s
+    targets, each nonzero as its input is, or the nonzero rows among the
+    term scatter's (:func:`_scattered`).  A strided pass, or one over only
+    some of a batch's trajectories, drops it; a collapse rescans it.
     """
-    table = _checked_table(g, state.n)
-    whole = columns is None or _names_every(columns, state.batch or 1)
+    if isinstance(g, GateInstance):
+        if max(g.qubits) >= state.n:
+            raise IndexError(f"operands {g.qubits} out of range for {state.n} qubits")
+        if not g.kind.is_unitary:
+            raise ValueError(
+                f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
+        table = _gate_table(g.kind, g.angle)
+        whole = columns is None or _names_every(columns, state.batch or 1)
+    else:
+        table = g.table
+        whole = columns is None or len(columns) == (state.batch or 1)
     if not whole and not len(columns):  # no trajectory
         return state
     src = state.live if whole else state.live[:, columns]
@@ -567,14 +559,15 @@ def apply_gate(
         if whole:
             state.toggle_after_gate()  # dst is now the live buffer
         src = dst
-    elif table.signed:  # a signed permutation moves through its terms
-        moved = _move(src, g.qubits, table, rows)
-        if carried is not None:
-            state.support = moved
     else:
-        _scatter(src, g.qubits, table, rows)
+        terms = g.terms if type(g) is _Block else _terms(g.qubits, table)
+        if table.signed:  # a signed permutation moves through its terms
+            rows = _move(src, terms, table.coefs, rows)
+        else:
+            _scatter(src, terms, table.coefs, rows)
+            rows = None if carried is None else _scattered(src, terms, rows)
         if carried is not None:
-            state.support = _scattered(src, g.qubits, table, rows)
+            state.support = rows
     if not whole:
         state.live[:, columns] = src
     return state
@@ -589,18 +582,6 @@ def _names_every(columns, width: int) -> bool:
             or named and not 0 <= min(named) <= max(named) < width):
         raise IndexError(f"columns {named} must name distinct trajectories of {width}")
     return len(named) == width
-
-
-def _checked_table(g: GateInstance | _Block, n: int) -> _Table:
-    """A gate's or block's table, once its operands are checked to fit ``n``
-    qubits and it is checked to be a gate application."""
-    if any(q >= n for q in g.qubits):
-        raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
-    if isinstance(g, _Block):
-        return g.table
-    if g.kind.is_unitary:
-        return _gate_table(g.kind, g.angle)
-    raise ValueError(f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
 
 
 def _scatter_rows(state: StateVector, src, zero_skip: bool, nonzero=None) -> np.ndarray | None:
@@ -629,7 +610,24 @@ def _carry(state: StateVector) -> None:
     state.support = _scatter_rows(state, state.live, True)
 
 
-class _Block(NamedTuple):
+def _ground(n: int, batch: int | None = None) -> StateVector:
+    """A ground state that the calling pass owns, carrying its support as
+    :func:`_carry` would, without the scan: row 0 on a register it scans."""
+    state = StateVector(n, batch)
+    state.support = np.zeros(1, np.intp) if n >= SCAN_MIN_QUBITS else None
+    return state
+
+
+class _Gate(NamedTuple):
+    """A lone gate of a pass, checked once against the pass's register."""
+
+    gate: GateInstance
+    qubits: tuple[int, ...]
+    table: _Table
+
+
+@dataclass(frozen=True)
+class _Block:
     """Gates fused into one operation on the subspace of their qubits: a
     product of one-qubit gates on one qubit, or a signed permutation."""
 
@@ -637,25 +635,36 @@ class _Block(NamedTuple):
     qubits: tuple[int, ...]  # ascending; qubits[j] is subspace bit j
     table: _Table  # the fused matrix's terms
 
+    @functools.cached_property
+    def terms(self) -> list[list[int]]:
+        """:func:`_terms` of the table, made by the block's first sparse pass
+        and kept with it: made as each block was composed, they raised the
+        perfbench ``run_dense`` peak RSS by 0.25 MiB (144 of 176 run dense)."""
+        return _terms(self.qubits, self.table)
+
 
 #: Fused blocks kept for reuse, the least recently used dropped first.  The
 #: perfbench pools compose 164, 167 and 168 distinct blocks in ``align``
 #: (seeds 1-3; two seed-1 rounds: 164 misses, 6,676 hits) and 176 in
-#: ``run_dense``; with 4096 kept, the module's caches then held 1.28 MiB.
+#: ``run_dense``; with 4096 kept, all four pools in one process left the
+#: module's caches holding 2.20 MiB, 1.99 MiB of it without the blocks' terms.
 FUSED_BLOCKS_KEPT = 256
 
 
 @functools.lru_cache(maxsize=FUSED_BLOCKS_KEPT)
-def _block(gates: tuple[GateInstance, ...]) -> _Block:
-    """Compose signed permutation gates, in order, on the subspace of their
-    qubits: each subspace index, tagged with itself plus one, moves through
-    every gate's terms, one :func:`_move` call per gate, as amplitudes do,
-    and lands on its destination with its sign."""
+def _block(key: tuple[tuple[str, tuple[int, ...]], ...]) -> _Block:
+    """Compose signed permutation gates, given in order as (mnemonic,
+    operands), on the subspace of their qubits: each subspace index, tagged
+    with itself plus one, moves through every gate's terms, one
+    :func:`_move` call per gate, as amplitudes do, and lands on its
+    destination with its sign."""
+    gates = tuple(GateInstance.prevalidated(MNEMONICS[m], qubits) for m, qubits in key)
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
     tags, rows = index + 1.0, index
     for g in gates:
-        rows = _move(tags, tuple(map(qubits.index, g.qubits)), _gate_table(g.kind, g.angle), rows)
+        table = _gate_table(g.kind, None)
+        rows = _move(tags, _terms(tuple(map(qubits.index, g.qubits)), table), table.coefs, rows)
     m = np.zeros((index.size, index.size))
     m[index, abs(tags).astype(int) - 1] = np.sign(tags)
     return _Block(gates, qubits, _table(m))
@@ -689,8 +698,11 @@ def _fused(instructions: Iterable[GateInstance]):
     span: set[int] = set()
 
     def close():
+        # a key built from a list: Python 3.11 frees a tuple() grown past 10 items from
+        # a generator into a free list it never takes from (0.9 MiB of align peak RSS)
         nonlocal run, span
-        closed = run[0] if len(run) == 1 else _block(tuple(run))
+        closed = run[0] if len(run) == 1 else _block(tuple([(g.kind.mnemonic, g.qubits)
+                                                            for g in run]))
         run, span = [], set()
         return closed
 
@@ -702,11 +714,11 @@ def _fused(instructions: Iterable[GateInstance]):
                 yield _product(held.pop(q))
 
     for g in instructions:
-        if g.kind.is_unitary and g.kind not in _SIGNED:  # Y, H, RX, RY, RZ
+        permutes = g.kind.mnemonic in _SIGNED
+        if g.kind.is_unitary and not permutes:  # Y, H, RX, RY, RZ
             held.setdefault(g.qubits[0], []).append(g)
             continue
         yield from release(g.qubits)
-        permutes = g.kind in _SIGNED
         if run and not (permutes and len(span.union(g.qubits)) <= FUSE_MAX_QUBITS):
             yield close()
         if permutes:
@@ -719,9 +731,22 @@ def _fused(instructions: Iterable[GateInstance]):
         yield close()
 
 
-def measure(
-    state: StateVector, q: int, rng: np.random.Generator
-) -> tuple[int | np.ndarray, StateVector]:
+def _lowered(instructions: Iterable[GateInstance], n: int, fuse: bool = False) -> list:
+    """A pass's items, each checked once against ``n`` qubits: the instructions,
+    fused first when ``fuse`` (see :func:`_fused`), each lone unitary gate a
+    ``_Gate`` that carries its table; ``measure`` and ``prep_z`` as they are."""
+    items = []
+    for g in _fused(instructions) if fuse else instructions:
+        if max(g.qubits) >= n:
+            raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
+        if type(g) is GateInstance and g.kind.is_unitary:
+            g = _Gate(g, g.qubits, _gate_table(g.kind, g.angle))
+        items.append(g)
+    return items
+
+
+def measure(state: StateVector, q: int,
+            rng: np.random.Generator) -> tuple[int | np.ndarray, StateVector]:
     """Projective measurement of one qubit with collapse and renormalization.
 
     A batch draws and collapses each trajectory on its own and returns an
@@ -822,13 +847,9 @@ def apply_depolarizing(state: StateVector, g: GateInstance, cfg: NoiseConfig,
     return state
 
 
-def run_circuit(
-    n: int,
-    instructions: Iterable[GateInstance],
-    *,
-    rng: np.random.Generator | None = None,
-    batch: int | None = None,
-) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
+def run_circuit(n: int, instructions: Iterable[GateInstance], *,
+                rng: np.random.Generator | None = None, batch: int | None = None,
+                ) -> tuple[StateVector, list[tuple[int, int | np.ndarray]]]:
     """Execute a gate sequence from the ground state without noise, as
     ``batch`` independent trajectories when given.  Noisy runs go through
     ``trajectories.batches``.
@@ -839,16 +860,14 @@ def run_circuit(
     """
     if rng is None:
         rng = np.random.default_rng()
-    if n >= SCAN_MIN_QUBITS:
-        # blocks and their tables built before the buffers exist: built
-        # during the pass, they kept the heap from shrinking and raised the
-        # perfbench run_dense peak RSS by about 2 MiB
-        instructions = list(_fused(instructions))
-    state = StateVector(n, batch)
-    _carry(state)
+    # blocks and their tables built before the buffers exist: built during
+    # the pass, they kept the heap from shrinking and raised the perfbench
+    # run_dense peak RSS by about 2 MiB
+    items = _lowered(instructions, n, n >= SCAN_MIN_QUBITS)
+    state = _ground(n, batch)
     transcript: list[tuple[int, int]] = []
-    for g in instructions:
-        if isinstance(g, _Block) or g.kind.is_unitary:
+    for g in items:
+        if type(g) is not GateInstance:  # measure and prep_z stay gates
             apply_gate(state, g)
             continue
         bits = _collapse(state, g, rng.random(state.batch))

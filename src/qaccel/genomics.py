@@ -171,19 +171,20 @@ def encode_reference(
 
 
 class _CircuitWriter:
-    """Accumulates instructions with Toffoli-ladder lowering helpers."""
+    """Accumulates instructions with Toffoli-ladder lowering helpers.  Its
+    gates skip ``GateInstance``'s checks: their operands are distinct
+    register qubits by construction, and ``Program`` checks their range."""
 
     def __init__(self, inst: AlignmentInstance):
         self.inst = inst
-        k = inst.index_qubits
-        r = inst.data_qubits
+        k, r = inst.index_qubits, inst.data_qubits
         self.index = list(range(k))
         self.data = list(range(k, k + r))
         self.ancilla = list(range(k + r, k + r + inst.ancilla_qubits))
         self.ops: list[GateInstance] = []
 
     def add(self, kind: GateKind, *qubits: int) -> None:
-        self.ops.append(GateInstance(kind, qubits))
+        self.ops.append(GateInstance.prevalidated(kind, qubits))
 
     def layer(self, kind: GateKind, qubits: list[int]) -> None:
         """One ``kind`` gate on each of the given qubits."""
@@ -191,8 +192,7 @@ class _CircuitWriter:
             self.add(kind, q)
 
     def take(self) -> tuple[GateInstance, ...]:
-        ops = tuple(self.ops)
-        self.ops = []
+        ops, self.ops = tuple(self.ops), []
         return ops
 
     def _and_ladder(self, qubits: list[int]) -> tuple[int, list[GateInstance]]:
@@ -200,16 +200,11 @@ class _CircuitWriter:
 
         Returns the ancilla holding the result and the applied Toffolis;
         replaying those reversed uncomputes the chain exactly."""
-        first = GateInstance(GateKind.TOFFOLI, (qubits[0], qubits[1], self.ancilla[0]))
-        self.ops.append(first)
-        applied = [first]
-        top = self.ancilla[0]
-        for step, q in enumerate(qubits[2:], start=1):
-            nxt = self.ancilla[step]
-            g = GateInstance(GateKind.TOFFOLI, (top, q, nxt))
-            self.ops.append(g)
-            applied.append(g)
+        applied, top = [], qubits[0]
+        for q, nxt in zip(qubits[1:], self.ancilla):
+            applied.append(GateInstance.prevalidated(GateKind.TOFFOLI, (top, q, nxt)))
             top = nxt
+        self.ops += applied
         return top, applied
 
     def multi_controlled_x(self, controls: list[int], targets: list[int]) -> None:
@@ -223,8 +218,7 @@ class _CircuitWriter:
             top, applied = self._and_ladder(controls[:-1])
             for t in targets:
                 self.add(GateKind.TOFFOLI, top, controls[-1], t)
-            for g in reversed(applied):
-                self.ops.append(g)
+            self.ops += reversed(applied)
 
     def multi_controlled_z(self, qubits: list[int]) -> None:
         """Phase flip of the all-ones pattern over the given qubits."""
@@ -248,7 +242,7 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
     read = inst.read
 
     w.layer(GateKind.H, w.index)
-    superpose = w.take()
+    superpose = Kernel("superpose", w.take())
 
     sentinel = "".join("1" if ch == "0" else "0" for ch in read)
     for position, bits in encode_reference(inst.reference, len(read), inst.stride):
@@ -259,14 +253,12 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
         w.layer(GateKind.X, conjugate)
         w.multi_controlled_x(w.index, targets)
         w.layer(GateKind.X, conjugate)
-    encode = w.take()
+    encode = Kernel("encode", w.take())
 
     w.layer(GateKind.X, [w.data[j] for j, ch in enumerate(read) if ch == "1"])
-    distance = w.take()
+    distance = Kernel("distance", w.take())
 
-    diffusion_regs = (
-        w.index + w.data if inst.diffusion == DIFFUSION_JOINT else list(w.index)
-    )
+    diffusion_regs = w.index + w.data if inst.diffusion == DIFFUSION_JOINT else list(w.index)
     for _ in range(inst.iterations):
         # oracle: -1 on branches whose data register is all zero
         w.layer(GateKind.X, w.data)
@@ -281,18 +273,8 @@ def build_alignment_circuit(inst: AlignmentInstance) -> Program:
             w.layer(GateKind.X, diffusion_regs)
             w.layer(GateKind.H, diffusion_regs)
             w.global_phase_flip()
-    amplify = w.take()
-
-    return Program(
-        "1.0",
-        inst.total_qubits,
-        (
-            Kernel("superpose", superpose),
-            Kernel("encode", encode),
-            Kernel("distance", distance),
-            Kernel("amplify", amplify),
-        ),
-    )
+    amplify = Kernel("amplify", w.take())
+    return Program("1.0", inst.total_qubits, (superpose, encode, distance, amplify))
 
 
 @dataclass(frozen=True)
@@ -307,13 +289,10 @@ class AlignmentResult:
 
 def index_marginals(inst: AlignmentInstance, state_probs: np.ndarray) -> np.ndarray:
     """Sum probabilities over everything but the index register."""
-    k = inst.index_qubits
-    return state_probs.reshape(-1, 1 << k).sum(axis=0)
+    return state_probs.reshape(-1, 1 << inst.index_qubits).sum(axis=0)
 
 
-def align(
-    inst: AlignmentInstance, shots: int, rng: np.random.Generator
-) -> AlignmentResult:
+def align(inst: AlignmentInstance, shots: int, rng: np.random.Generator) -> AlignmentResult:
     """Run the alignment circuit and rank reference positions.
 
     Ranking uses the exact index-register marginals of the final state,
@@ -326,12 +305,8 @@ def align(
     program = build_alignment_circuit(inst)
     state, _ = run_circuit(program.n, program.instructions, rng=rng)
     marginals = index_marginals(inst, state.probabilities())
-    ranking = tuple(
-        sorted(
-            ((pos, float(marginals[pos])) for pos in range(inst.positions)),
-            key=lambda item: (-item[1], item[0]),
-        )
-    )
+    ranking = tuple(sorted(((pos, float(marginals[pos])) for pos in range(inst.positions)),
+                           key=lambda item: (-item[1], item[0])))
     counts = rng.multinomial(shots, marginals / marginals.sum())
     real = counts[: inst.positions]
     histogram = {int(i): int(c) for i, c in enumerate(real) if c}

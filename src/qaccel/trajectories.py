@@ -22,8 +22,8 @@ first erring gate in turn.  Each group starts from a copy of it
 its support along (see gates) up to its first gate on only some of its
 columns; the last group runs in the carried state itself when it is one
 trajectory or never diverges.  Gates, and Paulis on the columns they hit,
-go through :func:`apply_gate`, zero-skipping as every pass does;
-``measure`` and ``prep_z`` through the one collapse rule, ``gates._collapse``.
+lowered once for the run, go through :func:`apply_gate`, zero-skipping as
+every pass does; ``measure`` and ``prep_z`` through ``gates._collapse``.
 
 The pass returns the batch's amplitudes in column order, each column the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
@@ -39,10 +39,13 @@ to ``UFUNC_BUFFER`` elements while the groups run.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .gates import _PAULIS, GateInstance, GateKind, NoiseConfig, _carry, _collapse, apply_gate
-from .statecore import CHUNK_AMPLITUDES, StateVector, check_capacity
+from .gates import (_PAULIS, GateInstance, GateKind, NoiseConfig, _collapse, _ground, _lowered,
+                    apply_gate)
+from .statecore import CHUNK_AMPLITUDES, check_capacity
 
 #: numpy's ufunc buffer, in elements, while a noisy pass runs its groups.
 #: numpy 2 copies each operand of a ufunc on views with short contiguous runs
@@ -60,6 +63,14 @@ UFUNC_BUFFER = 256
 #: 2^13, 71 at 2^14, 60 at 2^15 and 46-52 at 2^16 to 2^18; one pass a shot, 647.
 #: The batch width orders the draws: another value changes every seeded record.
 TRAJECTORY_AMPLITUDES = 1 << 16
+
+
+@functools.lru_cache(maxsize=1)
+def _lowered_run(n: int, instructions: tuple) -> tuple[tuple, tuple]:
+    """A noisy run's items and each Pauli on each qubit, lowered once (see
+    ``gates._lowered``) for all its batches and a run of the same program after it."""
+    paulis = [GateInstance.prevalidated(pauli, (q,)) for q in range(n) for pauli in _PAULIS]
+    return tuple(_lowered(instructions, n)), tuple(_lowered(paulis, n))
 
 
 def _schedule(instructions: list, rng: np.random.Generator, p: float, width: int):
@@ -115,7 +126,8 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
     error schedule first, then the trajectories in groups of one chunk, each
     from its divergence point.  Returns the batch's ``(2^n, width)``
     amplitudes and its transcript, (qubit, outcomes) per ``measure``.  The
-    caller checks operands and capacity (see :func:`batches`)."""
+    caller checks capacity (see :func:`batches`)."""
+    items, pauli_items = _lowered_run(n, tuple(instructions))
     end = len(instructions)
     uniforms, errors, start = _schedule(instructions, rng, p, width)
     group_width = min(width, max(1, CHUNK_AMPLITUDES >> n))
@@ -123,8 +135,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
              else np.arange(width, dtype=np.int32))
     outcomes = {i: np.empty(width, int) for i in uniforms
                 if instructions[i].kind is GateKind.MEASURE}
-    carried, done, first = StateVector(n), 0, 0  # noiseless, through instructions[:done]
-    _carry(carried)
+    carried, done, first = _ground(n), 0, 0  # noiseless, through instructions[:done]
     finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
@@ -136,7 +147,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             first += cols.size
             # carried through the group's first erring gate, or up to its first measure
             reach = begin + (begin < end and instructions[begin].kind.is_unitary)
-            for g in instructions[done:reach]:
+            for g in items[done:reach]:
                 apply_gate(carried, g)
             done = reach
             if first == width and (cols.size == 1 or begin == end):
@@ -153,7 +164,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 if i < reach:
                     pass  # the erring gate, run in the carried state
                 elif g.kind.is_unitary:
-                    apply_gate(state, g)
+                    apply_gate(state, items[i])
                 else:
                     draws = uniforms[i][cols if state.batch else cols[0]]
                     bits = _collapse(state, g, draws, in_order)
@@ -161,8 +172,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                         outcomes[i][cols] = bits
                 if i == hit_at:
                     for (q, kind), columns in hits.items():
-                        apply_gate(state, GateInstance.prevalidated(_PAULIS[kind], (q,)),
-                                   columns=columns)
+                        apply_gate(state, pauli_items[3 * q + kind], columns=columns)
                     hit_at, hits = next(paulis, (end, None))
             finals.append((cols, state.live.reshape(state.dim, -1)))
             del state  # its dead buffer is freed before the next group's are made
@@ -183,9 +193,7 @@ def batches(n: int, instructions: list, rng: np.random.Generator, p: float, shot
     the widest first, each drawing from ``rng`` in turn.  The rate, operands
     and widest batch's capacity are checked here, in that order, before any draw."""
     NoiseConfig(p)
-    for g in instructions:
-        if any(q >= n for q in g.qubits):
-            raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
+    _lowered_run(n, tuple(instructions))
     width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> n))
     check_capacity(n, width)
     # no name holds a yielded batch, so the caller's last reference frees it

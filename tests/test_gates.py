@@ -54,6 +54,12 @@ def keep_signed_zeros(amps):
     return live
 
 
+def fused_block(ops):
+    """The block ``_fused`` makes of a run of signed permutation gates, from
+    the block cache, which is keyed by each gate's mnemonic and operands."""
+    return gates._block(tuple((g.kind.mnemonic, g.qubits) for g in ops))
+
+
 def block_matrix(block):
     """A fused block's matrix on its subspace, built apart from its table:
     the product of its gates' ``base_unitary`` matrices, each placed on the
@@ -546,7 +552,7 @@ class TestFusion:
         x, cnot = (lambda q: gate("x", q)), (lambda a, b: gate("cnot", a, b))
         ops = [x(0), cnot(0, 1), gate("h", 2), x(1), x(0), gate("measure", 0), x(2), x(3),
                gate("prep_z", 1), x(1), cnot(1, 2), gate("rz", 0, angle=0.5), x(4)]
-        block = gates._block
+        block = fused_block
         assert list(gates._fused(ops)) == [
             block((x(0), cnot(0, 1), x(1), x(0))), ops[5], ops[2], block((x(2), x(3))), ops[8],
             ops[11], block((x(1), cnot(1, 2), x(4)))]
@@ -557,11 +563,11 @@ class TestFusion:
         # the product of h and rz goes out before the run on qubits 1 and 2
         items = list(gates._fused([h, rz, x(1), cnot(1, 2), x(0)]))
         assert self.products(items) == [items[0]] and items[0].gates == (h, rz)
-        assert items[1:] == [gates._block((x(1), cnot(1, 2), x(0)))]
+        assert items[1:] == [fused_block((x(1), cnot(1, 2), x(0)))]
         # a run that touches the released qubit closes first
         held = gate("h", 1)
         items = list(gates._fused([x(1), cnot(1, 2), held, ry, x(1)]))
-        assert items[0] == gates._block((x(1), cnot(1, 2)))
+        assert items[0] == fused_block((x(1), cnot(1, 2)))
         assert items[1].gates == (held, ry) and items[2:] == [x(1)]
         # X is never held, and a lone held gate stays a gate
         assert list(gates._fused([x(0), h, x(0)])) == [x(0), h, x(0)]
@@ -674,7 +680,7 @@ class TestFusion:
     def test_a_full_block_ends_and_a_lone_gate_stays_a_gate(self):
         cap = gates.FUSE_MAX_QUBITS
         ops = [gate("x", q) for q in range(cap + 1)]
-        assert list(gates._fused(ops)) == [gates._block(tuple(ops[:cap])), ops[cap]]
+        assert list(gates._fused(ops)) == [fused_block(tuple(ops[:cap])), ops[cap]]
 
     @pytest.mark.parametrize("batch", [None, 2])
     def test_negative_zero_inputs_give_the_no_skip_bytes(self, batch):
@@ -723,7 +729,7 @@ class TestFusion:
 
     def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
         # every fused application runs through the public entry point, one
-        # item per call
+        # item per call, each lowered once: a lone gate as a _Gate
         applied = self.spy_applied(monkeypatch)
         rng = np.random.default_rng(1313)
         for _ in range(6):
@@ -733,8 +739,46 @@ class TestFusion:
             run_circuit(13, ops, rng=np.random.default_rng(0))
             calls = self.calls(gates._fused(ops))
             assert any(isinstance(c, gates._Block) for c in calls)
-            assert [type(c) for c in applied] == [type(c) for c in calls]
-            assert [self.expand([c]) for c in applied] == [self.expand([c]) for c in calls]
+            assert not any(isinstance(c, GateInstance) for c in applied)
+            unlowered = [c.gate if isinstance(c, gates._Gate) else c for c in applied]
+            assert [type(c) for c in unlowered] == [type(c) for c in calls]
+            assert [self.expand([c]) for c in unlowered] == [self.expand([c]) for c in calls]
+        # a noisy pass of one group: one call per gate, and one per Pauli
+        # (qubit, kind) at each erring gate, on the trajectories it hits
+        for n, width in ((9, 1), (9, 32), (13, 2)):
+            ops = random_circuit(rng, n, max_gates=40, min_gates=30)
+            ops.insert(int(rng.integers(len(ops))), gate("measure", int(rng.integers(n))))
+            assert width <= max(1, statecore.CHUNK_AMPLITUDES >> n)  # one group
+            calls = []
+            monkeypatch.setattr(trajectories, "apply_gate", lambda state, g, **kwargs: (
+                calls.append((g, kwargs.get("columns"))) or apply_gate(state, g, **kwargs)))
+            trajectories.noisy_pass(n, ops, np.random.default_rng(n + width), 0.2, width)
+            _, (at, qubit, of, pauli), _ = trajectories._schedule(
+                ops, np.random.default_rng(n + width), 0.2, width)
+            expected = {}  # (instruction, qubit, Pauli): the trajectories it hits, in draw order
+            for i, q, c, k in zip(at.tolist(), qubit.tolist(), of.tolist(), pauli.tolist()):
+                expected.setdefault((i, q, gates._PAULIS[k]), []).append(c)
+            unitary = [i for i, g in enumerate(ops) if g.kind.is_unitary]
+            gate_calls, seen = 0, {}
+            for g, columns in calls:
+                assert isinstance(g, gates._Gate)
+                if columns is None:
+                    assert g.gate == ops[unitary[gate_calls]]
+                    gate_calls += 1
+                else:
+                    key = (unitary[gate_calls - 1], g.qubits[0], g.gate.kind)
+                    assert key not in seen
+                    seen[key] = list(columns)
+            assert gate_calls == len(unitary)
+            assert seen == expected and expected
+        # a plain gate is checked on every call
+        state = StateVector(13)
+        with pytest.raises(IndexError):
+            apply_gate(state, gate("cnot", 0, 13))
+        with pytest.raises(ValueError, match="not a gate application"):
+            apply_gate(state, gate("measure", 0))
+        with pytest.raises(IndexError):
+            apply_gate(state, gate("x", 0), columns=np.array([1]))
 
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.spy_applied(monkeypatch)
@@ -774,7 +818,7 @@ class TestGateTables:
         # column flips it to the row the matrix sends it to, with its sign
         rng = np.random.default_rng(2929)
         kinds = [gates.MNEMONICS[kind] for kind in TestFusion.SIGNED_KINDS]
-        assert set(kinds) == gates._SIGNED
+        assert {kind.mnemonic for kind in kinds} == gates._SIGNED
         y = gate("y", 0)
         identity, = gates._fused([y, y])  # Y.Y = I exactly
         cases = [(base_unitary(GateInstance(kind, tuple(range(kind.arity)))),
@@ -785,7 +829,7 @@ class TestGateTables:
             pool = rng.choice(9, size=int(rng.integers(1, gates.FUSE_MAX_QUBITS + 1)),
                               replace=False)
             fits = [kind for kind in kinds if kind.arity <= pool.size]
-            block = gates._block(tuple(
+            block = fused_block(tuple(
                 GateInstance(kind, tuple(int(q) for q in rng.choice(pool, kind.arity, False)))
                 for kind in (fits[int(i)] for i in rng.integers(len(fits), size=8))))
             widths.add(len(block.qubits))
@@ -819,7 +863,7 @@ class TestGateTables:
         pairs = [(a, b) for a in range(12) for b in range(12) if a != b]
         for count in range(3 * gates.FUSED_BLOCKS_KEPT):
             a, b = pairs[count % len(pairs)]
-            gates._block((gate("cnot", a, b), gate("x", count // len(pairs))))
+            fused_block((gate("cnot", a, b), gate("x", count // len(pairs))))
         assert gates._block.cache_info().currsize == gates.FUSED_BLOCKS_KEPT
 
 
@@ -1060,7 +1104,7 @@ class TestWritePlan:
         n = gates.SCAN_MIN_QUBITS
         spread = [gate("h", q) for q in range(n)] + [gate("rz", 2, angle=0.3)]
         sparse = [gate("ry", 3, angle=0.7), gate("toffoli", 0, 3, 12),
-                  gates._block((gate("x", 5), gate("cnot", 5, 9))), gate("swap", 9, 1)]
+                  fused_block((gate("x", 5), gate("cnot", 5, 9))), gate("swap", 9, 1)]
         for setup in ("sparse by hand", "reset_ground"):
             # back to two basis states, still strided, or reset
             before = spread + spread[:n] if setup == "sparse by hand" else []
@@ -1699,6 +1743,30 @@ class TestCarriedSupport:
                                                  int(rng.integers(1 << 30)))
         assert not failures, failures[:5]
         assert checks[0] > 20
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_a_fresh_ground_state_carries_what_a_scan_finds_without_one(self, monkeypatch, batch):
+        # row 0 from SCAN_MIN_QUBITS on, nothing below it, never dense: the
+        # scan's answer, its dtype and bytes too
+        for n in (gates.SCAN_MIN_QUBITS - 1, gates.SCAN_MIN_QUBITS, 15):
+            scanned, ground = StateVector(n, batch), gates._ground(n, batch)
+            gates._carry(scanned)
+            assert ground.dense is scanned.dense is False
+            assert (ground.support is None) is (scanned.support is None)
+            if n >= gates.SCAN_MIN_QUBITS:
+                assert ground.support.dtype == scanned.support.dtype
+                assert ground.support.tobytes() == scanned.support.tobytes()
+            assert ground.live.tobytes() == scanned.live.tobytes()
+        # so neither pass scans a state it starts from the ground state
+        scans = []
+        original = gates._scan
+        monkeypatch.setattr(gates, "_scan", lambda src: scans.append(1) or original(src))
+        ops = TestFusion.permutation_heavy(np.random.default_rng(2424), 13, 40)
+        state, _ = run_circuit(13, ops, batch=batch)
+        assert not scans and not state.dense
+        # one trajectory: a Pauli on it covers the whole state, which keeps its support
+        trajectories.noisy_pass(13, ops, np.random.default_rng(5), 0.05, 1)
+        assert not scans
 
     def test_a_noiseless_pass_scans_at_most_once(self, monkeypatch):
         scans = []

@@ -1,6 +1,9 @@
 """Read-alignment circuit generation and end-to-end ranking."""
 
+import functools
 import hashlib
+import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from qaccel.genomics import (
     nucleotides_to_bits,
     sequence_bits,
 )
-from qaccel import gates
+from qaccel import gates, genomics, trajectories
 from qaccel.gates import GateInstance, GateKind, apply_gate, run_circuit
 from qaccel.statecore import StateVector
 from qaccel.tensor_oracle import dense_simulate, simulate_instructions
@@ -281,7 +284,9 @@ class TestAlignEnginePass:
     @staticmethod
     def signed(item):
         """Whether a ``_fused`` item is a signed permutation."""
-        return item.table.signed if isinstance(item, gates._Block) else item.kind in gates._SIGNED
+        if isinstance(item, gates._Block):
+            return item.table.signed
+        return item.kind.mnemonic in gates._SIGNED
 
     @pytest.mark.parametrize("args,batch,digest", ENGINE_PASSES,
                              ids=["align-17-a", "align-17-b", "align-13-batch"])
@@ -301,3 +306,63 @@ class TestAlignEnginePass:
             apply_gate(replay, item)
         assert replay.live.tobytes() == state.live.tobytes()
         assert longest >= 2
+
+
+class TestLoweringOnce:
+    def test_the_circuit_writers_gates_pass_every_check(self):
+        # the writer skips GateInstance's checks (Program checks ranges
+        # only): every instruction it writes, over c08's enumeration range,
+        # both diffusion modes and iterations 0-3, is one a checked
+        # constructor accepts as it is, so no operand repeats
+        fields = operator.attrgetter("kind", "qubits", "angle")
+        written = set()
+        for big in range(1, 9):
+            for small in range(1, min(big, 3) + 1):
+                for ref, read in itertools.product(
+                        map("".join, itertools.product("01", repeat=big)),
+                        map("".join, itertools.product("01", repeat=small))):
+                    for diffusion, k in itertools.product(("joint", "index"), range(4)):
+                        inst = AlignmentInstance(ref, read, k, diffusion)
+                        written.update(map(fields, build_alignment_circuit(inst).instructions))
+        assert len(written) > 30
+        for kind, qubits, angle in written:
+            checked = GateInstance(kind, qubits, angle)
+            assert GateInstance.prevalidated(kind, qubits, angle) == checked
+            assert type(qubits) is tuple and all(type(q) is int for q in qubits)
+
+    def test_caches_stay_bounded_over_repeated_align_ops(self):
+        # two rounds of 32 instances of the perfbench align shape (a 5-bit
+        # read in a 32-bit reference): the block and gate-table caches stay
+        # within their bounds, each block's terms are held in its block
+        # cache entry, and no cache or module-level container grows in the
+        # second round
+        rng = np.random.default_rng(1)
+        pool = [AlignmentInstance("".join(map(str, rng.integers(2, size=32))),
+                                  "".join(map(str, rng.integers(2, size=5)))) for _ in range(32)]
+        modules = (gates, trajectories, genomics)
+
+        def sizes():
+            held = {}
+            for module in modules:
+                for name, value in vars(module).items():
+                    if isinstance(value, functools._lru_cache_wrapper):
+                        held[module.__name__, name] = value.cache_info().currsize
+                    elif isinstance(value, (dict, set, frozenset, list)):
+                        held[module.__name__, name] = len(value)
+            return held
+
+        rounds = []
+        for _ in range(2):
+            for inst in pool:
+                align(inst, 16, np.random.default_rng(0))
+            rounds.append(sizes())
+            assert gates._block.cache_info().currsize <= gates.FUSED_BLOCKS_KEPT
+            assert gates._gate_table.cache_info().currsize <= gates.GATE_TABLES_KEPT
+        assert rounds[0] == rounds[1]
+        for inst in pool[:4]:
+            for item in gates._fused(build_alignment_circuit(inst).instructions):
+                if isinstance(item, gates._Block) and item.table.signed:
+                    key = tuple((g.kind.mnemonic, g.qubits) for g in item.gates)
+                    assert gates._block(key) is item
+                    # made by the block's sparse passes above, and kept with it
+                    assert vars(item)["terms"] == gates._terms(item.qubits, item.table)
