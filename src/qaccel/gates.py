@@ -40,18 +40,19 @@ because numpy's complex-by-complex multiply rounds differently with array
 layout and length.
 
 A pass lowers its instructions once (:func:`_lowered`), checking every
-operand and looking up every table, and then calls :func:`apply_gate` once
-per item.  Passes of :func:`run_circuit`, all noiseless, on registers of at
-least ``SCAN_MIN_QUBITS`` qubits fuse gates as they lower them
-(:func:`_fused`): one-qubit gates that are not signed permutations into 2x2
-products, and runs of signed permutation gates on at most
-``FUSE_MAX_QUBITS`` qubits into blocks, each composed through its gates'
-terms and cached by their mnemonics and operands.  A block gives the bytes of
-its gates applied one at a time.  A product rounds differently from its
-gates, and so do two non-permutation gates on different qubits that fusion
-has swapped: fused passes differ from program order in the last bits (at
-most 1.2e-16 per amplitude over random 13-16-qubit circuits).  Noisy
-passes, in ``trajectories``, which builds on this module, stay unfused.
+operand, into one item type: a ``_Block`` of one or more unitary gates that
+carries its table.  It then calls :func:`apply_gate` once per item.  Passes of
+:func:`run_circuit`, all noiseless, on registers of at least
+``SCAN_MIN_QUBITS`` qubits fuse gates as they lower them (:func:`_fused`):
+one-qubit gates that are not signed permutations into 2x2 products, and runs
+of signed permutation gates on at most ``FUSE_MAX_QUBITS`` qubits into
+blocks, each composed through its gates' terms and cached by their mnemonics
+and operands.  A block gives the bytes of its gates applied one at a time.  A
+product rounds differently from its gates, and so do two non-permutation
+gates on different qubits that fusion has swapped: fused passes differ from
+program order in the last bits (at most 1.2e-16 per amplitude over random
+13-16-qubit circuits).  Noisy passes, in ``trajectories``, which builds on
+this module, stay unfused.
 
 A batch of trajectories (see statecore) adds a trailing axis that both
 kernels carry along: the strided views gain it as their last axis, and the
@@ -96,6 +97,10 @@ class GateKind(enum.Enum):
     SWAP = "swap", 2
     PREP_Z = "prep_z", 1, False, False
     MEASURE = "measure", 1, False, False
+
+    # identity-compared singletons hash by identity: with Enum's Python-level
+    # __hash__ a _gate_table lookup took 168 ns, against 96 (timeit, 2-core VM)
+    __hash__ = object.__hash__
 
     def __new__(cls, mnemonic: str, arity: int, takes_angle: bool = False,
                 is_unitary: bool = True):
@@ -513,20 +518,22 @@ def _move(amps, terms: list[list[int]], coefs: tuple, nonzero: np.ndarray) -> np
     return rows
 
 
-def apply_gate(state: StateVector, g: GateInstance | _Gate | _Block, *, zero_skip: bool = True,
+def apply_gate(state: StateVector, g: GateInstance | _Block, *, zero_skip: bool = True,
                columns: np.ndarray | None = None) -> StateVector:
-    """Apply one unitary gate, or one item of a pass, through its table and
-    the kernel :func:`_scatter_rows` picks.  A sparse pass updates the live
-    buffer in place; a strided pass writes the dead one and makes it live.
+    """Apply one item of a pass, a ``_Block`` of one gate or more, through
+    its table and the kernel :func:`_scatter_rows` picks.  A sparse pass
+    updates the live buffer in place; a strided pass writes the dead one and
+    makes it live.
 
-    A ``GateInstance`` is checked on every call: its operands against the
-    register (IndexError), that it is a gate application (ValueError;
-    MEASURE and PREP_Z go through :func:`measure` and :func:`prep_z`), and
-    ``columns``; a pass's items, ``_Gate`` and ``_Block``, were checked when
-    it lowered them.  ``columns`` limits the gate to those trajectories of a
-    batch, each named once (a plain state is the single trajectory 0); the
-    others keep their amplitudes.  ``zero_skip=False`` is the no-skip
-    reference: every basis state scattered.
+    A ``GateInstance`` is checked on every call and then turned into the
+    item a pass would hand in: its operands against the register
+    (IndexError), that it is a gate application (ValueError; MEASURE and
+    PREP_Z go through :func:`measure` and :func:`prep_z`), and ``columns``.
+    A pass's items were checked when it lowered them (:func:`_lowered`).
+    ``columns`` limits the item to those trajectories of a batch, each named
+    once (a plain state is the single trajectory 0); the others keep their
+    amplitudes.  ``zero_skip=False`` is the no-skip reference: every basis
+    state scattered.
 
     A state that carries its support (``state.support``: a pass that owns
     the state starts it with :func:`_ground`, and copies take it along) is
@@ -542,10 +549,9 @@ def apply_gate(state: StateVector, g: GateInstance | _Gate | _Block, *, zero_ski
         if not g.kind.is_unitary:
             raise ValueError(
                 f"{g.kind.mnemonic} is not a gate application; use {g.kind.mnemonic}()")
-        table = _gate_table(g.kind, g.angle)
         whole = columns is None or _names_every(columns, state.batch or 1)
+        g = _Block((g,), g.qubits, _gate_table(g.kind, g.angle))
     else:
-        table = g.table
         whole = columns is None or len(columns) == (state.batch or 1)
     if not whole and not len(columns):  # no trajectory
         return state
@@ -555,19 +561,17 @@ def apply_gate(state: StateVector, g: GateInstance | _Gate | _Block, *, zero_ski
     rows = _scatter_rows(state, src, zero_skip, carried)  # None: the strided kernel
     if rows is None:  # the strided kernel writes every output once
         dst = state.dead if whole else np.empty_like(src)
-        _strided(src, dst, g.qubits, table, state.scratch)
+        _strided(src, dst, g.qubits, g.table, state.scratch)
         if whole:
             state.toggle_after_gate()  # dst is now the live buffer
         src = dst
+    elif g.table.signed:  # a signed permutation moves through its terms
+        rows = _move(src, g.terms, g.table.coefs, rows)
     else:
-        terms = g.terms if type(g) is _Block else _terms(g.qubits, table)
-        if table.signed:  # a signed permutation moves through its terms
-            rows = _move(src, terms, table.coefs, rows)
-        else:
-            _scatter(src, terms, table.coefs, rows)
-            rows = None if carried is None else _scattered(src, terms, rows)
-        if carried is not None:
-            state.support = rows
+        _scatter(src, g.terms, g.table.coefs, rows)
+        rows = None if carried is None else _scattered(src, g.terms, rows)
+    if carried is not None:  # None after a strided pass
+        state.support = rows
     if not whole:
         state.live[:, columns] = src
     return state
@@ -618,29 +622,29 @@ def _ground(n: int, batch: int | None = None) -> StateVector:
     return state
 
 
-class _Gate(NamedTuple):
-    """A lone gate of a pass, checked once against the pass's register."""
-
-    gate: GateInstance
-    qubits: tuple[int, ...]
-    table: _Table
-
-
-@dataclass(frozen=True)
 class _Block:
-    """Gates fused into one operation on the subspace of their qubits: a
-    product of one-qubit gates on one qubit, or a signed permutation."""
+    """One unitary item of a pass, checked against its register: a lone
+    gate, or gates fused into one operation on the subspace of their qubits
+    (a product of one-qubit gates on one qubit, or a signed permutation).
+    ``apply_gate`` builds one for every ``GateInstance`` it is handed: a
+    slotted class takes 0.2 us to build, a frozen dataclass 0.6 (timeit)."""
 
-    gates: tuple[GateInstance, ...]  # in the order they act
-    qubits: tuple[int, ...]  # ascending; qubits[j] is subspace bit j
-    table: _Table  # the fused matrix's terms
+    __slots__ = ("gates", "qubits", "table", "_kept_terms")
 
-    @functools.cached_property
+    def __init__(self, gates: tuple[GateInstance, ...], qubits: tuple[int, ...], table: _Table):
+        self.gates = gates  # in the order they act
+        self.qubits = qubits  # qubits[j] is subspace bit j: a lone gate's operands, else ascending
+        self.table = table  # the item's matrix's terms
+        self._kept_terms = None
+
+    @property
     def terms(self) -> list[list[int]]:
-        """:func:`_terms` of the table, made by the block's first sparse pass
+        """:func:`_terms` of the table, made by the item's first sparse pass
         and kept with it: made as each block was composed, they raised the
         perfbench ``run_dense`` peak RSS by 0.25 MiB (144 of 176 run dense)."""
-        return _terms(self.qubits, self.table)
+        if self._kept_terms is None:
+            self._kept_terms = _terms(self.qubits, self.table)
+        return self._kept_terms
 
 
 #: Fused blocks kept for reuse, the least recently used dropped first.  The
@@ -734,13 +738,13 @@ def _fused(instructions: Iterable[GateInstance]):
 def _lowered(instructions: Iterable[GateInstance], n: int, fuse: bool = False) -> list:
     """A pass's items, each checked once against ``n`` qubits: the instructions,
     fused first when ``fuse`` (see :func:`_fused`), each lone unitary gate a
-    ``_Gate`` that carries its table; ``measure`` and ``prep_z`` as they are."""
+    block of one; ``measure`` and ``prep_z`` as they are."""
     items = []
     for g in _fused(instructions) if fuse else instructions:
         if max(g.qubits) >= n:
             raise IndexError(f"operands {g.qubits} out of range for {n} qubits")
         if type(g) is GateInstance and g.kind.is_unitary:
-            g = _Gate(g, g.qubits, _gate_table(g.kind, g.angle))
+            g = _Block((g,), g.qubits, _gate_table(g.kind, g.angle))
         items.append(g)
     return items
 

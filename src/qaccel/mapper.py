@@ -105,13 +105,6 @@ class LayoutMap:
         if any(not 0 <= p < self.n_physical for p in self.v2p):
             raise ValueError(f"layout targets outside 0..{self.n_physical - 1}: {self.v2p}")
 
-    @property
-    def p2v(self) -> tuple[int | None, ...]:
-        inverse: list[int | None] = [None] * self.n_physical
-        for v, p in enumerate(self.v2p):
-            inverse[p] = v
-        return tuple(inverse)
-
     def physical(self, v: int) -> int:
         return self.v2p[v]
 

@@ -51,11 +51,11 @@ def engine_state(n, instructions, zero_skip=True) -> np.ndarray:
 
 def reference_pass(n, instructions, batch=None) -> StateVector:
     """``run_circuit``'s pass over unitary gates, replayed through the no-skip
-    reference: the items it applies (``gates._fused`` of the gates at
-    ``gates.SCAN_MIN_QUBITS`` qubits or more, else the gates themselves),
-    each through ``gates.apply_gate(..., zero_skip=False)``."""
+    reference: the items it applies (``gates._lowered``, fused at
+    ``gates.SCAN_MIN_QUBITS`` qubits or more), each through
+    ``gates.apply_gate(..., zero_skip=False)``."""
     state = StateVector(n, batch)
-    for item in gates._fused(instructions) if n >= gates.SCAN_MIN_QUBITS else instructions:
+    for item in gates._lowered(instructions, n, n >= gates.SCAN_MIN_QUBITS):
         gates.apply_gate(state, item, zero_skip=False)
     return state
 

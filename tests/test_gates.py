@@ -464,7 +464,7 @@ class TestFusion:
 
         def counted(state, g, **kwargs):
             original(state, g, **kwargs)
-            if isinstance(g, gates._Block):
+            if len(g.gates) > 1:
                 applied.append((len(g.qubits), state.dense))
             return state
 
@@ -729,7 +729,7 @@ class TestFusion:
 
     def test_a_noiseless_pass_calls_apply_gate_once_per_unitary_item(self, monkeypatch):
         # every fused application runs through the public entry point, one
-        # item per call, each lowered once: a lone gate as a _Gate
+        # item per call, each lowered once: a lone gate as a block of one
         applied = self.spy_applied(monkeypatch)
         rng = np.random.default_rng(1313)
         for _ in range(6):
@@ -740,7 +740,7 @@ class TestFusion:
             calls = self.calls(gates._fused(ops))
             assert any(isinstance(c, gates._Block) for c in calls)
             assert not any(isinstance(c, GateInstance) for c in applied)
-            unlowered = [c.gate if isinstance(c, gates._Gate) else c for c in applied]
+            unlowered = [c if len(c.gates) > 1 else c.gates[0] for c in applied]
             assert [type(c) for c in unlowered] == [type(c) for c in calls]
             assert [self.expand([c]) for c in unlowered] == [self.expand([c]) for c in calls]
         # a noisy pass of one group: one call per gate, and one per Pauli
@@ -761,12 +761,12 @@ class TestFusion:
             unitary = [i for i, g in enumerate(ops) if g.kind.is_unitary]
             gate_calls, seen = 0, {}
             for g, columns in calls:
-                assert isinstance(g, gates._Gate)
+                assert len(g.gates) == 1
                 if columns is None:
-                    assert g.gate == ops[unitary[gate_calls]]
+                    assert g.gates == (ops[unitary[gate_calls]],)
                     gate_calls += 1
                 else:
-                    key = (unitary[gate_calls - 1], g.qubits[0], g.gate.kind)
+                    key = (unitary[gate_calls - 1], g.qubits[0], g.gates[0].kind)
                     assert key not in seen
                     seen[key] = list(columns)
             assert gate_calls == len(unitary)
@@ -784,10 +784,34 @@ class TestFusion:
         applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
         trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, 2)
-        assert applied and not any(isinstance(g, gates._Block) for g in applied)
+        assert applied and not any(len(g.gates) > 1 for g in applied)
         del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
-        assert any(isinstance(g, gates._Block) for g in applied)
+        assert any(len(g.gates) > 1 for g in applied)
+
+    def test_a_noisy_run_builds_each_items_terms_once(self, monkeypatch):
+        # a noisy run lowers its items, lone gates and Paulis, once for all
+        # its batches, and each keeps the terms its first sparse pass builds
+        n = 14
+        ops = self.permutation_heavy(np.random.default_rng(14), n, 30)
+        built, applied = [], {}
+        terms = gates._terms
+        monkeypatch.setattr(gates, "_terms", lambda qubits, table: (
+            built.append(qubits) or terms(qubits, table)))
+
+        def spied(state, g, **kwargs):
+            applied[id(g)] = g
+            return apply_gate(state, g, **kwargs)
+
+        monkeypatch.setattr(trajectories, "apply_gate", spied)
+        trajectories._lowered_run.cache_clear()
+        shots = 2 * (trajectories.TRAJECTORY_AMPLITUDES >> n)
+        runs = trajectories.batches(n, ops, np.random.default_rng(0), 0.05, shots)
+        assert sum(1 for _ in runs) == 2
+        _, paulis = trajectories._lowered_run(n, tuple(ops))
+        assert {id(p) for p in paulis} & applied.keys()
+        assert all(g._kept_terms is not None for g in applied.values())  # at least once
+        assert len(built) == len(applied)  # and at most once
 
     def test_block_out_of_range_raises(self):
         with pytest.raises(IndexError):

@@ -365,4 +365,4 @@ class TestLoweringOnce:
                     key = tuple((g.kind.mnemonic, g.qubits) for g in item.gates)
                     assert gates._block(key) is item
                     # made by the block's sparse passes above, and kept with it
-                    assert vars(item)["terms"] == gates._terms(item.qubits, item.table)
+                    assert item._kept_terms == gates._terms(item.qubits, item.table)

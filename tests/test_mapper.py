@@ -63,9 +63,8 @@ class TestTopologies:
 
 
 class TestLayoutMap:
-    def test_inverse(self):
+    def test_physical(self):
         layout = LayoutMap((2, 0), 3)
-        assert layout.p2v == (1, None, 0)
         assert layout.physical(0) == 2
 
     def test_bijection_enforced(self):
