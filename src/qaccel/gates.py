@@ -46,8 +46,8 @@ carries its table.  It then calls :func:`apply_gate` once per item.  Passes of
 ``SCAN_MIN_QUBITS`` qubits fuse gates as they lower them (:func:`_fused`):
 one-qubit gates that are not signed permutations into 2x2 products, and runs
 of signed permutation gates on at most ``FUSE_MAX_QUBITS`` qubits into
-blocks, each composed through its gates' terms and cached by their mnemonics
-and operands.  A block gives the bytes of its gates applied one at a time.  A
+blocks, each composed through its gates' terms and cached by their kinds and
+operands.  A block gives the bytes of its gates applied one at a time.  A
 product rounds differently from its gates, and so do two non-permutation
 gates on different qubits that fusion has swapped: fused passes differ from
 program order in the last bits (at most 1.2e-16 per amplitude over random
@@ -366,9 +366,8 @@ def _probe(kind: GateKind) -> tuple[_Table, tuple[tuple[int, float, bool], ...]]
     return table, tuple(recipe)
 
 
-#: The mnemonics (strings, whose hash Python caches, unlike an enum member's)
-#: of the kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP, TOFFOLI.
-_SIGNED = frozenset(kind.mnemonic for kind in _MATRICES
+#: The kinds whose matrix is a signed permutation: X, Z, CNOT, CZ, SWAP, TOFFOLI.
+_SIGNED = frozenset(kind for kind in _MATRICES
                     if not kind.takes_angle and _gate_table(kind, None).signed)
 
 
@@ -656,13 +655,13 @@ FUSED_BLOCKS_KEPT = 256
 
 
 @functools.lru_cache(maxsize=FUSED_BLOCKS_KEPT)
-def _block(key: tuple[tuple[str, tuple[int, ...]], ...]) -> _Block:
-    """Compose signed permutation gates, given in order as (mnemonic,
+def _block(key: tuple[tuple[GateKind, tuple[int, ...]], ...]) -> _Block:
+    """Compose signed permutation gates, given in order as (kind,
     operands), on the subspace of their qubits: each subspace index, tagged
     with itself plus one, moves through every gate's terms, one
     :func:`_move` call per gate, as amplitudes do, and lands on its
     destination with its sign."""
-    gates = tuple(GateInstance.prevalidated(MNEMONICS[m], qubits) for m, qubits in key)
+    gates = tuple(GateInstance.prevalidated(kind, qubits) for kind, qubits in key)
     qubits = tuple(sorted({q for g in gates for q in g.qubits}))
     index = np.arange(1 << len(qubits))
     tags, rows = index + 1.0, index
@@ -705,8 +704,7 @@ def _fused(instructions: Iterable[GateInstance]):
         # a key built from a list: Python 3.11 frees a tuple() grown past 10 items from
         # a generator into a free list it never takes from (0.9 MiB of align peak RSS)
         nonlocal run, span
-        closed = run[0] if len(run) == 1 else _block(tuple([(g.kind.mnemonic, g.qubits)
-                                                            for g in run]))
+        closed = run[0] if len(run) == 1 else _block(tuple([(g.kind, g.qubits) for g in run]))
         run, span = [], set()
         return closed
 
@@ -718,7 +716,7 @@ def _fused(instructions: Iterable[GateInstance]):
                 yield _product(held.pop(q))
 
     for g in instructions:
-        permutes = g.kind.mnemonic in _SIGNED
+        permutes = g.kind in _SIGNED
         if g.kind.is_unitary and not permutes:  # Y, H, RX, RY, RZ
             held.setdefault(g.qubits[0], []).append(g)
             continue

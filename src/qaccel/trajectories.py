@@ -1,8 +1,9 @@
 """Noisy runs: shots as batches of trajectories, each run from where it diverges.
 
-:func:`batches` owns a noisy run's shot loop: it checks the rate, operands
-and the widest batch's capacity once, then yields one :func:`noisy_pass`'s
-``(2^n, width)`` amplitudes after another, the widest first, each of
+:func:`batches` owns a noisy run's shot loop: it checks the rate, lowers the
+run (:func:`lowered_run`, operands checked) and checks the widest batch's
+capacity once, then hands the run to one :func:`noisy_pass` after another and
+yields its ``(2^n, width)`` amplitudes, the widest first, each of
 ``TRAJECTORY_AMPLITUDES >> n`` trajectories, at least one and at most the
 shots left.  It keeps no reference to a batch it has yielded.
 
@@ -21,9 +22,9 @@ first erring gate in turn.  Each group starts from a copy of it
 (``StateVector.copy``, repeated into the group's columns), which takes
 its support along (see gates) up to its first gate on only some of its
 columns; the last group runs in the carried state itself when it is one
-trajectory or never diverges.  Gates, and Paulis on the columns they hit,
-lowered once for the run, go through :func:`apply_gate`, zero-skipping as
-every pass does; ``measure`` and ``prep_z`` through ``gates._collapse``.
+trajectory or never diverges.  The run's items, and Paulis on the columns
+they hit, go through :func:`apply_gate`, zero-skipping as every pass does;
+the ``measure`` and ``prep_z`` gates among them through ``gates._collapse``.
 
 The pass returns the batch's amplitudes in column order, each column the
 bytes the gate-by-gate pass gives it, with that pass's transcript and next
@@ -38,8 +39,6 @@ to ``UFUNC_BUFFER`` elements while the groups run.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -65,24 +64,23 @@ UFUNC_BUFFER = 256
 TRAJECTORY_AMPLITUDES = 1 << 16
 
 
-@functools.lru_cache(maxsize=1)
-def _lowered_run(n: int, instructions: tuple) -> tuple[tuple, tuple]:
-    """A noisy run's items and each Pauli on each qubit, lowered once (see
-    ``gates._lowered``) for all its batches and a run of the same program after it."""
+def lowered_run(n: int, instructions: list) -> tuple[list, list]:
+    """A noisy run's items and each Pauli k on each qubit q (at ``3 * q + k``),
+    checked and lowered once (see ``gates._lowered``) for all its batches."""
     paulis = [GateInstance.prevalidated(pauli, (q,)) for q in range(n) for pauli in _PAULIS]
-    return tuple(_lowered(instructions, n)), tuple(_lowered(paulis, n))
+    return _lowered(instructions, n), _lowered(paulis, n)
 
 
-def _schedule(instructions: list, rng: np.random.Generator, p: float, width: int):
+def _schedule(items: list, rng: np.random.Generator, p: float, width: int):
     """Every draw a per-gate noisy pass makes, in its order: per gate and
     operand the trajectories it hits, then their Paulis; per measure and
-    prep_z its uniforms.  Returns the uniforms by instruction, the errors as
-    (instruction, qubit, trajectory, Pauli index) arrays in draw order, and
+    prep_z its uniforms.  Returns the uniforms by item, the errors as
+    (item, qubit, trajectory, Pauli index) arrays in draw order, and
     where each trajectory diverges: its first error's gate or the first
-    measure or prep_z, else ``len(instructions)``."""
+    measure or prep_z, else ``len(items)``."""
     uniforms, rows = {}, []
-    for i, g in enumerate(instructions):
-        if not g.kind.is_unitary:
+    for i, g in enumerate(items):
+        if type(g) is GateInstance:  # measure and prep_z stay gates
             uniforms[i] = rng.random(width)
             continue
         for q in g.qubits:
@@ -97,13 +95,13 @@ def _schedule(instructions: list, rng: np.random.Generator, p: float, width: int
     qubit = np.repeat(np.array([q for _, q, *_ in rows], np.int8), sizes)
     of = np.concatenate([hits for *_, hits, _ in rows] or [np.empty(0)]).astype(np.int32)
     pauli = np.concatenate([picks for *_, picks in rows] or [np.empty(0)]).astype(np.int8)
-    start = np.full(width, min(uniforms, default=len(instructions)), np.int32)
+    start = np.full(width, min(uniforms, default=len(items)), np.int32)
     np.minimum.at(start, of, at)
     return uniforms, (at, qubit, of, pauli), start
 
 
 def _errors_by_gate(errors: tuple, column: np.ndarray):
-    """A group's errors, gate by gate in order: (instruction, {(qubit, Pauli
+    """A group's errors, gate by gate in order: (item, {(qubit, Pauli
     index): the group's columns it hits, in draw order}).  ``column`` maps
     each error to its trajectory's column in the group, or -1 outside it."""
     at, qubit, _, pauli = errors
@@ -120,22 +118,22 @@ def _errors_by_gate(errors: tuple, column: np.ndarray):
         yield current, paulis
 
 
-def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
+def noisy_pass(n: int, run: tuple[list, list], rng: np.random.Generator, p: float,
                width: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """A batch of ``width`` trajectories at a depolarizing rate p > 0: the
-    error schedule first, then the trajectories in groups of one chunk, each
-    from its divergence point.  Returns the batch's ``(2^n, width)``
-    amplitudes and its transcript, (qubit, outcomes) per ``measure``.  The
-    caller checks capacity (see :func:`batches`)."""
-    items, pauli_items = _lowered_run(n, tuple(instructions))
-    end = len(instructions)
-    uniforms, errors, start = _schedule(instructions, rng, p, width)
+    """A batch of ``width`` trajectories of a :func:`lowered_run` at a
+    depolarizing rate p > 0: the error schedule first, then the trajectories
+    in groups of one chunk, each from its divergence point.  Returns the
+    batch's ``(2^n, width)`` amplitudes and its transcript, (qubit, outcomes)
+    per ``measure``.  The caller checks capacity (see :func:`batches`)."""
+    items, pauli_items = run
+    end = len(items)
+    uniforms, errors, start = _schedule(items, rng, p, width)
     group_width = min(width, max(1, CHUNK_AMPLITUDES >> n))
     order = (np.argsort(start, kind="stable") if width > group_width
              else np.arange(width, dtype=np.int32))
     outcomes = {i: np.empty(width, int) for i in uniforms
-                if instructions[i].kind is GateKind.MEASURE}
-    carried, done, first = _ground(n), 0, 0  # noiseless, through instructions[:done]
+                if items[i].kind is GateKind.MEASURE}
+    carried, done, first = _ground(n), 0, 0  # noiseless, through items[:done]
     finals = []  # (trajectories, final amplitudes) of each finished group
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
@@ -146,7 +144,7 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
                 cols = order[first:]
             first += cols.size
             # carried through the group's first erring gate, or up to its first measure
-            reach = begin + (begin < end and instructions[begin].kind.is_unitary)
+            reach = begin + (begin < end and type(items[begin]) is not GateInstance)
             for g in items[done:reach]:
                 apply_gate(carried, g)
             done = reach
@@ -160,11 +158,11 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
             hit_at, hits = next(paulis, (end, None))
             in_order = state.batch is None and width > 1
             for i in range(begin, end):
-                g = instructions[i]
+                g = items[i]
                 if i < reach:
                     pass  # the erring gate, run in the carried state
-                elif g.kind.is_unitary:
-                    apply_gate(state, items[i])
+                elif type(g) is not GateInstance:
+                    apply_gate(state, g)
                 else:
                     draws = uniforms[i][cols if state.batch else cols[0]]
                     bits = _collapse(state, g, draws, in_order)
@@ -184,18 +182,19 @@ def noisy_pass(n: int, instructions: list, rng: np.random.Generator, p: float,
         while finals:  # each group's amplitudes are freed once copied
             cols, final = finals.pop()
             live[:, cols] = final
-    return live, [(instructions[i].qubits[0], bits) for i, bits in outcomes.items()]
+    return live, [(items[i].qubits[0], bits) for i, bits in outcomes.items()]
 
 
 def batches(n: int, instructions: list, rng: np.random.Generator, p: float, shots: int):
     """A run's ``shots`` noisy trajectories at a depolarizing rate p > 0, as
     the ``(2^n, width)`` amplitudes of one :func:`noisy_pass` after another,
-    the widest first, each drawing from ``rng`` in turn.  The rate, operands
-    and widest batch's capacity are checked here, in that order, before any draw."""
+    the widest first, each drawing from ``rng`` in turn and running the one
+    lowered run, which goes with the generator.  The rate, operands and widest
+    batch's capacity are checked here, in that order, before any draw."""
     NoiseConfig(p)
-    _lowered_run(n, tuple(instructions))
+    run = lowered_run(n, instructions)
     width = min(shots, max(1, TRAJECTORY_AMPLITUDES >> n))
     check_capacity(n, width)
     # no name holds a yielded batch, so the caller's last reference frees it
-    return (noisy_pass(n, instructions, rng, p, min(width, shots - start))[0]
+    return (noisy_pass(n, run, rng, p, min(width, shots - start))[0]
             for start in range(0, shots, width))

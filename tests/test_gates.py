@@ -56,8 +56,8 @@ def keep_signed_zeros(amps):
 
 def fused_block(ops):
     """The block ``_fused`` makes of a run of signed permutation gates, from
-    the block cache, which is keyed by each gate's mnemonic and operands."""
-    return gates._block(tuple((g.kind.mnemonic, g.qubits) for g in ops))
+    the block cache, which is keyed by each gate's kind and operands."""
+    return gates._block(tuple((g.kind, g.qubits) for g in ops))
 
 
 def block_matrix(block):
@@ -752,9 +752,10 @@ class TestFusion:
             calls = []
             monkeypatch.setattr(trajectories, "apply_gate", lambda state, g, **kwargs: (
                 calls.append((g, kwargs.get("columns"))) or apply_gate(state, g, **kwargs)))
-            trajectories.noisy_pass(n, ops, np.random.default_rng(n + width), 0.2, width)
+            run = trajectories.lowered_run(n, ops)
+            trajectories.noisy_pass(n, run, np.random.default_rng(n + width), 0.2, width)
             _, (at, qubit, of, pauli), _ = trajectories._schedule(
-                ops, np.random.default_rng(n + width), 0.2, width)
+                run[0], np.random.default_rng(n + width), 0.2, width)
             expected = {}  # (instruction, qubit, Pauli): the trajectories it hits, in draw order
             for i, q, c, k in zip(at.tolist(), qubit.tolist(), of.tolist(), pauli.tolist()):
                 expected.setdefault((i, q, gates._PAULIS[k]), []).append(c)
@@ -783,7 +784,8 @@ class TestFusion:
     def test_noisy_pass_applies_no_block(self, monkeypatch):
         applied = self.spy_applied(monkeypatch)
         ops = self.permutation_heavy(np.random.default_rng(5), 13, 30)
-        trajectories.noisy_pass(13, ops, np.random.default_rng(0), 0.01, 2)
+        trajectories.noisy_pass(13, trajectories.lowered_run(13, ops), np.random.default_rng(0),
+                                0.01, 2)
         assert applied and not any(len(g.gates) > 1 for g in applied)
         del applied[:]
         run_circuit(13, ops, rng=np.random.default_rng(0), batch=2)
@@ -804,11 +806,13 @@ class TestFusion:
             return apply_gate(state, g, **kwargs)
 
         monkeypatch.setattr(trajectories, "apply_gate", spied)
-        trajectories._lowered_run.cache_clear()
+        lowered, lower = [], trajectories.lowered_run
+        monkeypatch.setattr(trajectories, "lowered_run", lambda *args: (
+            lowered.append(lower(*args)) or lowered[-1]))
         shots = 2 * (trajectories.TRAJECTORY_AMPLITUDES >> n)
         runs = trajectories.batches(n, ops, np.random.default_rng(0), 0.05, shots)
         assert sum(1 for _ in runs) == 2
-        _, paulis = trajectories._lowered_run(n, tuple(ops))
+        (_, paulis), = lowered
         assert {id(p) for p in paulis} & applied.keys()
         assert all(g._kept_terms is not None for g in applied.values())  # at least once
         assert len(built) == len(applied)  # and at most once
@@ -842,7 +846,7 @@ class TestGateTables:
         # column flips it to the row the matrix sends it to, with its sign
         rng = np.random.default_rng(2929)
         kinds = [gates.MNEMONICS[kind] for kind in TestFusion.SIGNED_KINDS]
-        assert {kind.mnemonic for kind in kinds} == gates._SIGNED
+        assert set(kinds) == gates._SIGNED
         y = gate("y", 0)
         identity, = gates._fused([y, y])  # Y.Y = I exactly
         cases = [(base_unitary(GateInstance(kind, tuple(range(kind.arity)))),
@@ -1342,9 +1346,9 @@ class TestDepolarizing:
         ideal = engine_state(3, circuit)
         rng = np.random.default_rng(2024)
         total = 0.0
-        runs = 1000
+        runs, run = 1000, trajectories.lowered_run(3, circuit)
         for _ in range(runs):
-            live, _ = trajectories.noisy_pass(3, circuit, rng, 0.01, 1)
+            live, _ = trajectories.noisy_pass(3, run, rng, 0.01, 1)
             total += fidelity(ideal, live[:, 0])
         assert total / runs < 1.0
 
@@ -1432,7 +1436,8 @@ class TestTrajectoryBatch:
                 for q in g.qubits:
                     if draws.random() < 0.3:
                         apply_gate(expected, GateInstance(PAULIS[int(draws.integers(3))], (q,)))
-            live, _ = trajectories.noisy_pass(n, ops, np.random.default_rng(seed), 0.3, 1)
+            live, _ = trajectories.noisy_pass(n, trajectories.lowered_run(n, ops),
+                                              np.random.default_rng(seed), 0.3, 1)
             assert live[:, 0].tobytes() == expected.live.tobytes()
 
     def test_depolarizing_draws_each_trajectory_on_its_own(self):
@@ -1561,7 +1566,8 @@ class TestGroupedNoisyPass:
         """The pass against the per-gate pass, whose gates and Paulis go
         through the no-skip reference unless ``zero_skip``."""
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        live, transcript = trajectories.noisy_pass(n, ops, ours, p, batch)
+        live, transcript = trajectories.noisy_pass(n, trajectories.lowered_run(n, ops), ours, p,
+                                                   batch)
         with pytest.MonkeyPatch.context() as patch:
             if not zero_skip:
                 patch.setattr(gates, "apply_gate", functools.partial(apply_gate, zero_skip=False))
@@ -1636,7 +1642,8 @@ class TestGroupedNoisyPass:
 
         monkeypatch.setattr(trajectories, "apply_gate", counted)
         ops = random_circuit(np.random.default_rng(9), 9, max_gates=40, min_gates=40)
-        trajectories.noisy_pass(9, ops, np.random.default_rng(3), 0.005, 128)
+        trajectories.noisy_pass(9, trajectories.lowered_run(9, ops), np.random.default_rng(3),
+                                0.005, 128)
         # the per-gate pass applies every gate to all 128 columns
         assert sum(calls) < 0.75 * 128 * len(ops)
         assert max(calls) == 32
@@ -1789,7 +1796,8 @@ class TestCarriedSupport:
         state, _ = run_circuit(13, ops, batch=batch)
         assert not scans and not state.dense
         # one trajectory: a Pauli on it covers the whole state, which keeps its support
-        trajectories.noisy_pass(13, ops, np.random.default_rng(5), 0.05, 1)
+        trajectories.noisy_pass(13, trajectories.lowered_run(13, ops), np.random.default_rng(5),
+                                0.05, 1)
         assert not scans
 
     def test_a_noiseless_pass_scans_at_most_once(self, monkeypatch):

@@ -286,7 +286,7 @@ class TestAlignEnginePass:
         """Whether a ``_fused`` item is a signed permutation."""
         if isinstance(item, gates._Block):
             return item.table.signed
-        return item.kind.mnemonic in gates._SIGNED
+        return item.kind in gates._SIGNED
 
     @pytest.mark.parametrize("args,batch,digest", ENGINE_PASSES,
                              ids=["align-17-a", "align-17-b", "align-13-batch"])
@@ -362,7 +362,7 @@ class TestLoweringOnce:
         for inst in pool[:4]:
             for item in gates._fused(build_alignment_circuit(inst).instructions):
                 if isinstance(item, gates._Block) and item.table.signed:
-                    key = tuple((g.kind.mnemonic, g.qubits) for g in item.gates)
+                    key = tuple((g.kind, g.qubits) for g in item.gates)
                     assert gates._block(key) is item
                     # made by the block's sparse passes above, and kept with it
                     assert item._kept_terms == gates._terms(item.qubits, item.table)

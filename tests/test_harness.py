@@ -1,11 +1,15 @@
 """Run store, execution pipeline, CLI exit codes, and benchmark plumbing."""
 
+import argparse
+import gc
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,8 +406,9 @@ class TestNoisyTrajectories:
         batched = run_program(make_program(2, self.OPS), shots=shots, seed=8,
                               noise_p=p, persist=False).histogram
         rng, reference = np.random.default_rng(1234), Counter()
+        run = trajectories.lowered_run(2, self.OPS)
         for _ in range(shots):  # one fresh trajectory and one readout per shot
-            trajectory, _ = trajectories.noisy_pass(2, self.OPS, rng, p, 1)
+            trajectory, _ = trajectories.noisy_pass(2, run, rng, p, 1)
             reference.update(sample(probabilities(trajectory), 1, rng))
         keys = sorted(set(batched) | set(reference))
         assert len(keys) == 4
@@ -454,9 +459,9 @@ class TestNoisyTrajectories:
         widths = []
         original = trajectories.noisy_pass
 
-        def recorded(n, instructions, rng, p, batch):
+        def recorded(n, run, rng, p, batch):
             widths.append(batch)
-            return original(n, instructions, rng, p, batch)
+            return original(n, run, rng, p, batch)
 
         monkeypatch.setattr(trajectories, "noisy_pass", recorded)
         outcome = run_program(program, shots=10, seed=1, noise_p=0.05, persist=False)
@@ -510,12 +515,13 @@ class TestNoisyTrajectories:
         """The traced peak of one noisy pass at noise 0.01 of one of these
         circuits, as wide as a 200-shot run's widest batch, and that width."""
         width = min(200, trajectories.TRAJECTORY_AMPLITUDES >> n)
-        ops = cls.random_ops(n, n)
+        # the run a noisy run's batches share, lowered outside the traced pass
+        run = trajectories.lowered_run(n, cls.random_ops(n, n))
         # tables, layouts and imports, the Paulis' too
-        trajectories.noisy_pass(n, ops, np.random.default_rng(2), 0.01, width)
+        trajectories.noisy_pass(n, run, np.random.default_rng(2), 0.01, width)
         tracemalloc.start()
         try:
-            trajectories.noisy_pass(n, ops, np.random.default_rng(1), 0.01, width)
+            trajectories.noisy_pass(n, run, np.random.default_rng(1), 0.01, width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -584,6 +590,19 @@ class TestNoisyTrajectories:
                               persist=False)
         assert sum(outcome.histogram.values()) == 10
         assert len(batches) >= 3 and len(arrays) == 3
+
+    def test_a_finished_run_holds_none_of_its_items(self):
+        # batches lowers the run once, and the lowered run goes with the
+        # generator: once it is spent and dropped, no item of it is left
+        ops = self.random_ops(9, 9)
+        runs = trajectories.batches(9, ops, np.random.default_rng(1), 0.01, 200)
+        assert sum(1 for _ in runs) == 2
+        del runs
+        gc.collect()
+        program = {id(g) for g in ops}
+        kept = [item for item in gc.get_objects() if type(item) is gates._Block
+                and any(id(g) in program for g in item.gates)]
+        assert not kept
 
 
 class TestCliExitCodes:
@@ -959,6 +978,33 @@ class TestCliSubcommands:
         assert code == 0
         assert captured.out == ""
         assert "skipped 1" in captured.err
+
+
+class TestCliSynopsis:
+    @staticmethod
+    def commands(parser):
+        """(prog, option strings, help aside) of each command that has no subcommands."""
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            yield parser.prog, {option for a in parser._actions
+                                if not isinstance(a, argparse._HelpAction)
+                                for option in a.option_strings}
+        for action in subparsers:
+            for sub in action.choices.values():
+                yield from TestCliSynopsis.commands(sub)
+
+    def test_the_readme_names_every_option_of_every_command(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", readme, re.M | re.S).group(1)
+        block = block.replace("\\\n", " ")  # one line per command
+        commands = dict(self.commands(cli._build_parser()))
+        assert len(commands) == 7 and sum(map(len, commands.values())) > 25
+        for prog, options in commands.items():
+            words = prog.split()
+            lines = " ".join(line for line in block.splitlines()
+                             if line.split()[:len(words)] == words)
+            named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", lines))
+            assert lines and options <= named, (prog, sorted(options - named))
 
 
 class TestCliParserReuse:
