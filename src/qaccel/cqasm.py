@@ -27,7 +27,10 @@ from .errors import ParseError
 from .gates import MNEMONICS, GateInstance
 
 _KERNEL_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_OPERAND_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
+_OPERAND_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$", re.ASCII)
+#: A count or dimension in cQASM and topology specs (int also reads "_", "+" and
+#: other scripts' digits); a "-" is read so that a least-value check rejects it.
+ASCII_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,11 @@ class Program:
 
 
 def parse(text: str) -> Program:
-    """Parse cQASM source; grammar errors carry the offending line number."""
+    """Parse cQASM source; grammar errors carry the offending line number.
+    The unnamed leading kernel is kept only if it holds an instruction."""
     version: str | None = None
     n: int | None = None
-    kernels: list[tuple[str | None, list[GateInstance]]] = []
-    current: list[GateInstance] = []
-    current_name: str | None = None
-    seen_names: set[str] = set()
-    started = False
-
-    def flush():
-        if started or current:
-            kernels.append((current_name, list(current)))
-
+    kernels: list[tuple[str | None, list[GateInstance]]] = [(None, [])]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,10 +96,9 @@ def parse(text: str) -> Program:
             if not lowered.startswith("qubits"):
                 raise ParseError("missing 'qubits' header", lineno)
             value = line[len("qubits"):].strip()
-            try:
-                n = int(value)
-            except ValueError:
-                raise ParseError(f"invalid qubit count {value!r}", lineno) from None
+            if not ASCII_INTEGER.fullmatch(value):
+                raise ParseError(f"invalid qubit count {value!r}", lineno)
+            n = int(value)
             if n < 1:
                 raise ParseError(f"qubit count must be >= 1, got {n}", lineno)
             continue
@@ -113,37 +107,28 @@ def parse(text: str) -> Program:
             name = line[1:].strip()
             if not _KERNEL_NAME_RE.match(name):
                 raise ParseError(f"invalid kernel name {name!r}", lineno)
-            if name in seen_names:
+            if any(name == seen for seen, _ in kernels):
                 raise ParseError(f"duplicate kernel name {name!r}", lineno)
-            seen_names.add(name)
-            flush()
-            current = []
-            current_name = name
-            started = True
+            kernels.append((name, []))
             continue
 
-        current.append(_parse_instruction(line, n, lineno))
-        started = True
+        kernels[-1][1].append(_parse_instruction(line, n, lineno))
 
     if version is None:
         raise ParseError("missing 'version' header", 1)
     if n is None:
         raise ParseError("missing 'qubits' header", 1)
-    flush()
-    return Program(version, n, tuple(Kernel(name, tuple(instrs)) for name, instrs in kernels))
+    return Program(version, n, [Kernel(name, instrs) for name, instrs in kernels if name or instrs])
 
 
 def _parse_instruction(line: str, n: int, lineno: int) -> GateInstance:
     head, *rest = line.split(None, 1)
-    tail = rest[0] if rest else ""
-    mnemonic = head.lower()
-    kind = MNEMONICS.get(mnemonic)
+    kind = MNEMONICS.get(head.lower())
     if kind is None:
         raise ParseError(f"unknown gate {head!r}", lineno)
     qubits: list[int] = []
     angle: float | None = None
-    args = [a.strip() for a in tail.split(",")] if tail.strip() else []
-    for arg in args:
+    for arg in [a.strip() for a in rest[0].split(",")] if rest else []:
         if not arg:
             raise ParseError("empty operand", lineno)
         m = _OPERAND_RE.match(arg)
@@ -153,6 +138,8 @@ def _parse_instruction(line: str, n: int, lineno: int) -> GateInstance:
             qubits.append(int(m.group(1)))
             continue
         try:
+            if not arg.isascii() or "_" in arg:  # float reads them; the grammar does not
+                raise ValueError
             value = float(arg)
         except ValueError:
             raise ParseError(f"malformed operand {arg!r}", lineno) from None

@@ -18,10 +18,10 @@ import numpy as np
 from ..cqasm import emit, parse
 from ..errors import CapacityError, MappingError, ParseError
 from ..genomics import AlignmentInstance, align, build_alignment_circuit, sequence_bits
-from ..mapper import map_circuit
+from ..mapper import map_circuit, parse_topology_spec
 from .bench import bench_depth_scaling, bench_gates, bench_qubit_scaling
 from .records import store_line, store_query
-from .runner import parse_topology_spec, run_file
+from .runner import run_file
 
 EXIT_OK = 0
 EXIT_PARSE = 1

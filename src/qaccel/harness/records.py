@@ -20,6 +20,15 @@ ENV_STORE = "QACCEL_STORE"
 DEFAULT_STORE = "qaccel_runs.jsonl"
 
 
+def _field(fields, key, *types):
+    """``fields[key]`` if its type is one of ``types`` exactly, so that a bool
+    is no int; TypeError otherwise."""
+    value = fields[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FinalState:
     """One retained basis state of a run's final state vector."""
@@ -44,22 +53,28 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """The record of a decoded store line, which must hold every field,
-        its ``run_id``, ``timestamp`` and ``circuit_hash`` as strings; other
-        keys are ignored.  Raises KeyError, TypeError or ValueError."""
-        identity = [data[key] for key in ("run_id", "timestamp", "circuit_hash")]
-        if not all(isinstance(value, str) for value in identity):
-            raise TypeError(f"run_id, timestamp and circuit_hash must be strings: {identity!r}")
+        """The record of a decoded store line, which must hold every field in
+        the type :func:`store_line` writes it in (ints, not bools; numbers, not
+        strings; objects for ``config`` and ``by_kind``; [re, im] amplitudes).
+        Other keys are ignored.  Raises KeyError or TypeError."""
+        identity = [_field(data, key, str) for key in ("run_id", "timestamp", "circuit_hash")]
         m = data["metrics"]
-        metrics = MetricSet(m["total_gates"], dict(m["by_kind"]), m["depth"], m["fidelity"],
-                            m["success_probability"], m["quantum_volume"])
+        by_kind = _field(m, "by_kind", dict)
+        metrics = MetricSet(_field(m, "total_gates", int),
+                            {kind: _field(by_kind, kind, int) for kind in by_kind},
+                            _field(m, "depth", int), _field(m, "fidelity", int, float, type(None)),
+                            _field(m, "success_probability", int, float, type(None)),
+                            _field(m, "quantum_volume", int, type(None)))
         states = []
-        for fs in data["final_states"]:
-            re, im = fs["amplitude"]
-            states.append(FinalState(fs["bitstring"], (float(re), float(im)),
-                                     float(fs["probability"])))
-        return cls(*identity, dict(data["config"]), metrics, states, int(data["wall_time_ns"]),
-                   int(data["peak_state_bytes"]))
+        for fs in _field(data, "final_states", list):
+            amplitude = _field(fs, "amplitude", list)
+            if len(amplitude) != 2:
+                raise TypeError(f"amplitude must be [re, im]: {amplitude!r}")
+            states.append(FinalState(_field(fs, "bitstring", str),
+                                     tuple(_field(amplitude, i, int, float) for i in (0, 1)),
+                                     _field(fs, "probability", int, float)))
+        return cls(*identity, _field(data, "config", dict), metrics, states,
+                   _field(data, "wall_time_ns", int), _field(data, "peak_state_bytes", int))
 
 
 def store_line(record: RunRecord) -> str:

@@ -25,7 +25,6 @@ import time
 import uuid
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,8 @@ import numpy as np
 from .. import trajectories
 from ..cqasm import Program, emit, parse
 from ..gates import GateKind, check_shots, run_circuit, sample
-from ..mapper import (MappingReport, Topology, build_topology, initial_placement, route,
-                      schedule_asap, topology_size)
+from ..mapper import (MappingReport, initial_placement, parse_topology_spec, route,
+                      schedule_asap, topology_key, topology_size)
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
 from ..statecore import (MemoryParams, check_capacity, check_normalized, estimate_total_memory,
                          probabilities)
@@ -42,30 +41,6 @@ from .records import FinalState, RunRecord, store_append
 
 #: Ideal-state probabilities above this threshold define the correct-answer set.
 SUPPORT_THRESHOLD = 1e-9
-
-#: Topologies kept for reuse; the least recently used one goes first.
-TOPOLOGIES_KEPT = 8
-
-_shared_topology = lru_cache(maxsize=TOPOLOGIES_KEPT)(build_topology)
-
-
-def _topology_key(spec: str) -> tuple:
-    """(kind, *dimensions) of a CLI spec: line:N, ring:N, grid:RxC, full:N."""
-    kind, _, dims = spec.partition(":")
-    if not dims:
-        raise ValueError(f"topology spec {spec!r} needs dimensions, e.g. line:4")
-    kind = kind.strip().lower()
-    return (kind, *map(int, dims.lower().split("x") if kind == "grid" else [dims]))
-
-
-def parse_topology_spec(spec: str) -> Topology:
-    """The topology of a CLI spec: line:N, ring:N, grid:RxC, full:N.
-
-    Specs with the same kind and dimensions share one Topology, so its path
-    cache serves every run in the process that routes onto it.
-    """
-    return _shared_topology(*_topology_key(spec))
-
 
 @dataclass
 class RunOutcome:
@@ -111,16 +86,15 @@ def run_program(
     check_shots(shots)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
-    shape = _topology_key(topology) if topology is not None else None
     # the register (one qubit per node when routed) is admitted before any work
-    check_capacity(topology_size(*shape) if shape is not None else program.n)
+    check_capacity(topology_size(*topology_key(topology)) if topology is not None else program.n)
     canonical = emit(program)
     circuit_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     report: MappingReport | None = None
     executed = program
-    if shape is not None:
-        topo = _shared_topology(*shape)
+    if topology is not None:
+        topo = parse_topology_spec(topology)
         layout = initial_placement(program, topo, placement)
         executed, _final_layout, report = route(program, topo, layout)
 

@@ -12,17 +12,18 @@ controls adjacent to the target, found by a search over (target node,
 control neighbor) assignments that skips any whose cost lower bound
 already reaches the best plan's; each topology caches a bounded number of
 shortest paths, since that search asks for the same ones many times, and
-the runner shares one topology per spec so the cache outlives a run.
+the mapper shares one topology per spec so the cache outlives a run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cqasm import Kernel, Program, emit
+from .cqasm import ASCII_INTEGER, Kernel, Program, emit
 from .errors import MappingError
 from .gates import GateInstance, GateKind
 
@@ -56,14 +57,26 @@ class Topology:
         return f"Topology({self.kind!r}, nodes={self.node_count}, edges={len(self.edges)})"
 
 
+#: Each kind's dimension count, the least value of each dimension, and its
+#: edges as a function of the dimensions (a grid's row-major sites link right and down).
+KINDS = {
+    "line": (1, 1, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "ring": (1, 3, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "grid": (2, 1, lambda rows, cols: [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+             + [(v, v + cols) for v in range(rows * cols - cols)]),
+    "full": (1, 1, lambda n: combinations(range(n), 2)),
+}
+
+#: Topologies kept for reuse; the least recently used one goes first.
+TOPOLOGIES_KEPT = 8
+
+
 def topology_size(kind: str, *dims: int) -> int:
     """The node count of ``build_topology(kind, *dims)``, found without
     building it; ValueError for the kinds and dimensions it rejects."""
-    # each kind's dimension count and the least value of each dimension
-    shapes = {"line": (1, 1), "ring": (1, 3), "grid": (2, 1), "full": (1, 1)}
-    count, least = shapes.get(kind.lower(), (None, None))
-    if count is None:
+    if kind.lower() not in KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
+    count, least, _ = KINDS[kind.lower()]
     if len(dims) != count or min(dims) < least:
         raise ValueError(f"{kind} needs {count} dimension(s) of at least {least}, got {dims}")
     return math.prod(dims)
@@ -72,23 +85,33 @@ def topology_size(kind: str, *dims: int) -> int:
 def build_topology(kind: str, *dims: int) -> Topology:
     """line(n), ring(n), grid(rows, cols) with 4-neighbour links, or full(n)."""
     n = topology_size(kind, *dims)
-    kind = kind.lower()
-    if kind == "line":
-        return Topology(kind, n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "ring":
-        return Topology(kind, n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "grid":
-        rows, cols = dims
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    edges.append((v, v + 1))
-                if r + 1 < rows:
-                    edges.append((v, v + cols))
-        return Topology(kind, n, edges)
-    return Topology(kind, n, combinations(range(n), 2))
+    return Topology(kind.lower(), n, KINDS[kind.lower()][2](*dims))
+
+
+def topology_key(spec: str) -> tuple:
+    """(kind, *dimensions) of a spec: line:N, ring:N, grid:RxC, full:N, each
+    dimension ASCII decimal; ValueError for a spec without them."""
+    kind, _, dims = spec.partition(":")
+    if not dims:
+        raise ValueError(f"topology spec {spec!r} needs dimensions, e.g. line:4")
+    kind = kind.strip().lower()
+    parts = dims.lower().split("x") if kind == "grid" else [dims]
+    key = (kind, *map(int, parts))  # int's own message for what it cannot read
+    if not all(ASCII_INTEGER.fullmatch(part.strip()) for part in parts):
+        raise ValueError(f"topology spec {spec!r} needs ASCII decimal dimensions")
+    return key
+
+
+_shared_topology = functools.lru_cache(maxsize=TOPOLOGIES_KEPT)(build_topology)
+
+
+def parse_topology_spec(spec: str) -> Topology:
+    """The topology of a spec: line:N, ring:N, grid:RxC, full:N.
+
+    Specs with the same kind and dimensions share one Topology, so its path
+    cache serves every run in the process that routes onto it.
+    """
+    return _shared_topology(*topology_key(spec))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared test utilities: random circuits and state comparisons."""
+"""Shared test utilities: random circuits, state comparisons and the exact
+noisy reference."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from qaccel import gates
 from qaccel.cqasm import Kernel, Program
 from qaccel.gates import GateInstance, GateKind, run_circuit
 from qaccel.statecore import StateVector
+from qaccel.tensor_oracle import gate_matrix
 
 UNITARY_1Q = (
     GateKind.X,
@@ -87,3 +89,37 @@ def undo_layout_permutation(mapped_amps, final_layout, n_virtual) -> np.ndarray:
     keep = ~extra
     virt[x[keep]] = mapped_amps[keep]
     return virt, leak
+
+
+def density_matrix(n, instructions, p) -> np.ndarray:
+    """The exact density matrix of a run at depolarizing rate p, n <= 6.
+
+    Each gate acts as U rho U^dagger (U from ``tensor_oracle.gate_matrix``),
+    then each of its operands goes through the channel
+    (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z); ``measure`` dephases its
+    qubit and ``prep_z`` resets it to |0>, each without noise.  Shares no
+    arithmetic with ``gates`` or ``trajectories``.
+    """
+    assert n <= 6, f"density_matrix takes at most 6 qubits, got {n}"
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    bits = np.arange(dim)
+    for g in instructions:
+        if g.kind in (GateKind.MEASURE, GateKind.PREP_Z):
+            (q,) = g.qubits
+            one = (bits >> q) & 1 == 1
+            zero = ~one
+            if g.kind is GateKind.MEASURE:  # drops the coherences between q's values
+                rho = rho * (np.outer(zero, zero) | np.outer(one, one))
+            else:  # Kraus operators |0><0| and |0><1| on q
+                flip = gate_matrix(GateInstance(GateKind.X, (q,)), n)
+                rho = rho * np.outer(zero, zero) + flip @ (rho * np.outer(one, one)) @ flip
+            continue
+        u = gate_matrix(g, n)
+        rho = u @ rho @ u.conj().T
+        for q in g.qubits:
+            paulis = [gate_matrix(GateInstance(kind, (q,)), n)
+                      for kind in (GateKind.X, GateKind.Y, GateKind.Z)]
+            rho = (1 - p) * rho + (p / 3) * sum(m @ rho @ m.conj().T for m in paulis)
+    return rho

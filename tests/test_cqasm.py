@@ -113,6 +113,27 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("version 1.0\nqubits 0\n")
 
+    @pytest.mark.parametrize("line, lineno, message", [
+        ("qubits 1_0", 2, "invalid qubit count '1_0'"),
+        ("qubits +4", 2, "invalid qubit count '\\+4'"),
+        ("qubits \u0664", 2, "invalid qubit count '\u0664'"),
+        ("qubits 4\nh q[\u0663]", 3, "malformed operand 'q\\[\u0663\\]'"),
+        ("qubits 4\nrx q[0], 1_0.5", 3, "malformed operand '1_0.5'"),
+        ("qubits 4\nrx q[0], \u0663", 3, "malformed operand '\u0663'"),
+        ("qubits 4\nrx q[0], nan", 3, "angle must be finite"),
+        ("qubits 4\nrx q[0], -inf", 3, "angle must be finite"),
+    ], ids=["underscore-count", "signed-count", "arabic-indic-count", "arabic-indic-index",
+            "underscore-angle", "arabic-indic-angle", "nan-angle", "inf-angle"])
+    def test_numbers_are_ascii_decimal(self, line, lineno, message):
+        # int and float also read "_", a "+" and other scripts' digits
+        with pytest.raises(ParseError, match=message) as err:
+            parse(f"version 1.0\n{line}\n")
+        assert err.value.line == lineno
+
+    def test_negative_qubit_count_keeps_its_message(self):
+        with pytest.raises(ParseError, match="qubit count must be >= 1, got -3"):
+            parse("version 1.0\nqubits -3\n")
+
     def test_comments_blanks_and_crlf(self):
         text = "# banner\r\nversion 1.0\r\n\r\nqubits 2  # two wires\r\n.k\r\nx q[0] # flip\r\n"
         program = parse(text)
@@ -132,6 +153,12 @@ class TestParse:
         program = parse("version 1.0\nqubits 1\nx q[0]\n.late\ny q[0]\n")
         assert program.kernels[0].name is None
         assert program.kernels[1].name == "late"
+
+    def test_kernels_keep_their_order_and_empty_markers(self):
+        program = parse("version 1.0\nqubits 1\n.a\n.b\nx q[0]\n.c\n")
+        assert [(k.name, len(k.instructions)) for k in program.kernels] == [
+            ("a", 0), ("b", 1), ("c", 0)]
+        assert parse("version 1.0\nqubits 1\n").kernels == ()
 
 
 class TestEmit:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_program, random_circuit
+from helpers import density_matrix, make_program, random_circuit
 from qaccel import gates, mapper, statecore, tensor_oracle, trajectories
 from qaccel.cqasm import parse
 from qaccel.errors import CapacityError, MappingError, ParseError
@@ -32,6 +32,7 @@ from qaccel.harness.records import (
     FinalState,
     RunRecord,
     store_append,
+    store_line,
     store_query,
 )
 from qaccel.harness import runner
@@ -353,10 +354,10 @@ class TestRunPipeline:
 
     def test_topology_cache_is_bounded(self):
         first = parse_topology_spec("line:2")
-        for n in range(3, runner.TOPOLOGIES_KEPT + 6):
+        for n in range(3, mapper.TOPOLOGIES_KEPT + 6):
             last = parse_topology_spec(f"line:{n}")
-            assert runner._shared_topology.cache_info().currsize <= runner.TOPOLOGIES_KEPT
-        assert parse_topology_spec(f"line:{runner.TOPOLOGIES_KEPT + 5}") is last
+            assert mapper._shared_topology.cache_info().currsize <= mapper.TOPOLOGIES_KEPT
+        assert parse_topology_spec(f"line:{mapper.TOPOLOGIES_KEPT + 5}") is last
         assert parse_topology_spec("line:2") is not first  # evicted, then built again
 
     def test_path_cache_is_bounded(self):
@@ -387,11 +388,69 @@ class TestRunPipeline:
 
 
 def _chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function for 1 to 3 degrees of freedom."""
-    tail = math.erfc(math.sqrt(x / 2)) if dof % 2 else math.exp(-x / 2)
-    if dof == 3:
-        tail += math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
-    return tail
+    """Chi-square survival function, by its closed form for a whole number
+    of degrees of freedom: a Poisson tail for even dof, erfc and half-integer
+    terms for odd."""
+    half = x / 2
+    if dof % 2 == 0:
+        return math.exp(-half) * sum(half ** i / math.factorial(i) for i in range(dof // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * sum(
+        half ** (i - 0.5) / math.gamma(i + 0.5) for i in range(1, (dof + 1) // 2))
+
+
+class TestExactNoisyReference:
+    """``helpers.density_matrix`` against hand values and the dense oracle,
+    and noisy runs' histograms against its diagonal."""
+
+    #: Least p-value a seeded histogram may read against the exact diagonal.
+    P_VALUE_FLOOR = 1e-3
+
+    def test_noiseless_reference_is_the_pure_state(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            ops = random_circuit(rng, n, max_gates=15)
+            psi = tensor_oracle.simulate_instructions(n, ops)
+            assert np.abs(density_matrix(n, ops, 0.0) - np.outer(psi, psi.conj())).max() < 1e-12
+
+    @pytest.mark.parametrize("ops, n, expected", [
+        ([gate("h", 0), gate("measure", 0)], 1, np.diag([0.5, 0.5])),
+        ([gate("h", 0), gate("prep_z", 0)], 1, np.diag([1.0, 0.0])),
+        ([gate("h", 0), gate("cnot", 0, 1), gate("measure", 0)], 2, np.diag([0.5, 0, 0, 0.5])),
+        ([gate("h", 0), gate("cnot", 0, 1), gate("prep_z", 0)], 2, np.diag([0.5, 0, 0.5, 0])),
+        ([gate("h", 1), gate("prep_z", 0)], 2, 0.5 * np.outer([1, 0, 1, 0], [1, 0, 1, 0])),
+    ], ids=["h-measure", "h-prep_z", "bell-measure", "bell-prep_z", "coherent-prep_z"])
+    def test_measure_dephases_and_prep_z_resets(self, ops, n, expected):
+        assert np.abs(density_matrix(n, ops, 0.0) - expected).max() < 1e-12
+
+    def test_depolarizing_channel_by_hand(self):
+        p = 0.3  # X|0> = |1>; then X and Y flip it back, Z keeps it
+        assert np.abs(density_matrix(1, [gate("x", 0)], p)
+                      - np.diag([2 * p / 3, 1 - 2 * p / 3])).max() < 1e-12
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_noisy_histogram_follows_the_exact_diagonal(self, case):
+        shots, n, p = 4000, 2 + case % 5, (0.01, 0.05, 0.2)[case % 3]
+        ops = random_circuit(np.random.default_rng(100 + case), n, max_gates=16, min_gates=4)
+        histogram = run_program(make_program(n, ops), shots=shots, seed=case, noise_p=p,
+                                persist=False).histogram
+        probs = np.real(np.diag(density_matrix(n, ops, p)))
+        observed = np.zeros(1 << n)
+        for key, count in histogram.items():
+            observed[int(key, 2)] = count
+        assert observed[probs < 1e-12].sum() == 0  # no outcome the channel cannot give
+        expected = shots * probs
+        small = expected < 5  # pooled into one bin, folded into the least other if still small
+        bins_e, bins_o = list(expected[~small]), list(observed[~small])
+        if small.any():
+            bins_e.append(expected[small].sum())
+            bins_o.append(observed[small].sum())
+            if bins_e[-1] < 5 and len(bins_e) > 1:
+                least = int(np.argmin(bins_e[:-1]))
+                bins_e[least] += bins_e.pop()
+                bins_o[least] += bins_o.pop()
+        bins_e, bins_o = np.array(bins_e), np.array(bins_o)
+        statistic = float(((bins_o - bins_e) ** 2 / bins_e).sum())
+        assert _chi2_sf(statistic, len(bins_e) - 1) > self.P_VALUE_FLOOR
 
 
 class TestNoisyTrajectories:
@@ -646,7 +705,7 @@ class TestCliExitCodes:
         def unbuilt(*args):
             raise AssertionError(f"topology {args} built")
 
-        monkeypatch.setattr(runner, "_shared_topology", unbuilt)
+        monkeypatch.setattr(mapper, "_shared_topology", unbuilt)
         bell = tmp_path / "bell.qasm"
         bell.write_text(BELL)
         assert main(["run", str(bell), "--topology", spec, "--shots", "1"]) == code
@@ -658,12 +717,36 @@ class TestCliExitCodes:
         def unbuilt(*args):
             raise AssertionError(f"topology {args} built")
 
-        monkeypatch.setattr(runner, "_shared_topology", unbuilt)
+        monkeypatch.setattr(mapper, "_shared_topology", unbuilt)
         monkeypatch.setattr(statecore, "physical_memory_bytes", lambda: 1 << 20)
         bell = tmp_path / "bell.qasm"
         bell.write_text(BELL)
         assert main(["run", str(bell), "--topology", "line:29", "--shots", "1"]) == 3
         assert "physical memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["line:1_0", "line:\u0663", "grid:2x\u0661", "line:+4"])
+    @pytest.mark.parametrize("command", ["run", "map"])
+    def test_topology_dimensions_are_ascii_decimal(self, command, spec, tmp_path, capsys):
+        # int also reads "_", a "+" and other scripts' digits
+        with pytest.raises(ValueError, match="needs ASCII decimal dimensions"):
+            parse_topology_spec(spec)
+        bell = tmp_path / "bell.qasm"
+        bell.write_text(BELL)
+        extra = ["--shots", "1", "--store", str(tmp_path / "s")] if command == "run" else []
+        assert main([command, str(bell), "--topology", spec] + extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: topology spec {spec!r} needs ASCII decimal dimensions\n")
+
+    def test_run_and_map_share_one_topology_per_spec(self, tmp_path, capsys, monkeypatch):
+        shared, seen = mapper._shared_topology, []
+        monkeypatch.setattr(mapper, "_shared_topology",
+                            lambda *key: seen.append(shared(*key)) or seen[-1])
+        bell = tmp_path / "bell.qasm"
+        bell.write_text(BELL)
+        assert main(["run", str(bell), "--topology", "grid:2x2", "--shots", "1",
+                     "--store", str(tmp_path / "s")]) == 0
+        assert main(["map", str(bell), "--topology", " GRID:2X2"]) == 0
+        assert len(seen) == 2 and seen[0] is seen[1]
 
     def test_align_past_the_qubit_cap_exits_three(self, capsys):
         for extra in ([], ["--emit-qasm"]):
@@ -978,6 +1061,59 @@ class TestCliSubcommands:
         assert code == 0
         assert captured.out == ""
         assert "skipped 1" in captured.err
+
+
+    @pytest.mark.parametrize("path, value", [
+        (("final_states", 0, "amplitude"), "12"),
+        (("final_states", 0, "amplitude"), [0.5]),
+        (("final_states", 0, "amplitude"), [0.5, "0"]),
+        (("final_states", 0, "amplitude"), [0.5, True]),
+        (("wall_time_ns",), 1.9),
+        (("wall_time_ns",), True),
+        (("wall_time_ns",), "12"),
+        (("peak_state_bytes",), 128.0),
+        (("final_states", 0, "probability"), "0.5"),
+        (("final_states", 0, "probability"), False),
+        (("final_states", 0, "bitstring"), 7),
+        (("final_states",), ""),
+        (("metrics", "total_gates"), "x"),
+        (("metrics", "depth"), True),
+        (("metrics", "quantum_volume"), 4.0),
+        (("metrics", "fidelity"), "1.0"),
+        (("metrics", "success_probability"), True),
+        (("metrics", "by_kind"), [["h", 1]]),
+        (("metrics", "by_kind", "h"), 1.0),
+        (("config",), [["shots", 10]]),
+    ], ids=lambda v: json.dumps(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
+    def test_metrics_query_counts_a_mistyped_field_corrupt(self, path, value, tmp_path, capsys):
+        # before, such a line decoded to a record whose line differs from it
+        line = json.loads(SAMPLE_LINE)
+        *parents, key = path
+        target = line
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        store = tmp_path / "runs.jsonl"
+        store.write_text(json.dumps(line) + "\n" + SAMPLE_LINE + "\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            RunRecord.from_dict(line)
+        assert main(["metrics", "query", "--store", str(store)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == SAMPLE_LINE + "\n"
+        assert "skipped 1 corrupt line(s)" in captured.err
+
+    def test_null_metrics_decode(self):
+        line = json.loads(SAMPLE_LINE)
+        line["metrics"].update(fidelity=None, success_probability=None, quantum_volume=None)
+        assert store_line(RunRecord.from_dict(line)) == json.dumps(line)
+
+    @pytest.mark.parametrize("knobs", [{}, {"noise_p": 0.05}, {"topology": "grid:2x2"}],
+                             ids=["noiseless", "noisy", "routed"])
+    def test_runner_lines_round_trip_byte_for_byte(self, knobs, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        run_program(parse(BELL), shots=20, seed=3, store_path=store, **knobs)
+        (written,) = store.read_text(encoding="utf-8").splitlines()
+        assert store_line(RunRecord.from_dict(json.loads(written))) == written
 
 
 class TestCliSynopsis:
