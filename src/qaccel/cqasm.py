@@ -26,7 +26,7 @@ from functools import cached_property
 from .errors import ParseError
 from .gates import MNEMONICS, GateInstance
 
-_KERNEL_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_KERNEL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a whole name, by fullmatch
 _OPERAND_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$", re.ASCII)
 #: A count or dimension in cQASM and topology specs (int also reads "_", "+" and
 #: other scripts' digits); a "-" is read so that a least-value check rejects it.
@@ -42,7 +42,7 @@ class Kernel:
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        if self.name is not None and not _KERNEL_NAME_RE.match(self.name):
+        if self.name is not None and not _KERNEL_NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid kernel name {self.name!r}")
 
 
@@ -83,8 +83,8 @@ def parse(text: str) -> Program:
             continue
         lowered = line.lower()
 
-        if version is None:
-            if not lowered.startswith("version"):
+        if version is None:  # a header keyword, then whitespace, then its value
+            if lowered.split()[0] != "version":
                 raise ParseError("missing 'version' header", lineno)
             value = line[len("version"):].strip()
             if value != "1.0":
@@ -93,7 +93,7 @@ def parse(text: str) -> Program:
             continue
 
         if n is None:
-            if not lowered.startswith("qubits"):
+            if lowered.split()[0] != "qubits":
                 raise ParseError("missing 'qubits' header", lineno)
             value = line[len("qubits"):].strip()
             if not ASCII_INTEGER.fullmatch(value):
@@ -105,7 +105,7 @@ def parse(text: str) -> Program:
 
         if line.startswith("."):
             name = line[1:].strip()
-            if not _KERNEL_NAME_RE.match(name):
+            if not _KERNEL_NAME_RE.fullmatch(name):
                 raise ParseError(f"invalid kernel name {name!r}", lineno)
             if any(name == seen for seen, _ in kernels):
                 raise ParseError(f"duplicate kernel name {name!r}", lineno)

@@ -20,10 +20,10 @@ scanned for nonzero amplitudes and scattered while at most
 kernels); other gates are strided, and a larger support marks the state
 dense, which skips the scan until ``reset_ground``.  A pass carries the
 support of every state it makes instead of scanning it (see
-:func:`apply_gate`); a state that no pass owns, such as one that ``qaccel
+:func:`apply_gate`), and :func:`run_circuit` hands it back, sorted by
+:func:`support_rows`; a state that no pass owns, such as one that ``qaccel
 bench`` times, is scanned before every gate.  Only ``apply_gate(...,
-zero_skip=False)`` reaches the no-skip reference, which sends every basis
-state through the scatter.
+zero_skip=False)`` reaches the no-skip reference: every basis state scattered.
 
 Both kernels give bit-identical output: every output amplitude gets its
 terms in the same order, the first onto +0, whether in place or in a chunk
@@ -61,7 +61,7 @@ trajectory is.  So one kernel call applies a gate to every trajectory, each
 column getting exactly the bytes a single-trajectory run would.  Noise,
 measurement and ``prep_z`` draw and act per trajectory; one rule measures or
 resets a qubit, :func:`_collapse`, and :func:`sample` draws readouts from a
-probability array.
+probability array, or from its rows in a carried support alone.
 """
 
 from __future__ import annotations
@@ -535,12 +535,13 @@ def apply_gate(state: StateVector, g: GateInstance | _Block, *, zero_skip: bool 
     state scattered.
 
     A state that carries its support (``state.support``: a pass that owns
-    the state starts it with :func:`_ground`, and copies take it along) is
-    not scanned: its support is what the scan would return.  After a sparse
-    pass over the whole state it is the rows the pass wrote: :func:`_move`'s
-    targets, each nonzero as its input is, or the nonzero rows among the
-    term scatter's (:func:`_scattered`).  A strided pass, or one over only
-    some of a batch's trajectories, drops it; a collapse rescans it.
+    the state starts it with :func:`_ground`, :func:`run_circuit` hands it
+    back, copies take it along) is not scanned: it is what the scan would
+    return.  After a sparse pass over the whole state it is the rows the
+    pass wrote: :func:`_move`'s targets, each nonzero as its input is, or
+    the nonzero rows among the term scatter's (:func:`_scattered`).  A
+    strided pass, or one over only some of a batch's trajectories, drops
+    it; a collapse rescans it.
     """
     if isinstance(g, GateInstance):
         if max(g.qubits) >= state.n:
@@ -609,8 +610,14 @@ def _scan(src) -> np.ndarray:
 def _carry(state: StateVector) -> None:
     """Make ``state``, which the calling pass owns, carry its support from
     here on (see :func:`apply_gate`): one scan, where the next gate would
-    scan, marking a dense state.  The pass clears it before it hands the state back."""
+    scan, marking a dense state."""
     state.support = _scatter_rows(state, state.live, True)
+
+
+def support_rows(state: StateVector) -> np.ndarray | None:
+    """The support a state carries (see :func:`apply_gate`), ascending; None
+    for one that carries none, such as a dense state or one under ``SCAN_MIN_QUBITS`` qubits."""
+    return None if state.support is None else np.sort(state.support)
 
 
 def _ground(n: int, batch: int | None = None) -> StateVector:
@@ -810,19 +817,33 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in 1..2**63 - 1, got {shots}")
 
 
-def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> dict[str, int]:
+def check_seed(seed: int | None) -> None:
+    """Raise ValueError unless ``seed`` is None or >= 0, as numpy seeds are."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator,
+           rows: np.ndarray | None = None) -> dict[str, int]:
     """Draw full-register samples from a ``(2^n,)`` probability array.
 
     A ``(2^n, B)`` batch's array draws ``shots`` samples from each
     trajectory's column and counts them together.  Keys are bitstrings with
-    qubit n-1 leftmost and qubit 0 rightmost.
+    qubit n-1 leftmost and qubit 0 rightmost.  Given ascending ``rows`` outside
+    which a ``(2^n,)`` array is 0 (:func:`support_rows`), it draws over them and row
+    2^n - 1 as over every row: numpy's multinomial skips a zero category and
+    gives the last the rest.
     """
     check_shots(shots)
-    counts = rng.multinomial(shots, (probs / probs.sum(axis=0)).T)
+    picked, last = probs, probs.shape[0] - 1
+    if rows is not None:
+        rows = rows if rows[-1] == last else np.append(rows, last)
+        picked = probs[rows]
+    counts = rng.multinomial(shots, (picked / probs.sum(axis=0)).T)
     if probs.ndim > 1:
         counts = counts.sum(axis=0)
-    width = probs.shape[0].bit_length() - 1
-    return {format(i, f"0{width}b"): int(counts[i]) for i in np.flatnonzero(counts)}
+    return {format(i if rows is None else rows[i], f"0{last.bit_length()}b"): int(counts[i])
+            for i in np.flatnonzero(counts)}
 
 
 _PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
@@ -856,9 +877,9 @@ def run_circuit(n: int, instructions: Iterable[GateInstance], *,
     ``batch`` independent trajectories when given.  Noisy runs go through
     ``trajectories.batches``.
 
-    Returns the final state and the measurement transcript as
-    (qubit, outcome) pairs in execution order; a batch's outcomes are
-    arrays, one per trajectory.
+    Returns the final state, carrying its support (see :func:`support_rows`),
+    and the measurement transcript as (qubit, outcome) pairs in execution
+    order; a batch's outcomes are arrays, one per trajectory.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -875,5 +896,4 @@ def run_circuit(n: int, instructions: Iterable[GateInstance], *,
         bits = _collapse(state, g, rng.random(state.batch))
         if g.kind is GateKind.MEASURE:
             transcript.append((g.qubits[0], bits))
-    state.support = None
     return state, transcript

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cqasm import Kernel, Program
-from .gates import GateInstance, GateKind, check_shots, run_circuit
-from .statecore import check_qubits
+from .gates import GateInstance, GateKind, check_shots, run_circuit, support_rows
+from .statecore import check_qubits, probabilities
 
 #: 2-bit encoding used when references arrive as nucleotide letters.
 NUCLEOTIDE_BITS = {"A": "00", "C": "01", "G": "10", "T": "11"}
@@ -287,9 +287,15 @@ class AlignmentResult:
     padding_readouts: int
 
 
-def index_marginals(inst: AlignmentInstance, state_probs: np.ndarray) -> np.ndarray:
-    """Sum probabilities over everything but the index register."""
-    return state_probs.reshape(-1, 1 << inst.index_qubits).sum(axis=0)
+def index_marginals(inst: AlignmentInstance, state_probs: np.ndarray,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum probabilities over everything but the index register.  Given
+    ``rows``, ascending, ``state_probs`` are theirs alone, the others 0: numpy
+    adds two or more index values' rows in row order, so the bytes agree."""
+    size = 1 << inst.index_qubits
+    if rows is None:
+        return state_probs.reshape(-1, size).sum(axis=0)
+    return np.bincount(rows & (size - 1), weights=state_probs, minlength=size)
 
 
 def align(inst: AlignmentInstance, shots: int, rng: np.random.Generator) -> AlignmentResult:
@@ -304,7 +310,10 @@ def align(inst: AlignmentInstance, shots: int, rng: np.random.Generator) -> Alig
     check_shots(shots)
     program = build_alignment_circuit(inst)
     state, _ = run_circuit(program.n, program.instructions, rng=rng)
-    marginals = index_marginals(inst, state.probabilities())
+    # numpy sums a single index value's rows pairwise, so it reads them all
+    rows = support_rows(state) if inst.index_qubits else None
+    live = state.live if rows is None else state.live[rows]
+    marginals = index_marginals(inst, probabilities(live), rows)
     ranking = tuple(sorted(((pos, float(marginals[pos])) for pos in range(inst.positions)),
                            key=lambda item: (-item[1], item[0])))
     counts = rng.multinomial(shots, marginals / marginals.sum())

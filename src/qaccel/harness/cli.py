@@ -17,6 +17,7 @@ import numpy as np
 
 from ..cqasm import emit, parse
 from ..errors import CapacityError, MappingError, ParseError
+from ..gates import check_seed
 from ..genomics import AlignmentInstance, align, build_alignment_circuit, sequence_bits
 from ..mapper import map_circuit, parse_topology_spec
 from .bench import bench_depth_scaling, bench_gates, bench_qubit_scaling
@@ -144,6 +145,7 @@ def _cmd_align(args) -> int:
     if args.emit_qasm:
         sys.stdout.write(emit(build_alignment_circuit(inst)))
         return EXIT_OK
+    check_seed(args.seed)
     result = align(inst, args.shots, np.random.default_rng(args.seed))
     print("position,probability")
     for pos, prob in result.ranking:

@@ -11,9 +11,10 @@ over ``trajectories.batches``, one readout per trajectory, and records
 trajectory 0 of the first, widest batch as its final state and that
 batch's width in its memory figure.  The batches, their readouts and the
 record are the bytes a gate-by-gate pass gives (see trajectories).  A run
-keeps only the ideal state's live buffer and summarizes the state it
-records once, while it is live: a noiseless run from the probability array
-it samples, a noisy run from its first batch before that batch is sampled.
+keeps only the ideal state's live buffer and support (``gates.support_rows``)
+and summarizes the state it records once, while it is live: a noiseless run
+from the probability array it samples, at the support's rows alone when
+there is one, a noisy run from its first batch before that batch is sampled.
 It keeps each batch only until it is sampled, and reads the ideal
 probabilities only at the histogram's keys, for the support check.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .. import trajectories
 from ..cqasm import Program, emit, parse
-from ..gates import GateKind, check_shots, run_circuit, sample
+from ..gates import GateKind, check_seed, check_shots, run_circuit, sample, support_rows
 from ..mapper import (MappingReport, initial_placement, parse_topology_spec, route,
                       schedule_asap, topology_key, topology_size)
 from ..metrics import MetricSet, fidelity, gate_count, quantum_volume, success_probability
@@ -50,23 +51,25 @@ class RunOutcome:
     store_path: Path | None
 
 
-def _top_states(amps: np.ndarray, probs: np.ndarray, n: int, top_k: int) -> list[FinalState]:
+def _top_states(amps: np.ndarray, probs: np.ndarray, n: int, top_k: int,
+                rows: np.ndarray | None = None) -> list[FinalState]:
     """The top_k nonzero basis states by descending probability (``probs``
-    of ``amps``), ties by index."""
-    k = min(top_k, probs.size)
+    of ``amps``), ties by index, among ``rows`` alone (see ``sample``) when given."""
+    picked = probs if rows is None else probs[rows]
+    k = min(top_k, picked.size)
     if k == 0:
         return []
     # only indices at or above the k-th largest probability can make the cut
-    kth = np.partition(probs, probs.size - k)[probs.size - k]
-    candidates = np.flatnonzero((probs >= kth) & (probs > 0.0))
-    order = candidates[np.argsort(-probs[candidates], kind="stable")[:k]]
+    kth = np.partition(picked, picked.size - k)[picked.size - k]
+    candidates = np.flatnonzero((picked >= kth) & (picked > 0.0))
+    order = candidates[np.argsort(-picked[candidates], kind="stable")[:k]]
     return [
         FinalState(
             bitstring=format(i, f"0{n}b"),
             amplitude=(float(amps[i].real), float(amps[i].imag)),
             probability=float(probs[i]),
         )
-        for i in order
+        for i in (order if rows is None else rows[order])
     ]
 
 
@@ -84,6 +87,7 @@ def run_program(
 ) -> RunOutcome:
     started = time.perf_counter_ns()
     check_shots(shots)
+    check_seed(seed)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     # the register (one qubit per node when routed) is admitted before any work
@@ -106,14 +110,16 @@ def run_program(
         shot_rng = np.random.default_rng(shot_seq)
         noisy = trajectories.batches(executed.n, unitary, shot_rng, noise_p, shots)
 
-    ideal = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))[0].live
+    state = run_circuit(executed.n, unitary, rng=np.random.default_rng(actual_seq))[0]
+    ideal, rows = state.live, support_rows(state)
+    del state  # its second buffer and scratch are freed before any readout
     if not noise_p:
         width = 1  # trajectories in the widest state
         probs = probabilities(ideal)
         check_normalized(probs, "ideal")
         run_fidelity = 1.0  # the recorded state is the ideal one
-        histogram = sample(probs, shots, np.random.default_rng(sample_seq))
-        final_states = _top_states(ideal, probs, executed.n, top_k)
+        histogram = sample(probs, shots, np.random.default_rng(sample_seq), rows)
+        final_states = _top_states(ideal, probs, executed.n, top_k, rows)
     else:
         histogram, width = {}, 0
         for batch in noisy:

@@ -168,9 +168,10 @@ class StateVector:
     nothing a pass reads.  ``dense``, a kernel hint, records that
     zero-skipping found most amplitudes nonzero, so the engine stops
     scanning for zeros until :meth:`reset_ground`.  ``support``, also a
-    kernel hint, is None or, while a pass that owns the state carries it,
-    the rows a zero-skip scan would find nonzero (see gates); a reset and a
-    new state carry none, and a :meth:`copy` carries both hints.  With ``batch=B`` the buffers are ``(2^n, B)``, one column per
+    kernel hint, is None or the rows a zero-skip scan would find nonzero,
+    which a pass carries and hands back with its state (see gates); a reset
+    and a new state carry none, and a :meth:`copy` carries both hints.
+    With ``batch=B`` the buffers are ``(2^n, B)``, one column per
     trajectory; ``batch`` is None for a plain ``(2^n,)`` state, which acts
     as a single trajectory.  Every state is made, as new, a copy or from
     amplitudes, through one body, :meth:`_hold`.

@@ -13,6 +13,7 @@ from qaccel.cqasm import (
 )
 from qaccel.errors import ParseError
 from qaccel.gates import GateKind, gate
+from qaccel.harness.cli import main
 from qaccel.tensor_oracle import simulate_instructions
 
 BELL = "version 1.0\nqubits 2\n.bell\nh q[0]\ncnot q[0],q[1]\nmeasure q[0]\n"
@@ -130,6 +131,27 @@ class TestParse:
             parse(f"version 1.0\n{line}\n")
         assert err.value.line == lineno
 
+    @pytest.mark.parametrize("text, lineno, header", [
+        ("version1.0\nqubits 4\n", 1, "version"),
+        ("version 1.0\nqubits4\n", 2, "qubits"),
+        ("# banner\nVERSION 1.0\nQubits04\n", 3, "qubits"),
+    ], ids=["version", "qubits", "qubits-cased"])
+    def test_a_header_keyword_needs_whitespace_before_its_value(self, text, lineno, header,
+                                                                tmp_path, capsys):
+        with pytest.raises(ParseError, match=f"missing '{header}' header") as err:
+            parse(text)
+        assert err.value.line == lineno
+        qasm = tmp_path / "glued.qasm"
+        qasm.write_text(text)
+        assert main(["run", str(qasm), "--store", str(tmp_path / "runs.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: line {lineno}: missing '{header}' header\n"
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_any_whitespace_between_a_header_keyword_and_its_value(self):
+        program = parse("version\t1.0\nqubits\t4\nx q[3]\n")
+        assert (program.version, program.n) == ("1.0", 4)
+        assert parse("version \t 1.0\nQUBITS  \t2\n").n == 2
+
     def test_negative_qubit_count_keeps_its_message(self):
         with pytest.raises(ParseError, match="qubit count must be >= 1, got -3"):
             parse("version 1.0\nqubits -3\n")
@@ -179,6 +201,17 @@ class TestEmit:
         text = "version 1.0\nqubits 2\nx q[0]\n.rest\ncnot q[0], q[1]\n"
         program = parse(text)
         assert emit(program) == text
+        assert parse(emit(program)) == program
+
+    @pytest.mark.parametrize("name", ["k", "_k9", "k\n", "k\n\n", "k\r", "k ", "k.k", "9k"])
+    def test_every_kernel_a_program_holds_round_trips(self, name):
+        # "$" also matches before a final newline: Kernel("k\n") was accepted
+        # and read back as "k"
+        try:
+            program = Program("1.0", 1, [Kernel(name, [gate("x", 0)])])
+        except ValueError as exc:
+            assert str(exc) == f"invalid kernel name {name!r}"
+            return
         assert parse(emit(program)) == program
 
     def test_idempotent_canonicalization(self):

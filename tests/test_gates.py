@@ -22,7 +22,7 @@ from qaccel.gates import (
     sample,
 )
 from qaccel.metrics import fidelity
-from qaccel.statecore import StateVector, alloc_state
+from qaccel.statecore import StateVector, alloc_state, probabilities
 from qaccel.tensor_oracle import base_unitary, gate_matrix, simulate_instructions
 
 S = 1 / math.sqrt(2)
@@ -1312,6 +1312,31 @@ class TestSample:
         with pytest.raises(ValueError, match="shots"):
             sample(probs, 2**63, np.random.default_rng(0))
 
+    def test_a_draw_over_the_support_is_the_draw_over_the_whole_array(self):
+        # the same counts and the same next draw, the last row in the support
+        # or not: without a zero category for it, numpy's multinomial would
+        # hand the remainder to the last support row and skip a binomial
+        rng, mismatches = np.random.default_rng(3131), []
+        for case in range(1200):
+            n, last = int(rng.integers(3, 15)), case % 2  # whether row 2^n - 1 is in it
+            size = int(rng.integers(1, min(300, (1 << n) - 1) + 1))
+            rows = np.sort(rng.choice((1 << n) - 1, size=size, replace=False))
+            if last:
+                rows[-1] = (1 << n) - 1
+            amps = np.zeros(1 << n, complex)
+            amps[rows] = rng.normal(size=size) + 1j * rng.normal(size=size)
+            probs = probabilities(amps / np.linalg.norm(amps))
+            for shots in (1, 7, 1000):
+                seed = int(rng.integers(1 << 30))
+                full, compressed = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = sample(probs, shots, full)
+                got = sample(probs, shots, compressed, rows)
+                if got != expected or list(got) != list(expected):
+                    mismatches.append((case, shots, "counts"))
+                elif full.random() != compressed.random():
+                    mismatches.append((case, shots, "next draw"))
+        assert not mismatches, mismatches[:5]
+
 
 def _first_pauli_choice(seed: int) -> int:
     """Which Pauli apply_depolarizing draws first at p=1 for this seed."""
@@ -1832,12 +1857,20 @@ class TestCarriedSupport:
                 assert state.support is None
             assert len(scans) == 4
 
-    def test_the_states_passes_return_and_make_carry_no_support(self):
+    def test_a_returned_state_carries_the_rows_a_scan_finds(self):
+        # run_circuit hands its support back, support_rows gives it sorted,
+        # and a dense or small state carries none
         n, rng = 14, np.random.default_rng(2424)
         ops = TestFusion.permutation_heavy(rng, n, 20) + [gate("measure", 3)]
         for batch in (None, 2):
             state, _ = run_circuit(n, ops, rng=np.random.default_rng(0), batch=batch)
-            assert state.support is None
+            assert state.support is not None and self.exact(state)
+            rows = gates.support_rows(state)
+            assert np.array_equal(rows, np.sort(state.support))
+            assert np.all(rows[1:] > rows[:-1])
+        for m, prefix in ((n, ops[:8] + [gate("h", q) for q in range(n)]), (12, [])):
+            state, _ = run_circuit(m, prefix + [gate("h", 0), gate("x", 1)])
+            assert state.support is None and gates.support_rows(state) is None
         # a copy carries an equal support, and a collapse an exact one; a
         # columns= application and a reset drop it
         state = StateVector(n, 2)

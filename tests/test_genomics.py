@@ -269,6 +269,38 @@ class TestAlign:
             align(TOY, 0, np.random.default_rng(0))
 
 
+class TestAlignMarginals:
+    @staticmethod
+    def instances():
+        """Perfbench-shaped instances, a 5-bit read in a 32-bit reference on
+        17 qubits, then one under ``SCAN_MIN_QUBITS`` qubits and one of 13
+        qubits with a single index value."""
+        rng = np.random.default_rng(3737)
+        for i in range(6):
+            reference = "".join(map(str, rng.integers(2, size=32)))
+            at = int(rng.integers(28))
+            yield AlignmentInstance(reference, reference[at:at + 5], iterations=i % 3)
+        yield TOY
+        yield AlignmentInstance("10110100", "10110100")
+
+    def test_align_sums_the_whole_states_marginals(self, monkeypatch):
+        # byte for byte, whether it sums the carried rows alone or every row
+        summed, carried = [], []
+        sums, rows_of = genomics.index_marginals, genomics.support_rows
+        monkeypatch.setattr(genomics, "index_marginals",
+                            lambda *args: summed.append(sums(*args)) or summed[-1])
+        monkeypatch.setattr(genomics, "support_rows",
+                            lambda state: carried.append(state.support is not None)
+                            or rows_of(state))
+        for inst in self.instances():
+            align(inst, 100, np.random.default_rng(1))
+            program = build_alignment_circuit(inst)
+            state, _ = run_circuit(program.n, program.instructions)
+            assert summed[-1].tobytes() == index_marginals(inst, state.probabilities()).tobytes()
+        assert [inst.total_qubits for inst in self.instances()] == [17] * 6 + [5, 13]
+        assert carried == [True] * 6 + [False]  # one index value reads every row
+
+
 #: Final states of noiseless ``align`` engine passes, by sha256 of the live
 #: buffer (numpy 2.4.6 on x86-64): two instances of the perfbench ``align``
 #: shape, a 5-bit read in a 32-bit reference on 17 qubits, and a 13-qubit

@@ -276,6 +276,47 @@ class TestRunPipeline:
             assert set(np.flatnonzero(np.abs(expected) ** 2 > 1e-9)) <= set(listed), trial
             assert record.metrics.fidelity == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def corpus_program(rng, i):
+        """Program ``i`` of a seeded noiseless corpus at n = 13-16: signed
+        permutations around a few H and RY gates, sparse at the end, or,
+        every third program, an H layer and random gates, dense; some with
+        a prep_z or a measure."""
+        n, signed = 13 + i % 4, ("x", "z", "cnot", "cz", "swap", "toffoli")
+        ops = [gate("h", int(q)) for q in rng.choice(n, int(rng.integers(6)), replace=False)]
+        for _ in range(24):
+            kind = signed[int(rng.integers(len(signed)))]
+            qubits = rng.choice(n, gates.MNEMONICS[kind].arity, replace=False)
+            ops.append(gate(kind, *(int(q) for q in qubits)))
+        ops.insert(12, gate("ry", int(rng.integers(n)), angle=float(rng.uniform(-3, 3))))
+        if i % 3 == 2:
+            ops += [gate("h", q) for q in range(n)] + random_circuit(rng, n, max_gates=8)
+        if i % 5 < 2:
+            ops.insert(int(rng.integers(len(ops))), gate(("prep_z", "measure")[i % 5], 0))
+        return make_program(n, ops + [gate("measure", q) for q in range(n)])
+
+    def test_a_readout_over_the_support_records_what_the_whole_arrays_give(self, monkeypatch):
+        # the records, less run_id, timestamp and wall_time_ns, and the
+        # histograms equal those of a readout that reads every row
+        def outcome(program, seed, shots, top_k):
+            result = run_program(program, shots=shots, seed=seed, top_k=top_k, persist=False)
+            line = json.loads(store_line(result.record))
+            for key in ("run_id", "timestamp", "wall_time_ns"):
+                del line[key]
+            return line, list(result.histogram.items())
+
+        rng, sparse, carried = np.random.default_rng(3636), [], gates.support_rows
+        monkeypatch.setattr(runner, "support_rows",
+                            lambda state: sparse.append(state.support is not None) or carried(state))
+        for i in range(108):
+            program, seed = self.corpus_program(rng, i), int(rng.integers(1 << 30))
+            shots, top_k = (1, 5, 1000)[i % 3], (0, 3, 16)[i // 3 % 3]
+            with monkeypatch.context() as whole:
+                whole.setattr(runner, "support_rows", lambda state: None)
+                expected = outcome(program, seed, shots, top_k)
+            assert outcome(program, seed, shots, top_k) == expected, i
+        assert sum(sparse) == 72  # every program without an H layer ends sparse
+
     def test_fused_run_records_the_executed_gate_counts(self, monkeypatch):
         fused = []
         original = gates.apply_gate
@@ -859,6 +900,23 @@ class TestCliExitCodes:
         argv = [a.format(qasm=qasm) for a in argv] + ["--shots", str(10**20)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: shots must be in 1..2**63 - 1")
+
+    @pytest.mark.parametrize("argv", [["run", "{qasm}", "--topology", "line:2", "--store", "{store}"],
+                                      ["align", "--reference", "0110", "--read", "01"]],
+                             ids=["run", "align"])
+    def test_a_negative_seed_exits_one_before_any_work(self, argv, tmp_path, capsys,
+                                                       monkeypatch):
+        # numpy's own error named no option, and a run met it after routing
+        def unreached(*args, **kwargs):
+            raise AssertionError("work done before the seed was checked")
+
+        monkeypatch.setattr(runner, "initial_placement", unreached)
+        monkeypatch.setattr(cli, "align", unreached)
+        qasm, store = tmp_path / "bell.qasm", tmp_path / "runs.jsonl"
+        qasm.write_text(BELL)
+        assert main([a.format(qasm=qasm, store=store) for a in argv] + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not store.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
